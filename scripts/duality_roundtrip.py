@@ -44,7 +44,7 @@ def main() -> None:
     parser.add_argument("--pairs", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--grid", type=int, default=129,
-                        help="node count; chained transforms re-integrate per node")
+                        help="envelope node count of both transforms")
     args = parser.parse_args()
 
     grid = GridSpec(node_count=args.grid)

@@ -147,23 +147,27 @@ def _load_function(source: str, a: float, b: float, tail: Tail, hint: str) -> Fu
     return Function1D(eval=fn, domain=Domain(a, b), tail=tail, monotonicity=hint)
 
 
-def _load_measure(source: str, a: float, b: float, force_diverges: bool) -> Measure1D:
+def _load_measure(source: str, a: float, b: float, force_diverges: bool,
+                  lo: float, hi: float) -> Measure1D:
+    """The --m measure, spot-checked for strict increase on [lo, hi], where it is read."""
     if source.endswith(".csv"):
         tab = load_csv_function(source)
-        return Measure1D(
+        measure = Measure1D(
             m=tab, domain=tab.domain, m_prime=None,
             diverges=force_diverges,
         )
-    ast = parse_expression(source)
-    m = compile_expression(ast)
-    try:
-        dm = compile_expression(derive_expression(ast))
-    except NonDifferentiableError:
-        dm = None
-    return Measure1D(
-        m=m, domain=Domain(a, b), m_prime=dm,
-        diverges=force_diverges or math.isinf(b),
-    )
+    else:
+        ast = parse_expression(source)
+        try:
+            dm = compile_expression(derive_expression(ast))
+        except NonDifferentiableError:
+            dm = None
+        measure = Measure1D(
+            m=compile_expression(ast), domain=Domain(a, b), m_prime=dm,
+            diverges=force_diverges or math.isinf(b),
+        )
+    measure.validate(lo, hi)
+    return measure
 
 
 def _parse_range(spec: str) -> np.ndarray:
@@ -314,7 +318,7 @@ def _cmd_mean(args) -> int:
     cfg, _ = _configs(args)
     f = _load_function(args.f, args.a, args.b, _parse_tail(args.tail, Tail.unknown()),
                        args.hint)
-    m = _load_measure(args.m, args.a, args.b, force_diverges=False)
+    m = _load_measure(args.m, args.a, args.b, False, args.r, args.R)
     mean = integral_mean(f, m, args.r, args.R, cfg)
     if args.partials:
         lines = [
@@ -342,6 +346,7 @@ def _cmd_envelope(args) -> int:
 def _cmd_transform(args) -> int:
     cfg, grid = _configs(args)
     tail = _parse_tail(args.tail, Tail.vanishing())
+    xs = _parse_range(args.table)
     if args.kind == "d-from-q":
         _require(args, "d-from-q", Q=args.Q, r0=args.r0)
         Q = _load_function(args.Q, args.r0, args.b, Tail.unknown(), args.hint)
@@ -353,7 +358,7 @@ def _cmd_transform(args) -> int:
     elif args.kind == "majorant":
         _require(args, "majorant", f=args.f, a=args.a)
         f = _load_function(args.f, args.a, args.b, tail, args.hint)
-        m = _load_measure(args.m, args.a, args.b, force_diverges=True)
+        m = _load_measure(args.m, args.a, args.b, True, args.a, float(xs.max()))
         res = decreasing_majorant_mean(f, m, cfg, grid)
     else:
         _require(args, "double-envelope", f=args.f, a=args.a)
@@ -362,7 +367,6 @@ def _cmd_transform(args) -> int:
         res = weighted_double_envelope(f, WeightN(n=n_fn, domain=f.domain), grid)
     for note in res.warnings:
         print(f"warning: {note}", file=sys.stderr)
-    xs = _parse_range(args.table)
     _emit(_table_text(res.fn, xs), args.output)
     return EXIT_OK
 
@@ -393,8 +397,8 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"{prop} needs a finite --b to bound its samples")
         tail = _parse_tail(args.tail, Tail.vanishing())
         f = _load_function(args.f, args.a, args.b, tail, args.hint)
-        m = _load_measure(args.m, args.a, args.b, force_diverges=True)
         hi = args.b - (args.b - args.a) * 1e-9
+        m = _load_measure(args.m, args.a, args.b, True, args.a, hi)
         if prop == "monotonicity":
             pts = _grid_points(m, args.a, hi, args.steps)
             report = check_mean_monotonicity(f, m, pts, pts, cfg, grid)

@@ -302,12 +302,6 @@ def _right_sampling_end(f: Function1D, lo: float, grid: GridSpec) -> tuple[float
     if f.tail.kind == "vanishing":
         threshold = 0.5 * (grid.eps_sup if grid.eps_sup is not None else 1e-9)
         cutoff, certified = _vanishing_cutoff(f, max(lo, dom.a, 1.0), threshold)
-        if not certified:
-            warnings.warn(
-                "vanishing-tail scan hit its cap; supremum beyond the horizon "
-                "is taken on trust",
-                RuntimeWarning,
-            )
         hi = max(cutoff, 2.0 * max(lo, 1.0), lo + 1.0)
         return hi, certified
     if f.tail.kind == "bounded":
@@ -337,7 +331,13 @@ def right_maximization(f: Function1D, r: float, grid: GridSpec | None = None) ->
         raise DomainError(f"r={r} outside [{f.domain.a}, {f.domain.b})")
     if f.monotonicity == DECREASING:
         return evaluate(f, r)
-    hi, _ = _right_sampling_end(f, r, grid)
+    hi, certified = _right_sampling_end(f, r, grid)
+    if not certified:
+        warnings.warn(
+            "vanishing-tail scan hit its cap; supremum beyond the horizon "
+            "is taken on trust",
+            RuntimeWarning,
+        )
     s = _sup_on(f, r, hi, grid)
     if f.domain.unbounded and f.tail.kind == "bounded":
         eps = grid.effective_eps(s)
@@ -388,9 +388,17 @@ class Envelope:
     sample_xs: np.ndarray | None = None
     sample_ys: np.ndarray | None = None
 
-    def value_at(self, x):
-        if np.ndim(x) > 0:
-            return self._values(np.asarray(x, dtype=float))
+    def value_at(self, x, gap=None):
+        """The envelope at x (a number or an array).
+
+        gap, for an array x, names the node gap each point is read in: gap j
+        is (xs[j-1], xs[j]) for 1 <= j < len(xs) and gap len(xs) lies past the
+        last node.  The values are then the envelope's continuous extension
+        over each closed gap, which differs from the plain query only at a
+        node where the envelope jumps.
+        """
+        if gap is not None or np.ndim(x) > 0:
+            return self._values(np.asarray(x, dtype=float), gap)
         x = float(x)
         if not self.source.domain.contains(x):
             raise DomainError(
@@ -417,15 +425,16 @@ class Envelope:
         fx = evaluate(self.source, x)
         return min(float(self.table[j]), max(fx, float(self.table[j - 1])))
 
-    def _values(self, xs: np.ndarray) -> np.ndarray:
+    def _values(self, xs: np.ndarray, gap=None) -> np.ndarray:
         dom = self.source.domain
         if np.any(xs < dom.a) or np.any(xs >= dom.b):
             raise DomainError(f"query outside [{dom.a}, {dom.b})")
         n = len(self.xs)
-        j = np.searchsorted(self.xs, xs)
+        j = np.searchsorted(self.xs, xs) if gap is None else np.asarray(gap)
         inside = j < n
         exact = np.zeros(xs.shape, dtype=bool)
-        exact[inside] = self.xs[j[inside]] == xs[inside]
+        if gap is None:
+            exact[inside] = self.xs[j[inside]] == xs[inside]
         fx = batch_eval(self.source.eval, xs)
         bad = ~np.isfinite(fx) & ~exact
         if bad.any():

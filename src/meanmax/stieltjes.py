@@ -8,7 +8,9 @@ When m carries a derivative the integral is computed as an adaptive composite
 Simpson rule on f * m'; otherwise refined midpoint Stieltjes sums are used.
 Both paths halve the panel width until two successive refinements agree within
 tolerance, and both switch to a logarithmic substitution on wide positive
-intervals, where uniform panels would be hopeless.
+intervals, where uniform panels would be hopeless.  segment_integrals instead
+refines piece by piece, over many segments at once, for integrals that are
+wanted on every segment of a table.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .errors import (
     DegenerateIntervalError,
+    MeanmaxError,
     MissingDerivativeError,
     NonFiniteValueError,
     QuadratureError,
@@ -29,6 +32,12 @@ from .func1d import Domain, Function1D, batch_eval, evaluate
 
 # Ratio R/r beyond which integration runs in u = ln x.
 LOG_SUBSTITUTION_RATIO = 100.0
+
+# segment_integrals halves a piece at most this often, the mantissa bits of a
+# double: its pieces then resolve their segment to the last bit.  A kink
+# converges only linearly against a tolerance that shrinks with the piece, and
+# needs more halvings than a global panel count would (24 on a damped wave).
+LOCAL_HALVINGS = 52
 
 
 @dataclass
@@ -45,36 +54,55 @@ class Measure1D:
     m_prime: Callable[[float], float] | None = None
     diverges: bool = False
 
-    def validate(self, samples: int = 257) -> None:
-        """Spot-check strict increase, positivity of m', and right-continuity at a."""
+    def validate(self, lo: float | None = None, hi: float | None = None,
+                 samples: int = 257) -> None:
+        """Spot-check strict increase of m, and positivity of m', on [lo, hi].
+
+        lo and hi default to the domain, an unbounded one cut at
+        max(a, 1) * 1e6.  A sample where m or m' cannot be computed (an
+        overflow, a pole) is left unchecked: only the values that exist are
+        compared.
+        """
         dom = self.domain
-        hi = dom.b if not dom.unbounded else max(dom.a, 1.0) * 1e6
-        hi = hi - (hi - dom.a) * 1e-12
-        if dom.a > 0 and hi / dom.a > LOG_SUBSTITUTION_RATIO:
-            xs = np.geomspace(dom.a, hi, samples)
+        lo = dom.a if lo is None else max(lo, dom.a)
+        if hi is None:
+            hi = max(dom.a, 1.0) * 1e6 if dom.unbounded else dom.b
+        if not dom.unbounded:
+            hi = min(hi, dom.b - (dom.b - dom.a) * 1e-12)
+        if not lo < hi:
+            return
+        if lo > 0 and hi / lo > LOG_SUBSTITUTION_RATIO:
+            xs = np.geomspace(lo, hi, samples)
         else:
-            xs = np.linspace(dom.a, hi, samples)
-        ms = np.array([self.m(float(x)) for x in xs])
-        if not np.all(np.isfinite(ms)):
-            raise NonFiniteValueError("measure produced non-finite values")
-        if np.any(np.diff(ms) <= 0):
-            k = int(np.argmin(np.diff(ms)))
+            xs = np.linspace(lo, hi, samples)
+        ms = _values_where_defined(self.m, xs)
+        ok = np.isfinite(ms)
+        steps = np.diff(ms[ok])
+        if np.any(steps <= 0):
+            k = int(np.argmin(steps))
             raise DegenerateIntervalError(
-                f"measure is not strictly increasing near x={xs[k]}"
+                f"measure is not strictly increasing near x={xs[ok][k]}"
             )
         if self.m_prime is not None:
-            interior = xs[1:-1]
-            dms = np.array([self.m_prime(float(x)) for x in interior])
+            dms = _values_where_defined(self.m_prime, xs[1:-1])
             if np.any(dms <= 0):
-                k = int(np.argmin(dms))
+                k = int(np.nanargmin(dms))
                 raise DegenerateIntervalError(
-                    f"measure derivative nonpositive at x={interior[k]}"
+                    f"measure derivative nonpositive at x={xs[1 + k]}"
                 )
-        step = (xs[1] - xs[0]) * 1e-6
-        if abs(self.m(dom.a + step) - self.m(dom.a)) > 1e-3 * max(
-            1.0, abs(ms[-1] - ms[0])
-        ):
-            raise DegenerateIntervalError("measure looks discontinuous at the left endpoint")
+
+
+def _values_where_defined(fun: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
+    """fun at each x, NaN where it raises or is not finite."""
+    out = np.full(len(xs), np.nan)
+    with np.errstate(all="ignore"):
+        for k, x in enumerate(xs):
+            try:
+                out[k] = fun(float(x))
+            except (ArithmeticError, ValueError, MeanmaxError):
+                pass
+    out[~np.isfinite(out)] = np.nan
+    return out
 
 
 def log_measure(a: float, b: float = math.inf) -> Measure1D:
@@ -159,7 +187,8 @@ def _adaptive(level_sum, extrapolate, cfg: QuadratureConfig) -> MeanValue:
     )
 
 
-def _check_interval(g: Function1D, m: Measure1D, r: float, R: float) -> None:
+def check_interval(g: Function1D, m: Measure1D, r: float, R: float) -> None:
+    """Raise unless r < R and [r, R] lies inside the domains of g and m."""
     if not r < R:
         raise DegenerateIntervalError(f"need r < R, got r={r}, R={R}")
     if r < g.domain.a or R >= g.domain.b:
@@ -181,7 +210,7 @@ def stieltjes_integral(
 ) -> MeanValue:
     """integral_r^R g dm by adaptive Simpson on g*m' or refined midpoint sums."""
     cfg = cfg or QuadratureConfig()
-    _check_interval(g, m, r, R)
+    check_interval(g, m, r, R)
     ge = g.eval
     use_log = r > 0 and R / r > LOG_SUBSTITUTION_RATIO
 
@@ -227,6 +256,136 @@ def stieltjes_integral(
     )
 
 
+@dataclass
+class Pieces:
+    """Accepted pieces of a locally refined integral, sorted by left edge."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    value: np.ndarray
+    origin: np.ndarray  # index of the input segment each piece lies in
+
+
+def segment_integrals(
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    m: Measure1D,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    cfg: QuadratureConfig | None = None,
+    span=None,
+) -> Pieces:
+    """integral of g dm over each segment [lo[i], hi[i]], refined locally.
+
+    g(x, i) evaluates the integrand at the points x, each read in segment i[k],
+    so a piecewise integrand can be given as its continuous extension over
+    every closed segment.  Each segment gets adaptive Simpson on g*m'
+    (midpoint Stieltjes sums when m has no derivative): each level makes one
+    call to g for all segments, and only the pieces whose two estimates
+    disagree are halved, at most LOCAL_HALVINGS times (cfg.max_halvings does
+    not apply here).  Segments wider
+    than LOG_SUBSTITUTION_RATIO on positive x start from base_panels geometric
+    pieces.  A piece of weight dm is accepted within
+    max(atol * dm / span, rtol * |value|) / 4, span defaulting to the total
+    weight of the segments.  So the pieces of any run of segments of total
+    weight at most span, plus the pieces of one more such run, stay within
+    max(atol, rtol * |I|) of their integral I when g keeps its sign.
+    """
+    cfg = cfg or QuadratureConfig()
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    m_lo, m_hi = _eval_many(m.m, lo), _eval_many(m.m, hi)
+    if span is None:
+        span = np.sum(m_hi - m_lo)
+    span = np.broadcast_to(np.asarray(span, dtype=float), lo.shape)
+    origin = np.arange(len(lo))
+    done = [(lo[:0], hi[:0], lo[:0], origin[:0])]
+    wide = (lo > 0) & (hi > LOG_SUBSTITUTION_RATIO * lo)
+    if wide.any():
+        cuts = np.geomspace(lo[wide], hi[wide], cfg.base_panels + 1, axis=1)
+        cuts[:, 0], cuts[:, -1] = lo[wide], hi[wide]
+        lo = np.concatenate([lo[~wide], cuts[:, :-1].ravel()])
+        hi = np.concatenate([hi[~wide], cuts[:, 1:].ravel()])
+        origin = np.concatenate([origin[~wide], np.repeat(origin[wide], cfg.base_panels)])
+        m_lo, m_hi = _eval_many(m.m, lo), _eval_many(m.m, hi)
+    if len(lo):
+        done.extend(_refine(g, m, lo, hi, m_lo, m_hi, origin, span, cfg))
+    lo, hi, value, origin = (np.concatenate(parts) for parts in zip(*done))
+    order = np.argsort(lo, kind="stable")
+    return Pieces(lo[order], hi[order], value[order], origin[order])
+
+
+def _refine(g, m, lo, hi, m_lo, m_hi, origin, span, cfg: QuadratureConfig):
+    """Halve the pieces whose two estimates disagree, level by level.
+
+    Simpson compares one panel against two.  Midpoint sums compare one panel
+    against two and, since no midpoint sees a piece's ends, also the two-panel
+    midpoint sum against the trapezoid sum on the same points.
+    """
+    simpson = m.m_prime is not None
+
+    def rule(xs, idx):
+        ys = np.asarray(g(xs, idx), dtype=float)
+        if simpson:
+            ys = ys * _eval_many(m.m_prime, xs)
+        if not np.all(np.isfinite(ys)):
+            k = int(np.argmax(~np.isfinite(ys)))
+            raise NonFiniteValueError(f"non-finite integrand value at x={xs[k]}")
+        return ys
+
+    n = len(lo)
+    mid = 0.5 * (lo + hi)
+    m_mid = _eval_many(m.m, mid)
+    ys = rule(np.concatenate([lo, mid, hi]), np.tile(origin, 3))
+    y_lo, centre, y_hi = ys[:n], ys[n : 2 * n], ys[2 * n :]
+    done = []
+    for _ in range(LOCAL_HALVINGS + 1):
+        n = len(lo)
+        quarters = np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)])
+        ys = rule(quarters, np.tile(origin, 2))
+        y1, y3 = ys[:n], ys[n:]
+        if simpson:
+            w = hi - lo
+            coarse = w / 6.0 * (y_lo + 4.0 * centre + y_hi)
+            fine = w / 12.0 * (y_lo + 4.0 * y1 + 2.0 * centre + 4.0 * y3 + y_hi)
+            err = np.abs(fine - coarse)
+            value = fine + (fine - coarse) / 15.0
+        else:
+            dm_lo, dm_hi = m_mid - m_lo, m_hi - m_mid
+            coarse = centre * (m_hi - m_lo)
+            fine = y1 * dm_lo + y3 * dm_hi
+            trapezoid = 0.5 * ((y_lo + centre) * dm_lo + (centre + y_hi) * dm_hi)
+            err = np.maximum(np.abs(fine - coarse), np.abs(trapezoid - fine))
+            value = fine + (fine - coarse) / 3.0
+        tol = 0.25 * np.maximum(cfg.atol * (m_hi - m_lo) / span[origin],
+                                cfg.rtol * np.abs(fine))
+        ok = err <= tol
+        done.append((lo[ok], hi[ok], value[ok], origin[ok]))
+        if ok.all():
+            return done
+        s = ~ok
+        lo, mid, hi = (np.concatenate([lo[s], mid[s]]), quarters[np.tile(s, 2)],
+                       np.concatenate([mid[s], hi[s]]))
+        m_lo, m_mid, m_hi = (np.concatenate([m_lo[s], m_mid[s]]), _eval_many(m.m, mid),
+                             np.concatenate([m_mid[s], m_hi[s]]))
+        y_lo, y_hi = np.concatenate([y_lo[s], centre[s]]), np.concatenate([centre[s], y_hi[s]])
+        centre = np.concatenate([y1[s], y3[s]])
+        origin = np.tile(origin[s], 2)
+    raise QuadratureError(
+        f"no convergence after {LOCAL_HALVINGS} local halvings "
+        f"({len(lo) // 2} pieces left, first at x={lo[0]})"
+    )
+
+
+def measure_weight(m: Measure1D, r: float, R):
+    """m(R) - m(r) for a number or an array R, checked positive."""
+    dm = batch_eval(m.m, R) - m.m(r) if np.ndim(R) else m.m(R) - m.m(r)
+    if np.any(dm <= 0):
+        raise DegenerateIntervalError(
+            f"m(R) - m(r) = {np.min(dm)} is not positive; the measure data is not increasing"
+        )
+    return dm
+
+
 def integral_mean(
     f: Function1D,
     m: Measure1D,
@@ -236,12 +395,8 @@ def integral_mean(
 ) -> MeanValue:
     """The normalized Stieltjes mean of f against m over [r, R]."""
     cfg = cfg or QuadratureConfig()
-    _check_interval(f, m, r, R)
-    dm = m.m(R) - m.m(r)
-    if dm <= 0:
-        raise DegenerateIntervalError(
-            f"m(R) - m(r) = {dm} is not positive; the measure data is not increasing"
-        )
+    check_interval(f, m, r, R)
+    dm = measure_weight(m, r, R)
     integral = stieltjes_integral(f, m, r, R, cfg)
     return MeanValue(
         value=integral.value / dm,

@@ -17,7 +17,6 @@ be explored.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,10 +34,18 @@ from .func1d import (
     Function1D,
     GridSpec,
     Tail,
+    batch_eval,
     envelope_function,
     evaluate,
 )
-from .stieltjes import Measure1D, QuadratureConfig, integral_mean, log_measure
+from .stieltjes import (
+    Measure1D,
+    QuadratureConfig,
+    check_interval,
+    log_measure,
+    measure_weight,
+    segment_integrals,
+)
 
 
 @dataclass
@@ -132,6 +139,9 @@ def decreasing_majorant_mean(
     """D(R) = mean over [a, R] of the right maximization of f; D(a) extends by the sup at a.
 
     D decreases in R and dominates every mean of f over [r, R] with r >= a.
+    The first query builds the cumulative integral of the envelope against m
+    over the envelope's node gaps (see segment_integrals); every query is then
+    a table lookup plus one partial piece.  D accepts arrays of R.
     """
     cfg = cfg or QuadratureConfig()
     grid = grid or GridSpec()
@@ -139,25 +149,69 @@ def decreasing_majorant_mean(
     env = envelope_function(f, RIGHT, grid)
     if not env.tail_certified:
         notes.append("vanishing-tail cutoff scan hit its cap; tail taken on trust")
-    env_fn = env.as_function()
     a = f.domain.a
     at_a = env.value_at(a)
-    cache: dict[float, float] = {}
-    lock = threading.Lock()
+    xs, T = env.xs, env.table
+    # flat[j - 1] is the envelope's value on node gap j when the table is flat
+    # there, NaN otherwise; the gap past the last node is never flat.
+    flat = np.append(np.where(T[:-1] == T[1:], T[1:], np.nan), np.nan)
+    table = None
 
-    def D(R: float) -> float:
-        if not f.domain.contains(R):
-            raise DomainError(f"R={R} outside [{f.domain.a}, {f.domain.b})")
-        if R <= a:
-            return at_a
-        with lock:
-            hit = cache.get(R)
-        if hit is not None:
-            return hit
-        val = integral_mean(env_fn, m, a, R, cfg).value
-        with lock:
-            cache[R] = val
-        return val
+    def pieces(lo, hi, span):
+        # (right end, integral, segment index) of the accepted pieces of each
+        # segment [lo, hi].  Each lies in the node gap of its right end; where
+        # the table is flat the envelope is that constant, integrated exactly.
+        gap = np.searchsorted(xs, hi)
+        level = flat[gap - 1]
+        exact = ~np.isnan(level)
+        rest = np.flatnonzero(~exact)
+        done = segment_integrals(lambda x, i: env.value_at(x, gap=gap[rest[i]]), m,
+                                 lo[rest], hi[rest], cfg, np.broadcast_to(span, lo.shape)[rest])
+        value = level[exact] * (batch_eval(m.m, hi[exact]) - batch_eval(m.m, lo[exact]))
+        return (np.concatenate([hi[exact], done.hi]), np.concatenate([value, done.value]),
+                np.concatenate([np.flatnonzero(exact), rest[done.origin]]))
+
+    def build():
+        # Every sample of the build inside the nodes the measure is defined
+        # at cuts the node gaps, so no segment hides a sampled maximum.
+        # Queries past the last node integrate from it, inside a single gap.
+        last = xs[max(int(np.searchsorted(xs, m.domain.b)), 1) - 1]
+        cuts = np.union1d(xs[xs <= last], env.sample_xs[env.sample_xs <= last])
+        span = m.m(last) - m.m(a)
+        hi, value, _ = pieces(cuts[:-1], cuts[1:], span)
+        order = np.argsort(hi)
+        edges = np.concatenate([cuts[:1], hi[order]])
+        return edges, np.concatenate([[0.0], np.cumsum(value[order])]), span
+
+    def integral(R: np.ndarray) -> np.ndarray:
+        nonlocal table
+        tab = table
+        if tab is None:
+            tab = build()
+            table = tab  # one assignment publishes the table to every thread
+        edges, cum, span = tab
+        k = np.searchsorted(edges, R, side="right") - 1
+        out = cum[k]
+        part = R > edges[k]
+        if part.any():
+            hi = R[part]
+            beyond = hi > edges[-1]
+            span = np.where(beyond, batch_eval(m.m, hi) - m.m(edges[-1]), span)
+            _, value, origin = pieces(edges[k[part]], hi, span)
+            out[part] += np.bincount(origin, value, minlength=len(hi))
+        return out
+
+    def D(R):
+        Rs = np.asarray(R, dtype=float)
+        outside = ~((Rs >= a) & (Rs < f.domain.b))
+        if outside.any():
+            raise DomainError(f"R={Rs[outside].flat[0]} outside [{a}, {f.domain.b})")
+        out = np.full(Rs.shape, at_a)
+        q = Rs > a
+        if q.any():
+            check_interval(f, m, a, float(Rs[q].max()))
+            out[q] = integral(Rs[q]) / measure_weight(m, a, Rs[q])
+        return float(out) if out.ndim == 0 else out
 
     fn = Function1D(
         eval=D,

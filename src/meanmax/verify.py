@@ -223,8 +223,11 @@ def check_mean_monotonicity(
     worst = max((lhs - rhs for lhs, rhs, _ in samples), default=-math.inf)
     witness = None
     ok = worst <= slack
-    # Sign of the analytic partials at midpoints of consecutive grid cells.
-    r_mids = [0.5 * (u + v) for u, v in zip(r_grid[:-1], r_grid[1:])]
+    # Sign of the analytic partials at midpoints of consecutive grid cells,
+    # which need m'; without it the grid comparisons decide alone.
+    r_mids = []
+    if m.m_prime is not None:
+        r_mids = [0.5 * (u + v) for u, v in zip(r_grid[:-1], r_grid[1:])]
     R_mids = [0.5 * (u + v) for u, v in zip(R_grid[:-1], R_grid[1:])]
     partial_count = 0
     for r in r_mids:

@@ -41,3 +41,30 @@ def table_from_samples(node_xs, sample_xs, sample_ys, side: str) -> np.ndarray:
             mask = sample_xs <= x
         out[i] = sample_ys[mask].max()
     return out
+
+
+def piecewise_midpoint(g, m, nodes, a: float, Rs, panels: int) -> np.ndarray:
+    """integral_a^R g dm for each R, as fixed-panel midpoint Stieltjes sums per node gap.
+
+    The gaps are those between consecutive nodes in (a, R), plus [last node, R];
+    each gets its own `panels` equal panels, so an integrand whose kinks and
+    jumps sit at the nodes (an envelope table) is smooth on every panel but
+    the ones a kink inside a gap crosses.  g and m take 1-d arrays.
+    """
+    Rs = np.asarray(Rs, dtype=float)
+    nodes = np.asarray(nodes, dtype=float)
+    edges = np.concatenate([[a], nodes[(nodes > a) & (nodes < Rs.max())]])
+    k = np.searchsorted(edges, Rs, side="right") - 1
+    lo = np.concatenate([edges[:-1], edges[k]])
+    hi = np.concatenate([edges[1:], Rs])
+    t = np.arange(panels + 1) / panels
+    sums = np.empty(len(lo))
+    for s in range(0, len(lo), 64):
+        ts = lo[s : s + 64, None] + (hi - lo)[s : s + 64, None] * t
+        mids = 0.5 * (ts[:, :-1] + ts[:, 1:])
+        gs = g(mids.ravel()).reshape(mids.shape)
+        ms = m(ts.ravel()).reshape(ts.shape)
+        sums[s : s + 64] = np.sum(gs * np.diff(ms, axis=1), axis=1)
+    gaps = len(edges) - 1
+    cum = np.concatenate([[0.0], np.cumsum(sums[:gaps])])
+    return cum[k] + sums[gaps:]

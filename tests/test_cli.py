@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,35 @@ class TestMean:
         assert code == 0
         assert float(out.strip()) == pytest.approx(0.5, rel=1e-6)
 
+    def test_rejects_measure_not_increasing(self, capsys):
+        # x + 2 sin x decreases where cos x < -1/2
+        code, out, err = run(
+            capsys, "mean", "--f", "1/x", "--m", "x+2*sin(x)",
+            "--a", "1", "--b", "inf", "--r", "1", "--R", "12",
+        )
+        assert code == 3
+        assert out == ""
+        assert "not strictly increasing" in err
+
+    def test_accepts_steep_measure_at_its_left_end(self, capsys):
+        code, out, _ = run(
+            capsys, "mean", "--f", "x", "--m", "x^(1/3)",
+            "--a", "0", "--b", "1", "--r", "0.25", "--R", "0.75",
+        )
+        r, R = 0.25, 0.75
+        assert code == 0
+        want = (R ** (4 / 3) - r ** (4 / 3)) / 4 / (R ** (1 / 3) - r ** (1 / 3))
+        assert float(out) == pytest.approx(want, rel=1e-8)
+
+    def test_accepts_measure_that_overflows_past_the_interval(self, capsys):
+        code, out, _ = run(
+            capsys, "mean", "--f", "x", "--m", "exp(x)",
+            "--a", "0", "--b", "inf", "--r", "1", "--R", "5",
+        )
+        assert code == 0
+        e = math.e
+        assert float(out) == pytest.approx(4 * e**5 / (e**5 - e), rel=1e-8)
+
 
 class TestTransform:
     def test_q_from_d_spec_example(self, capsys):
@@ -134,6 +164,17 @@ class TestTransform:
             x, v = map(float, row.split(","))
             assert v == pytest.approx(2 * (1 - x**-0.5) / math.log(x), rel=1e-8)
 
+    def test_tail_cap_warned_once(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                capsys, "transform", "--kind", "q-from-d", "--d", "1/ln(x)",
+                "--r0", "2.718281828", "--table", "10:1e6:geometric:3",
+            )
+        assert code == 0
+        assert not [w for w in caught if "cap" in str(w.message)]
+        assert err.count("hit its cap") == 1
+
     def test_hypothesis_warning_on_stderr(self, capsys):
         code, out, err = run(
             capsys, "transform", "--kind", "d-from-q", "--Q", "x",
@@ -158,6 +199,17 @@ class TestVerify:
             "--m", "x", "--a", "0", "--b", "10", "--steps", "8",
         )
         assert code == 0
+
+    def test_monotonicity_csv_measure(self, capsys, tmp_path):
+        # a tabulated measure has no derivative: the grid comparisons decide
+        p = tmp_path / "m.csv"
+        p.write_text("1,0\n2,0.7\n5,1.6\n50,3.9\n")
+        code, out, _ = run(
+            capsys, "verify", "--property", "monotonicity", "--f", "1/x",
+            "--m", str(p), "--a", "1", "--b", "50", "--steps", "5",
+        )
+        assert code == 0
+        assert "verdict: holds" in out
 
     def test_inconclusive_exit_code(self, capsys):
         code, out, _ = run(

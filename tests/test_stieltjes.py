@@ -20,6 +20,7 @@ from meanmax.stieltjes import (
     log_measure,
     mean_partial_R,
     mean_partial_r,
+    segment_integrals,
     stieltjes_integral,
 )
 
@@ -95,6 +96,24 @@ class TestStieltjesIntegral:
             left = stieltjes_integral(EXP, M_ID, 0.0, s).value
             right = stieltjes_integral(EXP, M_ID, s, 3.0).value
             assert left + right == pytest.approx(whole.value, abs=tol)
+
+
+class TestSegmentIntegrals:
+    def per_segment(self, pieces, count):
+        return np.bincount(pieces.origin, pieces.value, minlength=count)
+
+    def test_closed_forms_both_paths(self):
+        lo, hi = np.array([0.0, 1.0, 2.5]), np.array([1.0, 2.5, 4.0])
+        want = (hi**3 - lo**3) / 3
+        plain = Measure1D(m=lambda x: x, domain=Domain(0.0, 5.0))
+        for m in (identity_measure(0.0), plain):
+            pieces = segment_integrals(lambda x, i: x**2, m, lo, hi)
+            assert self.per_segment(pieces, 3) == pytest.approx(want, rel=1e-9)
+            assert np.all(np.diff(pieces.lo) > 0)
+
+    def test_wide_segment(self):
+        pieces = segment_integrals(lambda x, i: 1 / x, log_measure(1.0), [1.0], [1e25])
+        assert pieces.value.sum() == pytest.approx(1 - 1e-25, rel=1e-9)
 
 
 class TestIntegralMean:
@@ -184,6 +203,20 @@ class TestMeasureValidation:
         bad = Measure1D(m=lambda x: -x, domain=Domain(0.0, 10.0))
         with pytest.raises(DegenerateIntervalError):
             bad.validate()
+
+    def test_steep_continuous_start(self):
+        # m rises by 1.6e-3 over the first 4e-9 of [0, 1], and is continuous
+        Measure1D(m=np.cbrt, domain=Domain(0.0, 1.0)).validate()
+
+    def test_overflow_left_unchecked(self):
+        # exp overflows long before the default horizon 1e6
+        Measure1D(m=math.exp, m_prime=math.exp, domain=Domain(0.0, math.inf)).validate()
+
+    def test_checks_only_the_given_interval(self):
+        m = Measure1D(m=lambda x: x + 2 * np.sin(x), domain=Domain(1.0, math.inf))
+        m.validate(1.0, 2.0)
+        with pytest.raises(DegenerateIntervalError, match="not strictly increasing"):
+            m.validate(1.0, 12.0)
 
     def test_rejects_nonpositive_derivative(self):
         bad = Measure1D(

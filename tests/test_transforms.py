@@ -1,12 +1,13 @@
 import math
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from meanmax.errors import UnboundedSupError
-from meanmax.func1d import Domain, Function1D, GridSpec, Tail
-from meanmax.stieltjes import identity_measure, integral_mean, log_measure
+from meanmax.func1d import RIGHT, Domain, Function1D, GridSpec, Tail, envelope_function
+from meanmax.stieltjes import Measure1D, identity_measure, integral_mean, log_measure
 from meanmax.transforms import (
     Q_from_d,
     WeightN,
@@ -15,7 +16,7 @@ from meanmax.transforms import (
     weighted_double_envelope,
 )
 
-from oracles import midpoint_stieltjes
+from oracles import midpoint_stieltjes, piecewise_midpoint
 
 
 def fn(fun, a, b, tail=None, hint="none"):
@@ -41,7 +42,8 @@ class TestDecreasingMajorantMean:
     def test_inverse_log_measure(self):
         f = fn(lambda x: 1 / x, 1.0, math.inf, tail=Tail.vanishing(), hint="decreasing")
         res = decreasing_majorant_mean(f, log_measure(1.0))
-        for R in (10.0, 100.0, 1e4):
+        # 1e25 lies far past the sampling end, 1e6
+        for R in (10.0, 100.0, 1e4, 1e25):
             assert res.fn(R) == pytest.approx((1 - 1 / R) / math.log(R), rel=1e-9)
 
     def test_decreasing_in_R(self):
@@ -91,6 +93,132 @@ class TestDecreasingMajorantMean:
         for t in threads:
             t.join()
         assert values == [first] * 4
+
+
+def wave(x):
+    return np.exp(-x) * (1 + 0.5 * np.sin(5 * x))
+
+
+# Local maxima of wave: 2.5 cos 5x - 0.5 sin 5x = 1 on the falling side.
+WAVE_MAXIMA = [
+    (math.acos(1 / math.sqrt(6.5)) - math.atan2(0.5, 2.5) + 2 * math.pi * k) / 5
+    for k in range(26)
+]
+
+
+class TestMajorantTable:
+    """D(R) against piecewise midpoint sums of the same envelope, gap by gap."""
+
+    def check_against_reference(self, res, f, m, Rs, panels):
+        env = envelope_function(f, RIGHT)  # the same build as the one inside res
+        a = f.domain.a
+        Rs = np.asarray(Rs, dtype=float)
+        ref = piecewise_midpoint(env.value_at, m.m, env.xs, a, Rs, panels)
+        for R, I in zip(Rs, ref):
+            dm = m.m(R) - m.m(a)
+            tol = max(1e-10, 1e-9 * abs(I)) / dm
+            assert abs(res.fn(float(R)) - I / dm) <= tol, R
+        return env
+
+    def test_wave_identity_measure(self):
+        f = fn(wave, 0.0, math.inf, tail=Tail.vanishing())
+        m = identity_measure(0.0)
+        res = decreasing_majorant_mean(f, m)
+        assert res.log["envelope_sampling_end"] < 40.0
+        beside = [x + s for x in WAVE_MAXIMA for s in (-1e-3, 1e-3)]
+        Rs = [1.0, 2.5 + 1 / 300, 7.1, *beside, 40.0]
+        env = self.check_against_reference(res, f, m, Rs, panels=1000)
+        assert 1.0 in env.xs and not np.isin(Rs[1:3], env.xs).any()
+
+    def test_maximum_inside_a_gap(self):
+        # The first maximum, x = 0.2782, lies inside the node gap [0.25, 0.28125],
+        # where the envelope rises above its lower table value only over the
+        # last quarter of the gap: none of the five Simpson points of the gap
+        # sees that, the refinement samples around the maximum do.
+        f = fn(lambda x: np.exp(-0.3 * x) * (1 + 0.5 * np.sin(5 * x)), 0.0, math.inf,
+               tail=Tail.vanishing())
+        m = identity_measure(0.0)
+        res = decreasing_majorant_mean(f, m)
+        self.check_against_reference(res, f, m, [0.27, 0.99, 3.0], panels=4000)
+
+    def test_inverse_log_measure(self):
+        f = fn(lambda x: 1 / x, 1.0, math.inf, tail=Tail.vanishing(), hint="decreasing")
+        m = log_measure(1.0)
+        res = decreasing_majorant_mean(f, m)
+        self.check_against_reference(res, f, m, [1.5, 10.0, 123.4, 1e4], panels=200)
+
+    def test_tabulated_measure(self):
+        xs = np.geomspace(1.0, 50.0, 257)
+        ms = np.log(xs)
+        m = Measure1D(m=lambda x: np.interp(x, xs, ms), domain=Domain(1.0, 50.0),
+                      diverges=True)
+        f = fn(wave, 1.0, 50.0, tail=Tail.vanishing())
+        res = decreasing_majorant_mean(f, m)
+        self.check_against_reference(res, f, m, [1.2, 3.3, 17.0, 49.0], panels=1000)
+
+    def test_array_queries_match_scalar_ones(self):
+        f = fn(wave, 0.0, math.inf, tail=Tail.vanishing())
+        res = decreasing_majorant_mean(f, identity_measure(0.0))
+        Rs = np.array([0.0, 0.3, 2.0, 33.0])
+        want = [res.fn(float(R)) for R in Rs]
+        assert res.fn.eval(Rs) == pytest.approx(want, rel=1e-14)
+
+    def test_concurrent_first_queries(self):
+        f = fn(wave, 0.0, math.inf, tail=Tail.vanishing())
+        Rs = [0.7, 3.0, 12.0, 40.0]
+        want = [decreasing_majorant_mean(f, identity_measure(0.0)).fn(R) for R in Rs]
+        res = decreasing_majorant_mean(f, identity_measure(0.0))
+        got = {}
+
+        def worker(k):
+            got[k] = [res.fn(R) for R in Rs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {k: want for k in range(8)}
+
+    def test_flat_gaps_read_no_source_point(self):
+        read = []
+
+        def recorded(x):
+            read.append(np.array(x, dtype=float).ravel())
+            return wave(x)
+
+        f = fn(recorded, 0.0, math.inf, tail=Tail.vanishing())
+        res = decreasing_majorant_mean(f, identity_measure(0.0))
+        read.clear()
+        res.fn(40.0)
+        x = np.concatenate(read)
+        env = envelope_function(fn(wave, 0.0, math.inf, tail=Tail.vanishing()), RIGHT)
+        j = np.searchsorted(env.xs, x)
+        inside = (j > 0) & (j < len(env.xs)) & ~np.isin(x, env.xs)
+        flat = env.table[j[inside] - 1] == env.table[j[inside]]
+        assert (env.table[:-1] == env.table[1:]).sum() > 10
+        assert len(x) and not flat.any()
+
+    def test_source_point_budget(self):
+        points = 0
+
+        def counted(x):
+            nonlocal points
+            points += np.size(x)
+            return wave(x)
+
+        f = fn(counted, 0.0, math.inf, tail=Tail.vanishing())
+        res = decreasing_majorant_mean(f, identity_measure(0.0))
+        points = 0
+        for R in np.geomspace(1.0, 40.0, 16):
+            res.fn(float(R))
+        assert points <= 50_000
 
 
 class TestWeightedDoubleEnvelope:
