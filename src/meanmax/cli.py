@@ -30,6 +30,7 @@ from .func1d import (
     Function1D,
     GridSpec,
     Tail,
+    build_nodes,
     envelope_function,
     evaluate,
 )
@@ -58,6 +59,7 @@ from .verify import (
     check_sup_identity,
     estimate_decay,
     finite_difference_check,
+    invert_measure,
 )
 
 EXIT_OK = 0
@@ -182,14 +184,9 @@ def _parse_range(spec: str) -> np.ndarray:
         raise ValueError("range count must be at least 2")
     if not lo < hi:
         raise ValueError(f"range needs lo < hi, got {lo}:{hi}")
-    if spacing == "geometric":
-        if lo <= 0:
-            raise ValueError("geometric spacing needs lo > 0")
-        xs = np.geomspace(lo, hi, count)
-    else:
-        xs = np.linspace(lo, hi, count)
-    xs[0], xs[-1] = lo, hi
-    return xs
+    if spacing == "geometric" and lo <= 0:
+        raise ValueError("geometric spacing needs lo > 0")
+    return build_nodes(lo, hi, count, spacing)
 
 
 def _parse_schedule(spec: str) -> DecaySchedule:
@@ -381,11 +378,7 @@ def _verdict_exit(verdict: str) -> int:
 
 def _grid_points(m: Measure1D, lo: float, hi: float, steps: int) -> list[float]:
     # Uniform in m-coordinates so wide logarithmic windows are covered evenly.
-    us = np.linspace(m.m(lo), m.m(hi), steps)
-    from .verify import _m_coordinate_sampler
-
-    invert, _, _ = _m_coordinate_sampler(m, lo, hi)
-    return [invert(float(u)) for u in us]
+    return invert_measure(m, lo, hi, np.linspace(m.m(lo), m.m(hi), steps)).tolist()
 
 
 def _cmd_verify(args) -> int:

@@ -42,6 +42,10 @@ TAIL_SCAN_CAP = 1e20
 # vanishing-tail cutoff applies.
 DEFAULT_HORIZON_FACTOR = 1e6
 
+# A positive interval whose ends differ by more than this factor is sampled
+# on geometric nodes (and integrated in u = ln x), a narrower one uniformly.
+GEOMETRIC_RATIO = 100.0
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -158,9 +162,10 @@ def evaluate(f: Function1D, x: float) -> float:
     return y
 
 
-def _build_nodes(lo: float, hi: float, count: int, spacing: str | None) -> np.ndarray:
+def build_nodes(lo: float, hi: float, count: int, spacing: str | None = None) -> np.ndarray:
+    """count nodes from lo to hi, both ends exact; spacing None picks by GEOMETRIC_RATIO."""
     if spacing is None:
-        spacing = "geometric" if lo > 0 and hi / lo > 100.0 else "uniform"
+        spacing = "geometric" if lo > 0 and hi / lo > GEOMETRIC_RATIO else "uniform"
     if spacing == "geometric" and lo > 0:
         xs = np.geomspace(lo, hi, count)
     else:
@@ -237,7 +242,7 @@ def _refined_samples(f: Function1D, lo: float, hi: float, grid: GridSpec):
     Returns (base_xs, base_ys, extra_xs, extra_ys); the overall max of all four
     arrays is the supremum estimate.
     """
-    base_xs = _build_nodes(lo, hi, grid.node_count, grid.spacing)
+    base_xs = build_nodes(lo, hi, grid.node_count, grid.spacing)
     base_ys = _sample(f, base_xs)
     extra: list[tuple[float, float]] = []
     all_xs = list(base_xs)
@@ -545,7 +550,7 @@ def classify_monotonicity(f: Function1D, grid: GridSpec | None = None) -> str:
         if not dom.unbounded
         else max(dom.a, 1.0) * DEFAULT_HORIZON_FACTOR
     )
-    xs = _build_nodes(dom.a, hi, grid.node_count, grid.spacing)
+    xs = build_nodes(dom.a, hi, grid.node_count, grid.spacing)
     try:
         ys = _sample(f, xs)
     except (NonFiniteValueError, DomainError):

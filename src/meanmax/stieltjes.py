@@ -28,10 +28,11 @@ from .errors import (
     NonFiniteValueError,
     QuadratureError,
 )
-from .func1d import Domain, Function1D, batch_eval, evaluate
+from .func1d import GEOMETRIC_RATIO, Domain, Function1D, batch_eval, build_nodes, evaluate
 
-# Ratio R/r beyond which integration runs in u = ln x.
-LOG_SUBSTITUTION_RATIO = 100.0
+# Panels of the first level of stieltjes_integral, and geometric pieces a wide
+# segment of segment_integrals starts from.
+BASE_PANELS = 64
 
 # segment_integrals halves a piece at most this often, the mantissa bits of a
 # double: its pieces then resolve their segment to the last bit.  A kink
@@ -59,9 +60,9 @@ class Measure1D:
         """Spot-check strict increase of m, and positivity of m', on [lo, hi].
 
         lo and hi default to the domain, an unbounded one cut at
-        max(a, 1) * 1e6.  A sample where m or m' cannot be computed (an
-        overflow, a pole) is left unchecked: only the values that exist are
-        compared.
+        max(a, 1) * 1e6.  m must be finite at lo.  Any other sample where m
+        or m' cannot be computed (an overflow, a pole) is left unchecked: only
+        the values that exist are compared.
         """
         dom = self.domain
         lo = dom.a if lo is None else max(lo, dom.a)
@@ -71,11 +72,10 @@ class Measure1D:
             hi = min(hi, dom.b - (dom.b - dom.a) * 1e-12)
         if not lo < hi:
             return
-        if lo > 0 and hi / lo > LOG_SUBSTITUTION_RATIO:
-            xs = np.geomspace(lo, hi, samples)
-        else:
-            xs = np.linspace(lo, hi, samples)
+        xs = build_nodes(lo, hi, samples)
         ms = _values_where_defined(self.m, xs)
+        if np.isnan(ms[0]):
+            raise DegenerateIntervalError(f"measure is not finite at the left end x={lo}")
         ok = np.isfinite(ms)
         steps = np.diff(ms[ok])
         if np.any(steps <= 0):
@@ -125,7 +125,6 @@ def identity_measure(a: float, b: float = math.inf) -> Measure1D:
 class QuadratureConfig:
     atol: float = 1e-10
     rtol: float = 1e-9
-    base_panels: int = 64
     max_halvings: int = 20
 
     def __post_init__(self):
@@ -141,7 +140,6 @@ class QuadratureConfig:
         return QuadratureConfig(
             atol=self.atol * factor,
             rtol=self.rtol * factor,
-            base_panels=self.base_panels,
             max_halvings=self.max_halvings,
         )
 
@@ -173,7 +171,7 @@ def _simpson(fun, lo: float, hi: float, panels: int) -> float:
 
 def _adaptive(level_sum, extrapolate, cfg: QuadratureConfig) -> MeanValue:
     """Panel-doubling driver shared by the Simpson and midpoint paths."""
-    n = max(2, cfg.base_panels + (cfg.base_panels % 2))
+    n = BASE_PANELS
     prev = level_sum(n)
     for _ in range(cfg.max_halvings):
         n *= 2
@@ -212,7 +210,7 @@ def stieltjes_integral(
     cfg = cfg or QuadratureConfig()
     check_interval(g, m, r, R)
     ge = g.eval
-    use_log = r > 0 and R / r > LOG_SUBSTITUTION_RATIO
+    use_log = r > 0 and R / r > GEOMETRIC_RATIO
 
     if m.m_prime is not None:
         dm = m.m_prime
@@ -283,7 +281,7 @@ def segment_integrals(
     call to g for all segments, and only the pieces whose two estimates
     disagree are halved, at most LOCAL_HALVINGS times (cfg.max_halvings does
     not apply here).  Segments wider
-    than LOG_SUBSTITUTION_RATIO on positive x start from base_panels geometric
+    than GEOMETRIC_RATIO on positive x start from BASE_PANELS geometric
     pieces.  A piece of weight dm is accepted within
     max(atol * dm / span, rtol * |value|) / 4, span defaulting to the total
     weight of the segments.  So the pieces of any run of segments of total
@@ -299,13 +297,13 @@ def segment_integrals(
     span = np.broadcast_to(np.asarray(span, dtype=float), lo.shape)
     origin = np.arange(len(lo))
     done = [(lo[:0], hi[:0], lo[:0], origin[:0])]
-    wide = (lo > 0) & (hi > LOG_SUBSTITUTION_RATIO * lo)
+    wide = (lo > 0) & (hi > GEOMETRIC_RATIO * lo)
     if wide.any():
-        cuts = np.geomspace(lo[wide], hi[wide], cfg.base_panels + 1, axis=1)
+        cuts = np.geomspace(lo[wide], hi[wide], BASE_PANELS + 1, axis=1)
         cuts[:, 0], cuts[:, -1] = lo[wide], hi[wide]
         lo = np.concatenate([lo[~wide], cuts[:, :-1].ravel()])
         hi = np.concatenate([hi[~wide], cuts[:, 1:].ravel()])
-        origin = np.concatenate([origin[~wide], np.repeat(origin[wide], cfg.base_panels)])
+        origin = np.concatenate([origin[~wide], np.repeat(origin[wide], BASE_PANELS)])
         m_lo, m_hi = _eval_many(m.m, lo), _eval_many(m.m, hi)
     if len(lo):
         done.extend(_refine(g, m, lo, hi, m_lo, m_hi, origin, span, cfg))
@@ -413,22 +411,7 @@ def mean_partial_r(
     cfg: QuadratureConfig | None = None,
 ) -> float:
     """d/dr of the integral mean: m'(r) (m(R)-m(r))^-2 * integral_r^R (f(x)-f(r)) dm."""
-    cfg = cfg or QuadratureConfig()
-    if m.m_prime is None:
-        raise MissingDerivativeError("partial in r needs the measure derivative at r")
-    if not (f.domain.a < r and m.domain.a < r):
-        raise DegenerateIntervalError("partials need r strictly inside the domain")
-    fr = evaluate(f, r)
-    shifted = Function1D(
-        eval=lambda x: f.eval(x) - fr,
-        domain=f.domain,
-        locally_bounded=f.locally_bounded,
-    )
-    integral = stieltjes_integral(shifted, m, r, R, cfg)
-    dm = m.m(R) - m.m(r)
-    if dm <= 0:
-        raise DegenerateIntervalError("measure does not increase over [r, R]")
-    return m.m_prime(r) * integral.value / dm**2
+    return _mean_partial(f, m, r, R, cfg, "r")
 
 
 def mean_partial_R(
@@ -439,14 +422,22 @@ def mean_partial_R(
     cfg: QuadratureConfig | None = None,
 ) -> float:
     """d/dR of the integral mean: m'(R) (m(R)-m(r))^-2 * integral_r^R (f(R)-f(x)) dm."""
+    return _mean_partial(f, m, r, R, cfg, "R")
+
+
+def _mean_partial(f: Function1D, m: Measure1D, r: float, R: float,
+                  cfg: QuadratureConfig | None, end: str) -> float:
+    """The partial of the integral mean in the end named "r" or "R"."""
     cfg = cfg or QuadratureConfig()
     if m.m_prime is None:
-        raise MissingDerivativeError("partial in R needs the measure derivative at R")
+        raise MissingDerivativeError(f"partial in {end} needs the measure derivative at {end}")
     if not (f.domain.a < r and m.domain.a < r):
         raise DegenerateIntervalError("partials need r strictly inside the domain")
-    fR = evaluate(f, R)
+    x0 = r if end == "r" else R
+    f0 = evaluate(f, x0)
+    fe = f.eval
     shifted = Function1D(
-        eval=lambda x: fR - f.eval(x),
+        eval=(lambda x: fe(x) - f0) if end == "r" else (lambda x: f0 - fe(x)),
         domain=f.domain,
         locally_bounded=f.locally_bounded,
     )
@@ -454,4 +445,4 @@ def mean_partial_R(
     dm = m.m(R) - m.m(r)
     if dm <= 0:
         raise DegenerateIntervalError("measure does not increase over [r, R]")
-    return m.m_prime(R) * integral.value / dm**2
+    return m.m_prime(x0) * integral.value / dm**2

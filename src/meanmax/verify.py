@@ -22,6 +22,7 @@ from .func1d import (
     RIGHT,
     Function1D,
     GridSpec,
+    build_nodes,
     classify_monotonicity,
     envelope_function,
     evaluate,
@@ -130,64 +131,82 @@ def midpoint_stieltjes_oracle(g_eval, m_eval, r: float, R: float,
     return float(np.sum(gs * np.diff(ms)))
 
 
-def _m_coordinate_sampler(m: Measure1D, lo: float, hi: float, nodes: int = 2049):
-    """Approximate inverse of m on [lo, hi] for sampling uniform in m-coordinates."""
-    if lo > 0 and hi / lo > 100.0:
-        xs = np.geomspace(lo, hi, nodes)
-    else:
-        xs = np.linspace(lo, hi, nodes)
-    xs[0], xs[-1] = lo, hi
+def invert_measure(m: Measure1D, lo: float, hi: float, us) -> np.ndarray:
+    """The points x of [lo, hi] with m(x) = u, for each u of us in [m(lo), m(hi)].
+
+    m is interpolated linearly on build_nodes(lo, hi, 2049), whose ends are
+    exact, so u = m(lo) and u = m(hi) give lo and hi.  Evenly spaced us give
+    points evenly spread in m-coordinates.
+    """
+    xs = build_nodes(lo, hi, 2049)
     ms = np.array([m.m(float(x)) for x in xs])
-
-    def invert(u: float) -> float:
-        return float(np.interp(u, ms, xs))
-
-    return invert, float(ms[0]), float(ms[-1])
+    return np.interp(us, ms, xs)
 
 
 def _sample_pairs(m: Measure1D, lo: float, hi: float, count: int, seed: int,
                   min_sep: float = 1e-4):
     """Seeded (r, R) pairs with r < R, drawn uniform in m-coordinates."""
-    invert, u_lo, u_hi = _m_coordinate_sampler(m, lo, hi)
+    u_lo, u_hi = float(m.m(lo)), float(m.m(hi))
     rng = random.Random(seed)
     span = u_hi - u_lo
-    pairs = []
-    while len(pairs) < count:
+    us = []
+    while len(us) < 2 * count:
         u1 = u_lo + span * rng.random()
         u2 = u_lo + span * rng.random()
         if u2 < u1:
             u1, u2 = u2, u1
         if u2 - u1 < min_sep * span:
             continue
-        pairs.append((invert(u1), invert(u2)))
-    return pairs
+        us += [u1, u2]
+    xs = invert_measure(m, lo, hi, us).tolist()
+    return list(zip(xs[::2], xs[1::2]))
 
 
-def _inequality_verdict(property_id: str, samples, recheck=None) -> VerifyReport:
-    """Aggregate (lhs, rhs, witness) triples into a report for LHS <= RHS claims."""
-    if not samples:
+def _pair_claim(property_id: str, hypothesis_failures, m: Measure1D, lo: float,
+                dom_b: float, sample_hi: float | None, pair_count: int, seed: int,
+                sides, oracle_sides) -> VerifyReport:
+    """LHS <= RHS on seeded pairs lo <= r < R <= hi, drawn uniform in m-coordinates.
+
+    hi is sample_hi, or dom_b, the right end of the domain, when sample_hi is
+    None; a finite dom_b caps it just inside the domain.  Any hypothesis
+    failure, or an infinite hi, makes the claim inconclusive.  sides(r, R) returns
+    (LHS, RHS) by the adaptive route; a violation is reported only when
+    oracle_sides, the brute-force midpoint route, confirms it at the worst pair.
+    """
+    if hypothesis_failures:
+        return VerifyReport(property_id, INCONCLUSIVE, 0.0, 0,
+                            note="hypothesis failure: " + "; ".join(hypothesis_failures))
+    hi = sample_hi if sample_hi is not None else dom_b
+    if math.isinf(hi):
+        return VerifyReport(property_id, INCONCLUSIVE, 0.0, 0,
+                            note="unbounded domain: pass sample_hi to bound the sampled pairs")
+    if math.isfinite(dom_b):
+        hi = min(hi, dom_b - (dom_b - lo) * 1e-9)
+    pairs = _sample_pairs(m, lo, hi, pair_count, seed)
+    if not pairs:
         return VerifyReport(property_id, INCONCLUSIVE, 0.0, 0, note="no samples")
     worst = -math.inf
-    worst_witness = None
+    witness = None
     violated = False
-    for lhs, rhs, witness in samples:
+    for r, R in pairs:
+        lhs, rhs = sides(r, R)
         gap = lhs - rhs
         if gap > worst:
             worst = gap
-            worst_witness = witness
+            witness = (r, R)
         if gap > slack_budget(rhs):
             violated = True
-    count = len(samples)
-    if not violated:
-        return VerifyReport(property_id, HOLDS, worst, count, witness=worst_witness)
-    if recheck is not None:
-        confirmed = recheck(worst_witness)
-        if not confirmed:
-            return VerifyReport(
-                property_id, INCONCLUSIVE, worst, count, witness=worst_witness,
-                note="adaptive route signalled a violation the brute-force oracle does not confirm",
-            )
-    return VerifyReport(property_id, VIOLATED, worst, count, witness=worst_witness)
+    verdict = HOLDS
+    note = None
+    if violated:
+        lhs, rhs = oracle_sides(*witness)
+        if lhs - rhs > slack_budget(rhs):
+            verdict = VIOLATED
+        else:
+            verdict = INCONCLUSIVE
+            note = ("adaptive route signalled a violation the brute-force oracle "
+                    "does not confirm")
+    return VerifyReport(property_id, verdict, worst, len(pairs), witness=witness, note=note)
 
 
 def check_mean_monotonicity(
@@ -298,36 +317,19 @@ def check_majorant_inequality(
     cfg = cfg or QuadratureConfig()
     grid = grid or GridSpec()
     maj = decreasing_majorant_mean(f, m, cfg, grid)
-    if maj.warnings:
-        return VerifyReport(
-            "F1", INCONCLUSIVE, 0.0, 0,
-            note="hypothesis failure: " + "; ".join(maj.warnings),
-        )
     lo = f.domain.a
-    hi = sample_hi if sample_hi is not None else f.domain.b
-    if math.isinf(hi):
-        return VerifyReport(
-            "F1", INCONCLUSIVE, 0.0, 0,
-            note="unbounded domain: pass sample_hi to bound the sampled pairs",
-        )
-    hi = min(hi, f.domain.b) - (hi - lo) * 1e-9
-    pairs = _sample_pairs(m, lo, hi, pair_count, seed)
-    samples = []
-    for r, R in pairs:
-        lhs = integral_mean(f, m, r, R, cfg).value
-        rhs = maj.fn(R)
-        samples.append((lhs, rhs, (r, R)))
 
-    def recheck(witness):
-        r, R = witness
+    def sides(r, R):
+        return integral_mean(f, m, r, R, cfg).value, maj.fn(R)
+
+    def oracle_sides(r, R):
         env = envelope_function(f, RIGHT, grid)
-        dm_rR = m.m(R) - m.m(r)
-        dm_aR = m.m(R) - m.m(lo)
-        lhs = midpoint_stieltjes_oracle(f.eval, m.m, r, R) / dm_rR
-        rhs = midpoint_stieltjes_oracle(env.value_at, m.m, lo, R) / dm_aR
-        return lhs - rhs > slack_budget(rhs)
+        lhs = midpoint_stieltjes_oracle(f.eval, m.m, r, R) / (m.m(R) - m.m(r))
+        rhs = midpoint_stieltjes_oracle(env.value_at, m.m, lo, R) / (m.m(R) - m.m(lo))
+        return lhs, rhs
 
-    return _inequality_verdict("F1", samples, recheck)
+    return _pair_claim("F1", maj.warnings, m, lo, f.domain.b, sample_hi, pair_count, seed,
+                       sides, oracle_sides)
 
 
 def check_pointwise_mean_bound(
@@ -344,35 +346,16 @@ def check_pointwise_mean_bound(
     cfg = cfg or QuadratureConfig()
     grid = grid or GridSpec()
     wde = weighted_double_envelope(f, n, grid)
-    if wde.warnings:
-        return VerifyReport(
-            "AnmA", INCONCLUSIVE, 0.0, 0,
-            note="hypothesis failure: " + "; ".join(wde.warnings),
-        )
-    lo = f.domain.a
-    hi = sample_hi if sample_hi is not None else f.domain.b
-    if math.isinf(hi):
-        return VerifyReport(
-            "AnmA", INCONCLUSIVE, 0.0, 0,
-            note="unbounded domain: pass sample_hi to bound the sampled pairs",
-        )
-    hi = min(hi, f.domain.b) - (hi - lo) * 1e-9
-    pairs = _sample_pairs(m, lo, hi, pair_count, seed)
     h = wde.fn
-    samples = []
-    for r, R in pairs:
-        lhs = evaluate(f, R)
-        rhs = integral_mean(h, m, r, R, cfg).value
-        samples.append((lhs, rhs, (r, R)))
 
-    def recheck(witness):
-        r, R = witness
-        dm = m.m(R) - m.m(r)
-        rhs = midpoint_stieltjes_oracle(h.eval, m.m, r, R) / dm
-        lhs = evaluate(f, R)
-        return lhs - rhs > slack_budget(rhs)
+    def sides(r, R):
+        return evaluate(f, R), integral_mean(h, m, r, R, cfg).value
 
-    return _inequality_verdict("AnmA", samples, recheck)
+    def oracle_sides(r, R):
+        return evaluate(f, R), midpoint_stieltjes_oracle(h.eval, m.m, r, R) / (m.m(R) - m.m(r))
+
+    return _pair_claim("AnmA", wde.warnings, m, f.domain.a, f.domain.b, sample_hi,
+                       pair_count, seed, sides, oracle_sides)
 
 
 def check_corollary_bounds(
@@ -388,19 +371,12 @@ def check_corollary_bounds(
     """The duality inequalities between integral_r^R Q(x)/x^2 dx and d(R) ln(R/r).
 
     direction "dQ" checks integral <= d(R) ln(R/r); "Qd" checks the reverse.
+    Pairs are drawn uniform in ln x.
     """
     if direction not in ("dQ", "Qd"):
         raise ValueError(f"direction must be 'dQ' or 'Qd', got {direction!r}")
     cfg = cfg or QuadratureConfig()
-    hi = sample_hi if sample_hi is not None else min(Q.domain.b, d.domain.b)
-    if math.isinf(hi):
-        return VerifyReport(
-            direction, INCONCLUSIVE, 0.0, 0,
-            note="unbounded domain: pass sample_hi to bound the sampled pairs",
-        )
     dom_b = min(Q.domain.b, d.domain.b)
-    if math.isfinite(dom_b):
-        hi = min(hi, dom_b - (dom_b - r0) * 1e-9)
     lebesgue = identity_measure(r0, dom_b)
     qe = Q.eval
     density = Function1D(
@@ -408,29 +384,19 @@ def check_corollary_bounds(
         domain=Q.domain,
         locally_bounded=True,
     )
-    pairs = _sample_pairs(log_measure(r0, dom_b), r0, hi, pair_count, seed)
-    samples = []
-    for r, R in pairs:
-        integral = _plain_integral(density, lebesgue, r, R, cfg)
+
+    def ordered(integral, r, R):
         bound = evaluate(d, R) * math.log(R / r)
-        if direction == "dQ":
-            samples.append((integral, bound, (r, R)))
-        else:
-            samples.append((bound, integral, (r, R)))
+        return (integral, bound) if direction == "dQ" else (bound, integral)
 
-    def recheck(witness):
-        r, R = witness
-        integral = midpoint_stieltjes_oracle(density.eval, lebesgue.m, r, R)
-        bound = evaluate(d, R) * math.log(R / r)
-        lhs, rhs = (integral, bound) if direction == "dQ" else (bound, integral)
-        return lhs - rhs > slack_budget(rhs)
+    def sides(r, R):
+        return ordered(stieltjes_integral(density, lebesgue, r, R, cfg).value, r, R)
 
-    return _inequality_verdict(direction, samples, recheck)
+    def oracle_sides(r, R):
+        return ordered(midpoint_stieltjes_oracle(density.eval, lebesgue.m, r, R), r, R)
 
-
-def _plain_integral(g: Function1D, m: Measure1D, r: float, R: float,
-                    cfg: QuadratureConfig) -> float:
-    return stieltjes_integral(g, m, r, R, cfg).value
+    return _pair_claim(direction, (), log_measure(r0, dom_b), r0, dom_b, sample_hi,
+                       pair_count, seed, sides, oracle_sides)
 
 
 def estimate_decay(g: Function1D, sched: DecaySchedule) -> VerifyReport:

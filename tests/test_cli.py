@@ -262,6 +262,52 @@ class TestVerify:
         assert out.startswith("sup-identity holds ")
 
 
+class TestFrozenPairOutputs:
+    # Frozen stdout of the seeded pair checks: a refactor keeps it byte-identical.
+    CASES = [
+        (["--property", "F1", "--f", "exp(-x)", "--m", "x", "--a", "0", "--b", "50",
+          "--seed", "3"],
+         "F1 holds worst_slack=-0.01132103968 samples=40 witness=0.6583995771,41.87345406"),
+        (["--property", "AnmA", "--f", "exp(-x)", "--m", "x", "--a", "0", "--b", "50",
+          "--n", "1+x", "--seed", "3"],
+         "AnmA holds worst_slack=-0.02122931879 samples=40 witness=42.82002828,49.54948219"),
+        (["--property", "dQ", "--Q", "x^0.5", "--r0", "1", "--b", "40", "--seed", "2"],
+         "dQ holds worst_slack=-0.0007617463255 samples=40 witness=1.106582543,1.141741586"),
+        (["--property", "Qd", "--d", "x^-0.4", "--r0", "1", "--b", "40", "--seed", "2"],
+         "Qd holds worst_slack=-8.176346489e-07 samples=40 witness=9.348870083,9.378487403"),
+    ]
+
+    @pytest.mark.parametrize("argv,want", CASES, ids=["F1", "AnmA", "dQ", "Qd"])
+    def test_line(self, capsys, argv, want):
+        code, out, _ = run(capsys, "verify", *argv, "--pairs", "40", "--format", "line")
+        assert code == 0
+        assert out == want + "\n"
+
+
+class TestMeasureNotFiniteAtLeftEnd:
+    # the default --m ln(x) is -inf at --a 0
+    @pytest.mark.parametrize("argv", [
+        ["--property", "F1", "--pairs", "5"],
+        ["--property", "monotonicity", "--steps", "4"],
+        ["--property", "sup-identity", "--R", "10"],
+    ], ids=["F1", "monotonicity", "sup-identity"])
+    def test_clear_error(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "verify", "--f", "exp(-x)", "--a", "0", "--b", "50",
+                                 *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "error: measure is not finite at the left end x=0.0\n"
+        assert not caught
+
+    def test_finite_measure_still_holds(self, capsys):
+        code, out, _ = run(capsys, "verify", "--property", "F1", "--f", "exp(-x)", "--m", "x",
+                           "--a", "0", "--b", "50", "--pairs", "5", "--format", "line")
+        assert code == 0
+        assert out.startswith("F1 holds ")
+
+
 class TestDecay:
     def test_holds(self, capsys):
         code, out, _ = run(

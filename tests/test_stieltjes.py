@@ -212,6 +212,12 @@ class TestMeasureValidation:
         # exp overflows long before the default horizon 1e6
         Measure1D(m=math.exp, m_prime=math.exp, domain=Domain(0.0, math.inf)).validate()
 
+    def test_rejects_measure_not_finite_at_left_end(self):
+        m = Measure1D(m=np.log, domain=Domain(0.0, 10.0))
+        with pytest.raises(DegenerateIntervalError, match="not finite at the left end x=0.0"):
+            m.validate()
+        m.validate(1.0, 10.0)
+
     def test_checks_only_the_given_interval(self):
         m = Measure1D(m=lambda x: x + 2 * np.sin(x), domain=Domain(1.0, math.inf))
         m.validate(1.0, 2.0)

@@ -18,6 +18,7 @@ from meanmax.verify import (
     check_sup_identity,
     estimate_decay,
     finite_difference_check,
+    invert_measure,
     slack_budget,
 )
 
@@ -175,6 +176,27 @@ class TestCorollaryBounds:
         Q = fn(lambda x: np.sqrt(x), 1.0, math.inf)
         with pytest.raises(ValueError):
             check_corollary_bounds(Q, Q, 1.0, "qq", 10, 0, sample_hi=10.0)
+
+
+class TestPairChecks:
+    def test_unbounded_window_is_inconclusive(self):
+        f = exp_on(0.0, math.inf)
+        m = identity_measure(0.0)
+        n = WeightN(n=lambda x: 1.0 + x, domain=f.domain)
+        Q = fn(np.sqrt, 1.0, math.inf)
+        d = fn(lambda x: 1 / np.sqrt(x), 1.0, math.inf)
+        for report in (check_majorant_inequality(f, m, 10, 1),
+                       check_pointwise_mean_bound(f, n, m, 10, 1),
+                       check_corollary_bounds(Q, d, 1.0, "dQ", 10, 1)):
+            assert report.verdict == INCONCLUSIVE
+            assert report.samples_used == 0
+            assert report.note.startswith("unbounded domain")
+
+    def test_invert_measure(self):
+        us = np.linspace(0.0, math.log(1e4), 9)
+        xs = invert_measure(log_measure(1.0), 1.0, 1e4, us)
+        assert xs[0] == 1.0 and xs[-1] == 1e4
+        assert xs == pytest.approx(np.exp(us), rel=1e-5)
 
 
 class TestEstimateDecay:
