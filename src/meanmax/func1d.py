@@ -178,14 +178,16 @@ def batch_eval(fun: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
     """Evaluate fun at every x, trying one vectorized call before falling back.
 
     Scalar callables built from numpy operations accept arrays for free, which
-    turns sampling and quadrature inner loops into single ufunc sweeps.  Any
-    callable that rejects arrays (math.*, branching) is evaluated pointwise.
-    Finiteness is NOT checked here; callers decide how to react.
+    turns sampling and quadrature inner loops into single ufunc sweeps.  A
+    callable that rejects arrays with a TypeError (math.*, int(x)) or a
+    ValueError (branching on x > 0) is evaluated pointwise; any other error
+    of the array call propagates.  Finiteness is NOT checked here; callers
+    decide how to react.
     """
     try:
         with np.errstate(all="ignore"):
             ys = np.asarray(fun(xs), dtype=float)
-    except Exception:
+    except (TypeError, ValueError):
         ys = None
     if ys is not None:
         if ys.shape == xs.shape:

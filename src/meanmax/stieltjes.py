@@ -8,7 +8,9 @@ When m carries a derivative the integral is computed as an adaptive composite
 Simpson rule on f * m'; otherwise refined midpoint Stieltjes sums are used.
 Both paths halve the panel width until two successive refinements agree within
 tolerance, and both switch to a logarithmic substitution on wide positive
-intervals, where uniform panels would be hopeless.  segment_integrals instead
+intervals, where uniform panels would be hopeless.  A halving evaluates only
+the Simpson nodes, or the cuts of m, new to it; midpoints do not nest, so g is
+evaluated at every midpoint of every level.  segment_integrals instead
 refines piece by piece, over many segments at once, for integrals that are
 wanted on every segment of a table.
 """
@@ -162,20 +164,38 @@ def _eval_many(fun: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
     return ys
 
 
-def _simpson(fun, lo: float, hi: float, panels: int) -> float:
-    xs = np.linspace(lo, hi, panels + 1)
-    ys = _eval_many(fun, xs)
-    h = (hi - lo) / panels
-    return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum()))
+def _simpson_levels(fun, lo: float, hi: float):
+    """Composite Simpson sums on BASE_PANELS, 2 * BASE_PANELS, ... panels.
 
-
-def _adaptive(level_sum, extrapolate, cfg: QuadratureConfig) -> MeanValue:
-    """Panel-doubling driver shared by the Simpson and midpoint paths."""
+    The nodes of a level are the even nodes of the next, so each halving
+    evaluates fun only at its new odd nodes.
+    """
     n = BASE_PANELS
-    prev = level_sum(n)
+    ys = _eval_many(fun, np.linspace(lo, hi, n + 1))
+    while True:
+        h = (hi - lo) / n
+        yield float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum()))
+        n *= 2
+        ys = _refined(ys, _eval_many(fun, np.linspace(lo, hi, n + 1)[1::2]))
+
+
+def _refined(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The values of the next level: the old ones at even nodes, odd between them."""
+    out = np.empty(len(even) + len(odd))
+    out[::2], out[1::2] = even, odd
+    return out
+
+
+def _adaptive(levels, extrapolate, cfg: QuadratureConfig) -> MeanValue:
+    """Panel-doubling driver shared by the Simpson and midpoint paths.
+
+    levels yields the sums on BASE_PANELS, then twice as many panels, and so on.
+    """
+    n = BASE_PANELS
+    prev = next(levels)
     for _ in range(cfg.max_halvings):
         n *= 2
-        cur = level_sum(n)
+        cur = next(levels)
         diff = abs(cur - prev)
         if diff <= cfg.tolerance(cur):
             return MeanValue(value=extrapolate(cur, prev), est_error=diff, panels_used=n)
@@ -228,27 +248,50 @@ def stieltjes_integral(
                 return ge(x) * dm(x)
 
         return _adaptive(
-            lambda n: _simpson(integrand, lo, hi, n),
+            _simpson_levels(integrand, lo, hi),
             lambda cur, prev: cur + (cur - prev) / 15.0,
             cfg,
         )
 
     me = m.m
 
-    def midpoint_sum(n: int) -> float:
+    def cuts(n: int) -> np.ndarray:
         if use_log:
             ts = np.exp(np.linspace(math.log(r), math.log(R), n + 1))
             ts[0], ts[-1] = r, R
-            mids = np.sqrt(ts[:-1] * ts[1:])
+            return ts
+        return np.linspace(r, R, n + 1)
+
+    def midpoints(ts: np.ndarray) -> np.ndarray:
+        return np.sqrt(ts[:-1] * ts[1:]) if use_log else 0.5 * (ts[:-1] + ts[1:])
+
+    def midpoint_sum(n: int, ms_half):
+        """The midpoint sum on n panels, and m at its n + 1 cuts.
+
+        ms_half is m at the cuts of n / 2 panels, the even cuts here, or None.
+        """
+        ts = cuts(n)
+        gs = _eval_many(ge, midpoints(ts))
+        if ms_half is None:
+            ms = _eval_many(me, ts)
         else:
-            ts = np.linspace(r, R, n + 1)
-            mids = 0.5 * (ts[:-1] + ts[1:])
-        gs = _eval_many(ge, mids)
-        ms = _eval_many(me, ts)
-        return float(np.sum(gs * np.diff(ms)))
+            odd = _eval_many(me, ts[1::2])
+            # Free the cuts before placing the values kept for the next level:
+            # placed above the cuts, they left a hole below them that raised
+            # peak resident memory by about 8 MB on a 2^20-panel sum.
+            del ts
+            ms = _refined(ms_half, odd)
+        return float(np.sum(gs * np.diff(ms))), ms
+
+    def midpoint_levels():
+        n, ms = BASE_PANELS, None
+        while True:
+            total, ms = midpoint_sum(n, ms)
+            yield total
+            n *= 2
 
     return _adaptive(
-        midpoint_sum,
+        midpoint_levels(),
         lambda cur, prev: cur + (cur - prev) / 3.0,
         cfg,
     )

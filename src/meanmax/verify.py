@@ -17,11 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DegenerateIntervalError
 from .func1d import (
     DECREASING,
     RIGHT,
     Function1D,
     GridSpec,
+    batch_eval,
     build_nodes,
     classify_monotonicity,
     envelope_function,
@@ -122,8 +124,6 @@ class DecaySchedule:
 def midpoint_stieltjes_oracle(g_eval, m_eval, r: float, R: float,
                               panels: int = ORACLE_PANELS) -> float:
     """Fixed-panel midpoint Riemann-Stieltjes sum, the independent brute-force route."""
-    from .func1d import batch_eval
-
     ts = np.linspace(r, R, panels + 1)
     mids = 0.5 * (ts[:-1] + ts[1:])
     gs = batch_eval(g_eval, mids)
@@ -139,14 +139,21 @@ def invert_measure(m: Measure1D, lo: float, hi: float, us) -> np.ndarray:
     points evenly spread in m-coordinates.
     """
     xs = build_nodes(lo, hi, 2049)
-    ms = np.array([m.m(float(x)) for x in xs])
+    ms = batch_eval(m.m, xs)
     return np.interp(us, ms, xs)
 
 
 def _sample_pairs(m: Measure1D, lo: float, hi: float, count: int, seed: int,
                   min_sep: float = 1e-4):
-    """Seeded (r, R) pairs with r < R, drawn uniform in m-coordinates."""
-    u_lo, u_hi = float(m.m(lo)), float(m.m(hi))
+    """Seeded (r, R) pairs with r < R, drawn uniform in m-coordinates.
+
+    m must be finite at lo and hi, or no u between them can be drawn.
+    """
+    with np.errstate(all="ignore"):
+        u_lo, u_hi = float(m.m(lo)), float(m.m(hi))
+    for end, x, u in (("left", lo, u_lo), ("right", hi, u_hi)):
+        if not math.isfinite(u):
+            raise DegenerateIntervalError(f"measure is not finite at the {end} end x={x}")
     rng = random.Random(seed)
     span = u_hi - u_lo
     us = []

@@ -16,6 +16,7 @@ from meanmax.func1d import (
     Function1D,
     GridSpec,
     Tail,
+    batch_eval,
     classify_monotonicity,
     envelope_function,
     evaluate,
@@ -66,6 +67,27 @@ class TestEvaluate:
         f = make(lambda x: 1 / (x - 5.0), 0.0, 10.0)
         with pytest.raises(NonFiniteValueError):
             evaluate(f, 5.0)
+
+
+class TestBatchEval:
+    XS = np.linspace(-2.0, 3.0, 11)
+
+    @pytest.mark.parametrize("fun", [math.exp, lambda x: x if x > 0 else -2.0 * x],
+                             ids=["math.exp", "branching"])
+    def test_scalar_only_falls_back_pointwise(self, fun):
+        want = [fun(float(x)) for x in self.XS]
+        assert batch_eval(fun, self.XS).tolist() == want
+
+    def test_other_errors_propagate_from_the_array_call(self):
+        seen = []
+
+        def fails(x):
+            seen.append(x)
+            raise RuntimeError("no value")
+
+        with pytest.raises(RuntimeError, match="no value"):
+            batch_eval(fails, self.XS)
+        assert len(seen) == 1 and seen[0] is self.XS
 
 
 class TestRightMaximization:

@@ -11,8 +11,10 @@ from meanmax.errors import (
     NonFiniteValueError,
     QuadratureError,
 )
-from meanmax.func1d import Domain, Function1D
+from meanmax.func1d import GEOMETRIC_RATIO, Domain, Function1D, batch_eval
 from meanmax.stieltjes import (
+    BASE_PANELS,
+    MeanValue,
     Measure1D,
     QuadratureConfig,
     identity_measure,
@@ -96,6 +98,114 @@ class TestStieltjesIntegral:
             left = stieltjes_integral(EXP, M_ID, 0.0, s).value
             right = stieltjes_integral(EXP, M_ID, s, 3.0).value
             assert left + right == pytest.approx(whole.value, abs=tol)
+
+
+def reference_integral(g, m, r, R, cfg=None):
+    """stieltjes_integral as a loop that evaluates every node of every level afresh."""
+    cfg = cfg or QuadratureConfig()
+    ge = g.eval
+    use_log = r > 0 and R / r > GEOMETRIC_RATIO
+
+    def values(fun, xs):
+        ys = batch_eval(fun, xs)
+        assert np.all(np.isfinite(ys))
+        return ys
+
+    if m.m_prime is not None:
+        dm = m.m_prime
+        lo, hi = (math.log(r), math.log(R)) if use_log else (r, R)
+
+        def integrand(x):
+            if use_log:
+                x = np.exp(x)
+                return ge(x) * dm(x) * x
+            return ge(x) * dm(x)
+
+        def level_sum(n):
+            ys = values(integrand, np.linspace(lo, hi, n + 1))
+            h = (hi - lo) / n
+            return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum()
+                                    + 2.0 * ys[2:-2:2].sum()))
+
+        richardson = 15.0
+    else:
+        def level_sum(n):
+            if use_log:
+                ts = np.exp(np.linspace(math.log(r), math.log(R), n + 1))
+                ts[0], ts[-1] = r, R
+                mids = np.sqrt(ts[:-1] * ts[1:])
+            else:
+                ts = np.linspace(r, R, n + 1)
+                mids = 0.5 * (ts[:-1] + ts[1:])
+            return float(np.sum(values(ge, mids) * np.diff(values(m.m, ts))))
+
+        richardson = 3.0
+    n = BASE_PANELS
+    prev = level_sum(n)
+    for _ in range(cfg.max_halvings):
+        n *= 2
+        cur = level_sum(n)
+        diff = abs(cur - prev)
+        if diff <= cfg.tolerance(cur):
+            return MeanValue(value=cur + (cur - prev) / richardson, est_error=diff, panels_used=n)
+        prev = cur
+    raise AssertionError("the reference did not converge")
+
+
+# x^-0.9 interpolated linearly on 40 geometric nodes over [1, 50]: a kink at
+# every node, which Simpson resolves only after many halvings.
+TABLE_XS = np.geomspace(1.0, 50.0, 40)
+KINKED = fn(lambda x: np.interp(x, TABLE_XS, TABLE_XS**-0.9), 1.0, 50.0)
+TABULATED_LN = Measure1D(m=lambda x: np.interp(x, TABLE_XS, np.log(TABLE_XS)),
+                         domain=Domain(1.0, 50.0))
+
+
+class TestNodeReuse:
+    @pytest.mark.parametrize("g,m,r,R", [
+        (EXP, M_ID, 0.0, 3.0),
+        (INV, M_LN, 1.0, 4.0),
+        (fn(lambda x: math.exp(-x), 0.0, math.inf), M_ID, 0.5, 3.0),
+        (fn(lambda x: 1 / (x * x), 0.5, math.inf), M_ID, 1.0, 1e6),
+        (KINKED, log_measure(1.0, 50.0), 1.5, 20.0),
+        (INV, TABULATED_LN, 1.5, 20.0),
+        (INV, TABULATED_LN, 1.0, 49.0),
+    ], ids=["numpy", "numpy-ln", "math", "wide-log", "kinked", "tabulated", "tabulated-wide"])
+    def test_equals_the_re_evaluating_loop(self, g, m, r, R):
+        assert stieltjes_integral(g, m, r, R) == reference_integral(g, m, r, R)
+
+    def test_kinked_source_takes_many_halvings(self):
+        assert stieltjes_integral(KINKED, log_measure(1.0, 50.0), 1.5, 20.0).panels_used >= 2**15
+
+
+def counted(fun, points):
+    """fun, appending the number of points of each call that returned."""
+    def wrapped(x):
+        y = fun(x)
+        points.append(np.size(x))
+        return y
+    return wrapped
+
+
+class TestEvaluationBudget:
+    # Exact counts: each halving evaluates only the nodes new to it.
+    @pytest.mark.parametrize("source,m,r,R", [
+        (math.exp, identity_measure(0.0), 0.5, 3.0),
+        (lambda x: 1.0 / float(x), log_measure(1.0), 1.0, 1e4),
+    ], ids=["math.exp", "scalar-inverse-ln"])
+    def test_simpson_reads_each_node_once(self, source, m, r, R):
+        points = []
+        got = stieltjes_integral(fn(counted(source, points), 0.5, math.inf), m, r, R)
+        assert set(points) == {1}
+        assert sum(points) == got.panels_used + 1
+
+    def test_midpoint_reads_each_cut_once(self):
+        g_points, m_points = [], []
+        g = fn(counted(lambda x: 1 / x, g_points), 0.5, math.inf)
+        m = Measure1D(m=counted(np.log, m_points), domain=Domain(0.5, math.inf))
+        got = stieltjes_integral(g, m, 1.0, 4.0)
+        assert sum(m_points) == got.panels_used + 1
+        # midpoints do not nest: every level evaluates g at all of its panels
+        assert sum(g_points) == 2 * got.panels_used - BASE_PANELS
 
 
 class TestSegmentIntegrals:

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from meanmax.errors import DegenerateIntervalError
 from meanmax.func1d import Domain, Function1D, Tail
-from meanmax.stieltjes import identity_measure, log_measure
+from meanmax.stieltjes import Measure1D, identity_measure, log_measure
 from meanmax.transforms import Q_from_d, WeightN, d_from_Q
 from meanmax.verify import (
     HOLDS,
@@ -191,6 +193,22 @@ class TestPairChecks:
             assert report.verdict == INCONCLUSIVE
             assert report.samples_used == 0
             assert report.note.startswith("unbounded domain")
+
+    @pytest.mark.parametrize("claim", ["F1", "AnmA"])
+    def test_measure_not_finite_at_left_end(self, claim):
+        # ln x is -inf at the left end 0 of the sampled window
+        f = exp_on(0.0, 50.0)
+        m = Measure1D(m=np.log, m_prime=lambda x: 1.0 / x, domain=Domain(0.0, 50.0),
+                      diverges=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateIntervalError,
+                               match="measure is not finite at the left end x=0.0"):
+                if claim == "F1":
+                    check_majorant_inequality(f, m, 10, 1)
+                else:
+                    n = WeightN(n=lambda x: 1.0 + x, domain=f.domain)
+                    check_pointwise_mean_bound(f, n, m, 10, 1)
 
     def test_invert_measure(self):
         us = np.linspace(0.0, math.log(1e4), 9)
