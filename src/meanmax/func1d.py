@@ -4,7 +4,8 @@ The right maximization of f at r is sup f over [r, b); the left maximization is
 sup f over [a, r].  The right one is a decreasing function of r, the left one an
 increasing function, both dominate f pointwise, and both preserve the global
 supremum.  Suprema are estimated by dense sampling plus golden-section
-refinement around the running maximum; accuracy is governed by ``GridSpec.eps_sup``.
+refinement of every local maximum of the samples; accuracy is governed by
+``GridSpec.eps_sup``.
 """
 
 from __future__ import annotations
@@ -129,7 +130,6 @@ class GridSpec:
 
     node_count: int = 4097
     spacing: str | None = None
-    refinement_rounds: int = 3
     eps_sup: float | None = None
 
     def __post_init__(self):
@@ -137,8 +137,6 @@ class GridSpec:
             raise ValueError("node_count must be at least 3")
         if self.spacing not in (None, "uniform", "geometric"):
             raise ValueError(f"bad spacing {self.spacing!r}")
-        if self.refinement_rounds < 0:
-            raise ValueError("refinement_rounds must be nonnegative")
         if self.eps_sup is not None and not self.eps_sup > 0:
             raise ValueError("eps_sup must be positive")
 
@@ -214,60 +212,61 @@ def _sample(f: Function1D, xs) -> np.ndarray:
     return ys
 
 
-def _golden_max(f: Function1D, lo: float, hi: float, iters: int = 60):
-    """Golden-section maximization on [lo, hi]; returns all evaluated points."""
-    pts = []
+def _golden_max(f: Function1D, lo: np.ndarray, hi: np.ndarray, iters: int = 60):
+    """Golden-section maximization on every bracket [lo[i], hi[i]] at once.
+
+    Each iteration evaluates the new point of every bracket still wider than
+    1e-13 * max(1, |x|) in one call.  Returns each bracket's best point and
+    value: the better of its two inner points, since the point a step drops
+    is never better than the one it keeps.
+    """
+    best_x, best_y = np.empty(len(lo)), np.empty(len(lo))
+    idx = np.arange(len(lo))
+    tol = 1e-13 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     c = hi - (hi - lo) * _INV_PHI
     d = lo + (hi - lo) * _INV_PHI
-    fc, fd = evaluate(f, c), evaluate(f, d)
-    pts.extend([(c, fc), (d, fd)])
-    tol = 1e-13 * max(1.0, abs(lo), abs(hi))
-    for _ in range(iters):
-        if hi - lo <= tol:
-            break
-        if fc < fd:
-            lo, c, fc = c, d, fd
-            d = lo + (hi - lo) * _INV_PHI
-            fd = evaluate(f, d)
-            pts.append((d, fd))
-        else:
-            hi, d, fd = d, c, fc
-            c = hi - (hi - lo) * _INV_PHI
-            fc = evaluate(f, c)
-            pts.append((c, fc))
-    return pts
+    fc, fd = np.split(_sample(f, np.concatenate([c, d])), 2)
+    for k in range(iters + 1):
+        done = (hi - lo <= tol) | (k == iters)
+        if done.any():
+            better = fc[done] >= fd[done]
+            best_x[idx[done]] = np.where(better, c[done], d[done])
+            best_y[idx[done]] = np.where(better, fc[done], fd[done])
+            live = ~done
+            if not live.any():
+                break
+            idx, lo, hi, c, d, fc, fd, tol = (v[live] for v in (idx, lo, hi, c, d, fc, fd, tol))
+        up = fc < fd  # the maximum lies right of c: keep [c, hi]
+        lo, hi = np.where(up, c, lo), np.where(up, hi, d)
+        kept, f_kept = np.where(up, d, c), np.where(up, fd, fc)
+        step = (hi - lo) * _INV_PHI
+        x = np.where(up, lo + step, hi - step)
+        fx = _sample(f, x)
+        c, fc = np.where(up, kept, x), np.where(up, f_kept, fx)
+        d, fd = np.where(up, x, kept), np.where(up, fx, f_kept)
+    return best_x, best_y
 
 
 def _refined_samples(f: Function1D, lo: float, hi: float, grid: GridSpec):
-    """Base-grid samples on [lo, hi] plus golden-section points near the running max.
+    """Base-grid samples on [lo, hi] plus the best point of every local maximum.
 
-    Returns (base_xs, base_ys, extra_xs, extra_ys); the overall max of all four
-    arrays is the supremum estimate.
+    A node no lower than either neighbour and strictly above one of them is a
+    peak, so a plateau is bracketed at its ends and a constant not at all.
+    Golden section runs on the gap pair around every peak at once.  Returns
+    (xs, ys), sorted by position.
     """
-    base_xs = build_nodes(lo, hi, grid.node_count, grid.spacing)
-    base_ys = _sample(f, base_xs)
-    extra: list[tuple[float, float]] = []
-    all_xs = list(base_xs)
-    all_ys = list(base_ys)
-    for _ in range(grid.refinement_rounds):
-        k = int(np.argmax(all_ys))
-        order = np.argsort(all_xs)
-        pos = int(np.searchsorted(np.asarray(all_xs)[order], all_xs[k]))
-        left = all_xs[order[max(pos - 1, 0)]]
-        right = all_xs[order[min(pos + 1, len(order) - 1)]]
-        if right - left <= 0:
-            break
-        pts = _golden_max(f, left, right)
-        extra.extend(pts)
-        all_xs.extend(p for p, _ in pts)
-        all_ys.extend(v for _, v in pts)
-    if extra:
-        ex = np.array([p for p, _ in extra])
-        ey = np.array([v for _, v in extra])
-    else:
-        ex = np.empty(0)
-        ey = np.empty(0)
-    return base_xs, base_ys, ex, ey
+    xs = build_nodes(lo, hi, grid.node_count, grid.spacing)
+    ys = _sample(f, xs)
+    prev = np.concatenate([ys[:1], ys[:-1]])
+    succ = np.concatenate([ys[1:], ys[-1:]])
+    peaks = np.flatnonzero((ys >= prev) & (ys >= succ) & ((ys > prev) | (ys > succ)))
+    if len(peaks):
+        bx, by = _golden_max(f, xs[np.maximum(peaks - 1, 0)],
+                             xs[np.minimum(peaks + 1, len(xs) - 1)])
+        xs, ys = np.concatenate([xs, bx]), np.concatenate([ys, by])
+        order = np.argsort(xs, kind="stable")
+        xs, ys = xs[order], ys[order]
+    return xs, ys
 
 
 def _near_b(domain: Domain, lo: float) -> float:
@@ -322,10 +321,7 @@ def _right_sampling_end(f: Function1D, lo: float, grid: GridSpec) -> tuple[float
 def _sup_on(f: Function1D, lo: float, hi: float, grid: GridSpec) -> float:
     if hi <= lo:
         return evaluate(f, lo)
-    base_xs, base_ys, ex, ey = _refined_samples(f, lo, hi, grid)
-    s = float(base_ys.max())
-    if len(ey):
-        s = max(s, float(ey.max()))
+    s = float(_refined_samples(f, lo, hi, grid)[1].max())
     if s > OVERFLOW_GUARD:
         raise NonFiniteValueError(f"supremum estimate {s} exceeds the overflow guard")
     return s
@@ -374,11 +370,13 @@ def left_maximization(f: Function1D, r: float, grid: GridSpec | None = None) -> 
 class Envelope:
     """Monotone envelope table of a function, one side at a time.
 
-    The table holds, at each base-grid node, the suffix maximum (right side) or
-    prefix maximum (left side) of all refined samples, so it is exactly
-    monotone.  Off-node queries re-evaluate the source and clamp the result
-    between the neighbouring table values, which makes queries exact whenever
-    the source is monotone on the gap.
+    xs holds every sample of the build in increasing order: the base-grid
+    nodes and the best golden-section point of each local maximum of the
+    node samples.  table holds their exact suffix maximum (right side) or
+    prefix maximum (left side), so it is exactly monotone.  A query between
+    two samples re-evaluates the source and clamps the result between their
+    table values, which is continuous at every sample and exact wherever the
+    source is monotone between the two.
     """
 
     source: Function1D
@@ -386,82 +384,37 @@ class Envelope:
     xs: np.ndarray
     table: np.ndarray
     eps_sup: float
-    refinement_rounds: int
-    extra_samples: int
     sampling_end: float
     tail_certified: bool
-    # Every sample the build consumed (base nodes plus refinement points),
-    # sorted by position; the table is their suffix/prefix maximum at xs.
-    sample_xs: np.ndarray | None = None
-    sample_ys: np.ndarray | None = None
 
-    def value_at(self, x, gap=None):
-        """The envelope at x (a number or an array).
-
-        gap, for an array x, names the node gap each point is read in: gap j
-        is (xs[j-1], xs[j]) for 1 <= j < len(xs) and gap len(xs) lies past the
-        last node.  The values are then the envelope's continuous extension
-        over each closed gap, which differs from the plain query only at a
-        node where the envelope jumps.
-        """
-        if gap is not None or np.ndim(x) > 0:
-            return self._values(np.asarray(x, dtype=float), gap)
-        x = float(x)
-        if not self.source.domain.contains(x):
-            raise DomainError(
-                f"x={x} outside [{self.source.domain.a}, {self.source.domain.b})"
-            )
-        j = int(np.searchsorted(self.xs, x))
-        if j < len(self.xs) and self.xs[j] == x:
-            return float(self.table[j])
-        if self.side == RIGHT:
-            if j >= len(self.xs):
-                fx = evaluate(self.source, x)
-                floor = 0.0 if self.source.tail.kind == "vanishing" else -math.inf
-                return min(float(self.table[-1]), max(fx, floor))
-            if j == 0:
-                return float(self.table[0])
-            fx = evaluate(self.source, x)
-            return min(float(self.table[j - 1]), max(fx, float(self.table[j])))
-        # left side
-        if j >= len(self.xs):
-            fx = evaluate(self.source, x)
-            return max(float(self.table[-1]), fx)
-        if j == 0:
-            return float(self.table[0])
-        fx = evaluate(self.source, x)
-        return min(float(self.table[j]), max(fx, float(self.table[j - 1])))
-
-    def _values(self, xs: np.ndarray, gap=None) -> np.ndarray:
+    def value_at(self, x):
+        """The envelope at x (a number, or an array of them)."""
+        q = np.asarray(x, dtype=float)
         dom = self.source.domain
-        if np.any(xs < dom.a) or np.any(xs >= dom.b):
-            raise DomainError(f"query outside [{dom.a}, {dom.b})")
-        n = len(self.xs)
-        j = np.searchsorted(self.xs, xs) if gap is None else np.asarray(gap)
-        inside = j < n
-        exact = np.zeros(xs.shape, dtype=bool)
-        if gap is None:
-            exact[inside] = self.xs[j[inside]] == xs[inside]
-        fx = batch_eval(self.source.eval, xs)
+        outside = ~((q >= dom.a) & (q < dom.b))
+        if outside.any():
+            raise DomainError(f"x={q[outside].flat[0]} outside [{dom.a}, {dom.b})")
+        try:
+            fx = batch_eval(self.source.eval, q.ravel()).reshape(q.shape)
+        except (OverflowError, ValueError, ZeroDivisionError) as exc:
+            raise NonFiniteValueError(f"evaluation failed while querying: {exc}") from exc
+        xs, table = self.xs, self.table
+        j = np.searchsorted(xs, q)
+        below, above = table[np.maximum(j - 1, 0)], table[np.minimum(j, len(xs) - 1)]
+        exact = xs[np.minimum(j, len(xs) - 1)] == q
         bad = ~np.isfinite(fx) & ~exact
         if bad.any():
-            k = int(np.argmax(bad))
-            raise NonFiniteValueError(f"non-finite source value at x={xs[k]}")
-        lo_idx = np.clip(j - 1, 0, n - 1)
-        hi_idx = np.clip(j, 0, n - 1)
+            raise NonFiniteValueError(f"non-finite source value at x={q[bad].flat[0]}")
+        inside = j < len(xs)
         if self.side == RIGHT:
             floor = 0.0 if self.source.tail.kind == "vanishing" else -math.inf
-            beyond = np.minimum(self.table[-1], np.maximum(fx, floor))
-            between = np.minimum(self.table[lo_idx], np.maximum(fx, self.table[hi_idx]))
-            out = np.where(inside, between, beyond)
-            out = np.where(j == 0, self.table[0], out)
+            out = np.where(inside, np.minimum(below, np.maximum(fx, above)),
+                           np.minimum(table[-1], np.maximum(fx, floor)))
         else:
-            beyond = np.maximum(self.table[-1], fx)
-            between = np.minimum(self.table[hi_idx], np.maximum(fx, self.table[lo_idx]))
-            out = np.where(inside, between, beyond)
-            out = np.where(j == 0, self.table[0], out)
-        out[exact] = self.table[j[exact]]
-        return out
+            out = np.where(inside, np.minimum(above, np.maximum(fx, below)),
+                           np.maximum(table[-1], fx))
+        out = np.where(exact, above, out)
+        return float(out) if out.ndim == 0 else out
 
     def as_function(self) -> Function1D:
         hint = DECREASING if self.side == RIGHT else INCREASING
@@ -495,46 +448,19 @@ def envelope_function(f: Function1D, side: str, grid: GridSpec | None = None) ->
             if not dom.unbounded
             else max(dom.a, 1.0) * DEFAULT_HORIZON_FACTOR
         )
-    base_xs, base_ys, ex, ey = _refined_samples(f, dom.a, hi, grid)
-    eps = grid.effective_eps(float(np.max(base_ys)))
-    if len(ex):
-        # Fold refinement samples into the node-wise maxima before the scan.
-        idx = np.searchsorted(base_xs, ex)
-        node_ys = base_ys.copy()
-        if side == RIGHT:
-            # A sample in (x_{i-1}, x_i] contributes to suffix maxima from x_{i-1} down.
-            for p, v in zip(idx, ey):
-                k = max(int(p) - 1, 0)
-                if v > node_ys[k]:
-                    node_ys[k] = v
-        else:
-            for p, v in zip(idx, ey):
-                k = min(int(p), len(node_ys) - 1)
-                if v > node_ys[k]:
-                    node_ys[k] = v
-    else:
-        node_ys = base_ys
-    if side == RIGHT:
-        table = np.maximum.accumulate(node_ys[::-1])[::-1]
-    else:
-        table = np.maximum.accumulate(node_ys)
-    if float(np.max(table)) > OVERFLOW_GUARD:
+    xs, ys = _refined_samples(f, dom.a, hi, grid)
+    table = np.maximum.accumulate(ys[::-1])[::-1] if side == RIGHT else np.maximum.accumulate(ys)
+    top = float(np.max(table))
+    if top > OVERFLOW_GUARD:
         raise NonFiniteValueError("envelope values exceed the overflow guard")
-    all_xs = np.concatenate([base_xs, ex])
-    all_ys = np.concatenate([base_ys, ey])
-    order = np.argsort(all_xs, kind="stable")
     return Envelope(
         source=f,
         side=side,
-        xs=base_xs,
+        xs=xs,
         table=table,
-        eps_sup=eps,
-        refinement_rounds=grid.refinement_rounds,
-        extra_samples=int(len(ex)),
+        eps_sup=grid.effective_eps(top),
         sampling_end=hi,
         tail_certified=certified,
-        sample_xs=all_xs[order],
-        sample_ys=all_ys[order],
     )
 
 

@@ -75,7 +75,11 @@ class WeightN:
 
 @dataclass
 class TransformResult:
-    """A constructed function plus its construction log and hypothesis warnings."""
+    """A constructed function plus its construction log and hypothesis warnings.
+
+    The log's *envelope_nodes entries count every sample of the envelope
+    table: the grid nodes and the refined maxima.
+    """
 
     fn: Function1D
     log: dict = field(default_factory=dict)
@@ -140,8 +144,9 @@ def decreasing_majorant_mean(
 
     D decreases in R and dominates every mean of f over [r, R] with r >= a.
     The first query builds the cumulative integral of the envelope against m
-    over the envelope's node gaps (see segment_integrals); every query is then
-    a table lookup plus one partial piece.  D accepts arrays of R.
+    between consecutive samples of the envelope table (see segment_integrals);
+    every query is then a table lookup plus one partial piece.  D accepts
+    arrays of R.
     """
     cfg = cfg or QuadratureConfig()
     grid = grid or GridSpec()
@@ -152,32 +157,31 @@ def decreasing_majorant_mean(
     a = f.domain.a
     at_a = env.value_at(a)
     xs, T = env.xs, env.table
-    # flat[j - 1] is the envelope's value on node gap j when the table is flat
-    # there, NaN otherwise; the gap past the last node is never flat.
+    # flat[j - 1] is the envelope's value between samples j - 1 and j when the
+    # table is flat there, NaN otherwise; past the last sample it never is.
     flat = np.append(np.where(T[:-1] == T[1:], T[1:], np.nan), np.nan)
     table = None
 
     def pieces(lo, hi, span):
         # (right end, integral, segment index) of the accepted pieces of each
-        # segment [lo, hi].  Each lies in the node gap of its right end; where
-        # the table is flat the envelope is that constant, integrated exactly.
-        gap = np.searchsorted(xs, hi)
-        level = flat[gap - 1]
+        # segment [lo, hi].  Each lies between the two samples around its
+        # right end; where the table is flat there the envelope is that
+        # constant, integrated exactly.
+        level = flat[np.searchsorted(xs, hi) - 1]
         exact = ~np.isnan(level)
         rest = np.flatnonzero(~exact)
-        done = segment_integrals(lambda x, i: env.value_at(x, gap=gap[rest[i]]), m,
-                                 lo[rest], hi[rest], cfg, np.broadcast_to(span, lo.shape)[rest])
+        done = segment_integrals(lambda x, i: env.value_at(x), m, lo[rest], hi[rest], cfg,
+                                 np.broadcast_to(span, lo.shape)[rest])
         value = level[exact] * (batch_eval(m.m, hi[exact]) - batch_eval(m.m, lo[exact]))
         return (np.concatenate([hi[exact], done.hi]), np.concatenate([value, done.value]),
                 np.concatenate([np.flatnonzero(exact), rest[done.origin]]))
 
     def build():
-        # Every sample of the build inside the nodes the measure is defined
-        # at cuts the node gaps, so no segment hides a sampled maximum.
-        # Queries past the last node integrate from it, inside a single gap.
-        last = xs[max(int(np.searchsorted(xs, m.domain.b)), 1) - 1]
-        cuts = np.union1d(xs[xs <= last], env.sample_xs[env.sample_xs <= last])
-        span = m.m(last) - m.m(a)
+        # Cutting at every sample the measure is defined at keeps each
+        # segment between two samples, so no segment hides a sampled maximum.
+        # Queries past the last cut integrate from it, between two samples.
+        cuts = xs[: max(int(np.searchsorted(xs, m.domain.b)), 1)]
+        span = m.m(cuts[-1]) - m.m(a)
         hi, value, _ = pieces(cuts[:-1], cuts[1:], span)
         order = np.argsort(hi)
         edges = np.concatenate([cuts[:1], hi[order]])

@@ -1,8 +1,11 @@
 """Independent brute-force oracles used to derive expected test values.
 
 These deliberately avoid the library's adaptive/refined code paths: dense-grid
-maxima, fixed-panel midpoint Stieltjes sums, and plain numpy cumulative maxima.
+maxima, fixed-panel midpoint Stieltjes sums, plain numpy cumulative maxima, and
+the closed-form maxima of a damped wave.
 """
+
+import math
 
 import numpy as np
 
@@ -11,6 +14,20 @@ def grid_sup(fun, lo: float, hi: float, n: int = 10**6) -> float:
     """Dense-grid supremum estimate over [lo, hi] with n points."""
     xs = np.linspace(lo, hi, n)
     return float(np.max(fun(xs)))
+
+
+def dense_maxima(fun, lo: float, hi: float, n: int = 200_001):
+    """Interior local maxima of fun on an n-point grid over [lo, hi].
+
+    Returns (positions, values): each position is a grid point no lower than
+    either neighbour and strictly above one, each value the grid_sup over the
+    two grid gaps around it.
+    """
+    xs = np.linspace(lo, hi, n)
+    ys = fun(xs)
+    mid, left, right = ys[1:-1], ys[:-2], ys[2:]
+    k = np.flatnonzero((mid >= left) & (mid >= right) & ((mid > left) | (mid > right))) + 1
+    return xs[k], np.array([grid_sup(fun, xs[i - 1], xs[i + 1], 4001) for i in k])
 
 
 def midpoint_stieltjes(g, m, r: float, R: float, panels: int = 10**6) -> float:
@@ -68,3 +85,62 @@ def piecewise_midpoint(g, m, nodes, a: float, Rs, panels: int) -> np.ndarray:
     gaps = len(edges) - 1
     cum = np.concatenate([[0.0], np.cumsum(sums[:gaps])])
     return cum[k] + sums[gaps:]
+
+
+def wave(x):
+    """The damped wave exp(-x) (1 + 0.5 sin 5x) on [0, inf)."""
+    return np.exp(-x) * (1 + 0.5 * np.sin(5 * x))
+
+
+# wave' = exp(-x) (2.5 cos 5x - 0.5 sin 5x - 1) = exp(-x) (sqrt(6.5) cos(5x + phi) - 1)
+# with phi = atan2(0.5, 2.5): maxima at 5x + phi = THETA + 2 pi k, minima at
+# 5x + phi = -THETA + 2 pi k.
+_THETA = math.acos(1 / math.sqrt(6.5))
+_PHI = math.atan2(0.5, 2.5)
+
+
+def wave_maximum(k):
+    """The k-th local maximum of wave, k = 0, 1, ...; their values fall with k."""
+    return (_THETA - _PHI + 2 * math.pi * k) / 5
+
+
+def wave_right_max(x):
+    """sup of wave over [x, inf): the larger of wave(x) and the first maximum at or after x."""
+    k = np.maximum(np.ceil((5 * np.asarray(x, dtype=float) + _PHI - _THETA) / (2 * math.pi)), 0)
+    return np.maximum(wave(x), wave(wave_maximum(k)))
+
+
+def wave_left_max(x):
+    """sup of wave over [0, x]: wave rises from wave(0) = 1 to its first maximum,
+    which no later value reaches."""
+    x0 = wave_maximum(0)
+    return np.where(np.asarray(x) < x0, wave(x), wave(x0))
+
+
+def _wave_antiderivative(x):
+    e = math.exp(-x)
+    return -e - e * (math.sin(5 * x) + 5 * math.cos(5 * x)) / 52
+
+
+def wave_right_max_integral(R: float) -> float:
+    """integral_0^R of wave_right_max, piece by piece between its kinks.
+
+    It is the constant wave(x_0) on [0, x_0]; after maximum k - 1 it is wave
+    itself down to the crossing c_k where wave falls to the level of maximum
+    k, then that constant up to x_k.  c_k is found by bisection on the descent.
+    """
+    x0 = wave_maximum(0)
+    total = min(R, x0) * float(wave(x0))
+    k = 1
+    while R > wave_maximum(k - 1):
+        top, nxt = wave_maximum(k - 1), wave_maximum(k)
+        level = float(wave(nxt))
+        lo, hi = top, (-_THETA - _PHI + 2 * math.pi * k) / 5  # the minimum between them
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if float(wave(mid)) > level else (lo, mid)
+        cut = 0.5 * (lo + hi)
+        total += _wave_antiderivative(min(R, cut)) - _wave_antiderivative(top)
+        total += max(0.0, min(R, nxt) - cut) * level
+        k += 1
+    return total

@@ -24,7 +24,15 @@ from meanmax.func1d import (
     right_maximization,
 )
 
-from oracles import grid_sup, table_from_samples
+from oracles import (
+    dense_maxima,
+    grid_sup,
+    table_from_samples,
+    wave,
+    wave_left_max,
+    wave_maximum,
+    wave_right_max,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -168,6 +176,29 @@ class TestEnvelope:
         env = envelope_function(f, "right")
         assert np.all(env.table == 7.0)
 
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_constant_costs_only_the_grid(self, side):
+        points = 0
+
+        def counted(x):
+            nonlocal points
+            points += np.size(x)
+            return 7.0 + 0 * x
+
+        grid = GridSpec()
+        env = envelope_function(make(counted, 0.0, 5.0), side, grid)
+        assert points == grid.node_count
+        assert len(env.xs) == grid.node_count
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_wave_exact_beside_every_maximum(self, side):
+        f = make(wave, 0.0, math.inf, tail=Tail.vanishing())
+        env = envelope_function(f, side)
+        maxima = [wave_maximum(k) for k in range(24)]  # every maximum below x = 30
+        qs = np.array([x + s * dx for x in maxima for dx in (1e-7, 1e-5, 1e-3) for s in (-1, 1)])
+        want = wave_right_max(qs) if side == "right" else wave_left_max(qs)
+        assert np.all(np.abs(env.value_at(qs) - want) <= env.eps_sup)
+
     def test_tables_are_exactly_monotone(self, f_sin):
         right = envelope_function(f_sin, "right")
         left = envelope_function(f_sin, "left")
@@ -176,7 +207,7 @@ class TestEnvelope:
 
     def test_table_matches_brute_force(self, f_sin):
         env = envelope_function(f_sin, "right", GridSpec(node_count=257))
-        want = table_from_samples(env.xs, env.sample_xs, env.sample_ys, "right")
+        want = table_from_samples(env.xs, env.xs, np.sin(env.xs), "right")
         assert np.array_equal(env.table, want)
 
     def test_pointwise_domination(self, f_sin):
@@ -185,20 +216,37 @@ class TestEnvelope:
 
     def test_sup_identity(self, f_sin):
         env = envelope_function(f_sin, "right")
-        assert abs(float(env.table.max()) - float(env.sample_ys.max())) <= 2 * env.eps_sup
+        assert abs(float(env.table.max()) - float(np.sin(env.xs).max())) <= 2 * env.eps_sup
 
     def test_idempotence_exact(self, f_sin):
         grid = GridSpec(node_count=257)
         env1 = envelope_function(f_sin, "right", grid)
         env2 = envelope_function(env1.as_function(), "right", grid)
-        assert np.array_equal(env1.xs, env2.xs)
-        assert np.array_equal(env1.table, env2.table)
+        assert np.array_equal(env2.value_at(env1.xs), env1.table)
 
     def test_vectorized_queries_match_scalar(self, f_sin):
         env = envelope_function(f_sin, "right")
         qs = np.linspace(0.1, 6.0, 37)
         vec = env.value_at(qs)
         assert vec == pytest.approx([env.value_at(float(q)) for q in qs], abs=0)
+
+    def test_query_errors(self):
+        armed = False
+
+        def scalar_only(x):
+            x = float(x)  # rejects arrays of more than one point
+            return 1.0 / (x - 3.5) if armed and x == 3.5 else math.exp(-x)
+
+        env = envelope_function(make(scalar_only, 0.0, 10.0), "right", GridSpec(node_count=257))
+        armed = True
+        for x in (-1.0, 10.0, math.nan, np.array([1.0, 10.0])):
+            with pytest.raises(DomainError):
+                env.value_at(x)
+        for x in (3.5, np.array([1.0, 3.5])):
+            with pytest.raises(NonFiniteValueError):
+                env.value_at(x)
+        got = env.value_at(2.0)
+        assert type(got) is float and got == pytest.approx(math.exp(-2.0), abs=1e-12)
 
     def test_oracle_equivalence(self, f_sin, f_exp):
         grid = GridSpec()
@@ -250,15 +298,30 @@ def _damped(coeffs):
 @given(damped_oscillations(), st.sampled_from(["right", "left"]))
 @settings(max_examples=25, deadline=None)
 def test_envelope_invariants_random(coeffs, side):
-    f = make(_damped(coeffs), 0.0, 10.0)
-    env = envelope_function(f, side, GridSpec(node_count=129, refinement_rounds=1))
+    fun = _damped(coeffs)
+    env = envelope_function(make(fun, 0.0, 10.0), side, GridSpec(node_count=129))
     diffs = np.diff(env.table)
     if side == "right":
         assert np.all(diffs <= 0)
     else:
         assert np.all(diffs >= 0)
-    assert np.all(env.table >= _damped(coeffs)(env.xs) - 1e-15)
-    assert float(env.table.max()) == float(env.sample_ys.max())
+    assert np.all(env.table >= fun(env.xs) - 1e-15)
+    assert float(env.table.max()) == float(fun(env.xs).max())
+    # eps_sup beside every local maximum, against dense-grid maxima, when the
+    # grid resolves the function: no two of its extrema share a bracket of
+    # two node gaps (a max-min pair inside one gap is invisible to the nodes).
+    xk, mk = dense_maxima(fun, 0.0, 10.0)
+    troughs, _ = dense_maxima(lambda x: -fun(x), 0.0, 10.0)
+    if np.any(np.diff(np.sort(np.concatenate([xk, troughs]))) <= 2 * 10.0 / 128):
+        return
+    for q in np.concatenate([xk - 1e-3, xk + 1e-3]):
+        if not 0.0 <= q < 10.0:
+            continue
+        if side == "right":
+            want = max(fun(q), fun(10.0), mk[xk >= q].max(initial=-math.inf))
+        else:
+            want = max(fun(q), fun(0.0), mk[xk <= q].max(initial=-math.inf))
+        assert abs(env.value_at(q) - want) <= env.eps_sup
 
 
 class TestGridSpec:

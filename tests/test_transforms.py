@@ -16,7 +16,13 @@ from meanmax.transforms import (
     weighted_double_envelope,
 )
 
-from oracles import midpoint_stieltjes, piecewise_midpoint
+from oracles import (
+    midpoint_stieltjes,
+    piecewise_midpoint,
+    wave,
+    wave_maximum,
+    wave_right_max_integral,
+)
 
 
 def fn(fun, a, b, tail=None, hint="none"):
@@ -95,15 +101,7 @@ class TestDecreasingMajorantMean:
         assert values == [first] * 4
 
 
-def wave(x):
-    return np.exp(-x) * (1 + 0.5 * np.sin(5 * x))
-
-
-# Local maxima of wave: 2.5 cos 5x - 0.5 sin 5x = 1 on the falling side.
-WAVE_MAXIMA = [
-    (math.acos(1 / math.sqrt(6.5)) - math.atan2(0.5, 2.5) + 2 * math.pi * k) / 5
-    for k in range(26)
-]
+WAVE_MAXIMA = [wave_maximum(k) for k in range(26)]
 
 
 class TestMajorantTable:
@@ -129,6 +127,17 @@ class TestMajorantTable:
         Rs = [1.0, 2.5 + 1 / 300, 7.1, *beside, 40.0]
         env = self.check_against_reference(res, f, m, Rs, panels=1000)
         assert 1.0 in env.xs and not np.isin(Rs[1:3], env.xs).any()
+
+    def test_wave_against_closed_form(self):
+        # Beside every maximum the envelope must come within eps_sup of the
+        # right maximization, so D stays within eps_sup plus the quadrature
+        # tolerance of the integral of the exact right maximization.
+        f = fn(wave, 0.0, math.inf, tail=Tail.vanishing())
+        res = decreasing_majorant_mean(f, identity_measure(0.0))
+        for R in (1.0, WAVE_MAXIMA[3] - 1e-3, 7.1, 40.0):
+            want = wave_right_max_integral(R) / R
+            tol = res.log["eps_sup"] + max(1e-10, 1e-9 * want * R) / R
+            assert abs(res.fn(R) - want) <= tol, R
 
     def test_maximum_inside_a_gap(self):
         # The first maximum, x = 0.2782, lies inside the node gap [0.25, 0.28125],
