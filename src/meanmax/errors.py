@@ -26,7 +26,7 @@ class DegenerateIntervalError(MeanmaxError):
 
 
 class QuadratureError(MeanmaxError):
-    """Adaptive quadrature failed to converge within the halving budget."""
+    """Adaptive quadrature failed to converge within its halving or point budget."""
 
 
 class MissingDerivativeError(MeanmaxError):

@@ -4,15 +4,16 @@ The integral mean of f against a strictly increasing weight m over [r, R] is
 
     mean(r, R; f) = (m(R) - m(r))^-1 * integral_r^R f dm.
 
-When m carries a derivative the integral is computed as an adaptive composite
-Simpson rule on f * m'; otherwise refined midpoint Stieltjes sums are used.
-Both paths halve the panel width until two successive refinements agree within
-tolerance, and both switch to a logarithmic substitution on wide positive
-intervals, where uniform panels would be hopeless.  A halving evaluates only
-the Simpson nodes, or the cuts of m, new to it; midpoints do not nest, so g is
-evaluated at every midpoint of every level.  segment_integrals instead
-refines piece by piece, over many segments at once, for integrals that are
-wanted on every segment of a table.
+Every integral runs through segment_integrals, which bisects pieces of its
+segments locally until each piece's error estimate meets the piece's share of
+the tolerance.  When m carries a derivative a piece gets the 7-point Gauss /
+15-point Kronrod pair on f * m' (QUADPACK, Piessens et al. 1983); its
+error is the larger of |K15 - G7| and the gap between K15 and a rule that
+also reads the piece's ends, which no Kronrod node sees.  Otherwise it gets a
+midpoint Stieltjes sum on two halves, checked against one panel and against
+the trapezoid sum.  Segments wide on positive x start from geometric pieces.
+A call that needs more than POINT_BUDGET integrand points raises
+QuadratureError.
 """
 
 from __future__ import annotations
@@ -32,15 +33,48 @@ from .errors import (
 )
 from .func1d import GEOMETRIC_RATIO, Domain, Function1D, batch_eval, build_nodes, evaluate
 
-# Panels of the first level of stieltjes_integral, and geometric pieces a wide
-# segment of segment_integrals starts from.
+# Geometric pieces a segment of segment_integrals wider than GEOMETRIC_RATIO
+# on positive x starts from.
 BASE_PANELS = 64
 
-# segment_integrals halves a piece at most this often, the mantissa bits of a
-# double: its pieces then resolve their segment to the last bit.  A kink
-# converges only linearly against a tolerance that shrinks with the piece, and
-# needs more halvings than a global panel count would (24 on a damped wave).
+# A piece is halved at most this often, the mantissa bits of a double: its
+# pieces then resolve their segment to the last bit.
 LOCAL_HALVINGS = 52
+
+# Integrand points one call of segment_integrals may read before it gives up.
+# The largest call of the test suite and the benchmark reads about 400,000: a
+# midpoint sum against a tabulated measure over [1, 45].
+POINT_BUDGET = 2**21
+
+# The 15-point Kronrod rule on [-1, 1] and the 7-point Gauss rule at its odd
+# nodes, as published with QUADPACK's qk15: the non-negative nodes from 1 down
+# to 0, their Kronrod weights, and the Gauss weights of nodes 1, 3, 5 and 7.
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.000000000000000000000000000000000)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+# The same rules over all 15 nodes in increasing order; a Gauss weight is 0 at
+# a node the Gauss rule lacks.
+KRONROD_NODES = np.concatenate([np.negative(_XGK[:-1]), _XGK[::-1]])
+KRONROD_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
+GAUSS_WEIGHTS = np.zeros(15)
+GAUSS_WEIGHTS[1::2] = _WG + _WG[-2::-1]
+# The interpolatory rule on the ends of [-1, 1] and the 13 inner Kronrod nodes,
+# exact to degree 15: END_WEIGHT at each end, INNER_WEIGHTS at the Kronrod
+# nodes (0 at the outer two; from 0.949... down to 0 below).  On a smooth piece
+# it is closer to K15 than G7 is; it sees a peak at an end that K15 and G7 miss.
+END_WEIGHT = 0.0157067335862124646866237956104103
+_WE = (0.0744814467816111853799448910676960, 0.0977143544439915363295560073930247,
+       0.145909824578338152386302588869016, 0.164624195780295214921134730084121,
+       0.194251334846360006048493106913917, 0.200797291007677764655337487146261,
+       0.213029637951027351185214785831109)
+INNER_WEIGHTS = np.concatenate([[0.0], _WE[:-1], _WE[::-1], [0.0]])
 
 
 @dataclass
@@ -127,30 +161,20 @@ def identity_measure(a: float, b: float = math.inf) -> Measure1D:
 class QuadratureConfig:
     atol: float = 1e-10
     rtol: float = 1e-9
-    max_halvings: int = 20
 
     def __post_init__(self):
         if self.atol <= 0 or self.rtol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_halvings < 1:
-            raise ValueError("max_halvings must be at least 1")
-
-    def tolerance(self, value: float) -> float:
-        return max(self.atol, self.rtol * abs(value))
 
     def scaled(self, factor: float) -> "QuadratureConfig":
-        return QuadratureConfig(
-            atol=self.atol * factor,
-            rtol=self.rtol * factor,
-            max_halvings=self.max_halvings,
-        )
+        return QuadratureConfig(atol=self.atol * factor, rtol=self.rtol * factor)
 
 
 @dataclass
 class MeanValue:
     value: float
-    est_error: float
-    panels_used: int
+    est_error: float  # the sum of the accepted pieces' error estimates
+    panels_used: int  # the number of accepted pieces
 
 
 def _eval_many(fun: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
@@ -162,47 +186,6 @@ def _eval_many(fun: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
         k = int(np.argmax(~np.isfinite(ys)))
         raise NonFiniteValueError(f"non-finite integrand value at x={xs[k]}")
     return ys
-
-
-def _simpson_levels(fun, lo: float, hi: float):
-    """Composite Simpson sums on BASE_PANELS, 2 * BASE_PANELS, ... panels.
-
-    The nodes of a level are the even nodes of the next, so each halving
-    evaluates fun only at its new odd nodes.
-    """
-    n = BASE_PANELS
-    ys = _eval_many(fun, np.linspace(lo, hi, n + 1))
-    while True:
-        h = (hi - lo) / n
-        yield float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum()))
-        n *= 2
-        ys = _refined(ys, _eval_many(fun, np.linspace(lo, hi, n + 1)[1::2]))
-
-
-def _refined(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """The values of the next level: the old ones at even nodes, odd between them."""
-    out = np.empty(len(even) + len(odd))
-    out[::2], out[1::2] = even, odd
-    return out
-
-
-def _adaptive(levels, extrapolate, cfg: QuadratureConfig) -> MeanValue:
-    """Panel-doubling driver shared by the Simpson and midpoint paths.
-
-    levels yields the sums on BASE_PANELS, then twice as many panels, and so on.
-    """
-    n = BASE_PANELS
-    prev = next(levels)
-    for _ in range(cfg.max_halvings):
-        n *= 2
-        cur = next(levels)
-        diff = abs(cur - prev)
-        if diff <= cfg.tolerance(cur):
-            return MeanValue(value=extrapolate(cur, prev), est_error=diff, panels_used=n)
-        prev = cur
-    raise QuadratureError(
-        f"no convergence after {cfg.max_halvings} halvings (last delta {diff:.3e})"
-    )
 
 
 def check_interval(g: Function1D, m: Measure1D, r: float, R: float) -> None:
@@ -226,75 +209,11 @@ def stieltjes_integral(
     R: float,
     cfg: QuadratureConfig | None = None,
 ) -> MeanValue:
-    """integral_r^R g dm by adaptive Simpson on g*m' or refined midpoint sums."""
-    cfg = cfg or QuadratureConfig()
+    """integral_r^R g dm, as the one segment [r, R] of segment_integrals."""
     check_interval(g, m, r, R)
-    ge = g.eval
-    use_log = r > 0 and R / r > GEOMETRIC_RATIO
-
-    if m.m_prime is not None:
-        dm = m.m_prime
-        if use_log:
-            lo, hi = math.log(r), math.log(R)
-
-            def integrand(u):
-                x = np.exp(u)
-                return ge(x) * dm(x) * x
-
-        else:
-            lo, hi = r, R
-
-            def integrand(x):
-                return ge(x) * dm(x)
-
-        return _adaptive(
-            _simpson_levels(integrand, lo, hi),
-            lambda cur, prev: cur + (cur - prev) / 15.0,
-            cfg,
-        )
-
-    me = m.m
-
-    def cuts(n: int) -> np.ndarray:
-        if use_log:
-            ts = np.exp(np.linspace(math.log(r), math.log(R), n + 1))
-            ts[0], ts[-1] = r, R
-            return ts
-        return np.linspace(r, R, n + 1)
-
-    def midpoints(ts: np.ndarray) -> np.ndarray:
-        return np.sqrt(ts[:-1] * ts[1:]) if use_log else 0.5 * (ts[:-1] + ts[1:])
-
-    def midpoint_sum(n: int, ms_half):
-        """The midpoint sum on n panels, and m at its n + 1 cuts.
-
-        ms_half is m at the cuts of n / 2 panels, the even cuts here, or None.
-        """
-        ts = cuts(n)
-        gs = _eval_many(ge, midpoints(ts))
-        if ms_half is None:
-            ms = _eval_many(me, ts)
-        else:
-            odd = _eval_many(me, ts[1::2])
-            # Free the cuts before placing the values kept for the next level:
-            # placed above the cuts, they left a hole below them that raised
-            # peak resident memory by about 8 MB on a 2^20-panel sum.
-            del ts
-            ms = _refined(ms_half, odd)
-        return float(np.sum(gs * np.diff(ms))), ms
-
-    def midpoint_levels():
-        n, ms = BASE_PANELS, None
-        while True:
-            total, ms = midpoint_sum(n, ms)
-            yield total
-            n *= 2
-
-    return _adaptive(
-        midpoint_levels(),
-        lambda cur, prev: cur + (cur - prev) / 3.0,
-        cfg,
-    )
+    pieces = segment_integrals(g.eval, m, [r], [R], cfg)
+    return MeanValue(value=float(np.sum(pieces.value)), est_error=float(np.sum(pieces.error)),
+                     panels_used=len(pieces.value))
 
 
 @dataclass
@@ -304,11 +223,12 @@ class Pieces:
     lo: np.ndarray
     hi: np.ndarray
     value: np.ndarray
+    error: np.ndarray
     origin: np.ndarray  # index of the input segment each piece lies in
 
 
 def segment_integrals(
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    g: Callable[[np.ndarray], np.ndarray],
     m: Measure1D,
     lo: np.ndarray,
     hi: np.ndarray,
@@ -317,29 +237,24 @@ def segment_integrals(
 ) -> Pieces:
     """integral of g dm over each segment [lo[i], hi[i]], refined locally.
 
-    g(x, i) evaluates the integrand at the points x, each read in segment i[k],
-    so a piecewise integrand can be given as its continuous extension over
-    every closed segment.  Each segment gets adaptive Simpson on g*m'
-    (midpoint Stieltjes sums when m has no derivative): each level makes one
-    call to g for all segments, and only the pieces whose two estimates
-    disagree are halved, at most LOCAL_HALVINGS times (cfg.max_halvings does
-    not apply here).  Segments wider
-    than GEOMETRIC_RATIO on positive x start from BASE_PANELS geometric
-    pieces.  A piece of weight dm is accepted within
-    max(atol * dm / span, rtol * |value|) / 4, span defaulting to the total
-    weight of the segments.  So the pieces of any run of segments of total
+    Each level makes one call to g for the pieces of all segments, and only
+    the pieces whose error exceeds their tolerance are halved, at most
+    LOCAL_HALVINGS times.  A piece gets G7/K15 on g*m', or midpoint Stieltjes
+    sums when m has no derivative.  Segments wider than GEOMETRIC_RATIO on
+    positive x start from BASE_PANELS geometric pieces.  g is read once at
+    each cut, m once at each cut and midpoint.  A piece of weight dm is
+    accepted within max(atol * dm / span, rtol * |value|) / 4, span
+    defaulting to the total weight of the segments.  So the pieces of any run of segments of total
     weight at most span, plus the pieces of one more such run, stay within
-    max(atol, rtol * |I|) of their integral I when g keeps its sign.
+    max(atol, rtol * |I|) of their integral I when g keeps its sign.  More
+    than POINT_BUDGET points of g raise QuadratureError.
     """
     cfg = cfg or QuadratureConfig()
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    m_lo, m_hi = _eval_many(m.m, lo), _eval_many(m.m, hi)
-    if span is None:
-        span = np.sum(m_hi - m_lo)
-    span = np.broadcast_to(np.asarray(span, dtype=float), lo.shape)
     origin = np.arange(len(lo))
-    done = [(lo[:0], hi[:0], lo[:0], origin[:0])]
+    if span is not None:
+        span = np.full(len(lo), span) if np.ndim(span) == 0 else np.asarray(span, dtype=float)
     wide = (lo > 0) & (hi > GEOMETRIC_RATIO * lo)
     if wide.any():
         cuts = np.geomspace(lo[wide], hi[wide], BASE_PANELS + 1, axis=1)
@@ -347,70 +262,88 @@ def segment_integrals(
         lo = np.concatenate([lo[~wide], cuts[:, :-1].ravel()])
         hi = np.concatenate([hi[~wide], cuts[:, 1:].ravel()])
         origin = np.concatenate([origin[~wide], np.repeat(origin[wide], BASE_PANELS)])
-        m_lo, m_hi = _eval_many(m.m, lo), _eval_many(m.m, hi)
-    if len(lo):
-        done.extend(_refine(g, m, lo, hi, m_lo, m_hi, origin, span, cfg))
-    lo, hi, value, origin = (np.concatenate(parts) for parts in zip(*done))
+    if not len(lo):
+        return Pieces(lo, hi, lo, lo, origin)
+    done = _refine(g, m, lo, hi, origin, None if span is None else span[origin], cfg)
+    lo, hi, value, error, origin = (np.concatenate(parts) for parts in zip(*done))
     order = np.argsort(lo, kind="stable")
-    return Pieces(lo[order], hi[order], value[order], origin[order])
+    return Pieces(lo[order], hi[order], value[order], error[order], origin[order])
 
 
-def _refine(g, m, lo, hi, m_lo, m_hi, origin, span, cfg: QuadratureConfig):
-    """Halve the pieces whose two estimates disagree, level by level.
+def _level_points(lo, hi, kronrod: bool) -> np.ndarray:
+    """The new points of g a level reads: 15 Kronrod nodes, or two quarter points, a piece."""
+    mid = 0.5 * (lo + hi)
+    if kronrod:
+        return (mid[:, None] + (hi - mid)[:, None] * KRONROD_NODES).ravel()
+    return np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)])
 
-    Simpson compares one panel against two.  Midpoint sums compare one panel
-    against two and, since no midpoint sees a piece's ends, also the two-panel
-    midpoint sum against the trapezoid sum on the same points.
+
+def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig):
+    """Halve the pieces whose error exceeds their tolerance, level by level.
+
+    G7/K15 estimates a piece from 15 new points.  Midpoint sums compare one
+    panel against two and, since no midpoint sees a piece's ends, also the
+    two-panel midpoint sum against the trapezoid sum on the same points.  A
+    piece's halves inherit its ends and midpoint (the middle Kronrod node), so
+    only the first level also reads g at the cuts (and midpoints).  Each level
+    reads m at the midpoint of every piece, a cut once the piece is halved.
     """
-    simpson = m.m_prime is not None
+    kronrod = m.m_prime is not None
+    fun = (lambda x: g(x) * m.m_prime(x)) if kronrod else g
+    used = 0
 
-    def rule(xs, idx):
-        ys = np.asarray(g(xs, idx), dtype=float)
-        if simpson:
-            ys = ys * _eval_many(m.m_prime, xs)
-        if not np.all(np.isfinite(ys)):
-            k = int(np.argmax(~np.isfinite(ys)))
-            raise NonFiniteValueError(f"non-finite integrand value at x={xs[k]}")
-        return ys
+    def integrand(xs):
+        nonlocal used
+        used += len(xs)
+        if used > POINT_BUDGET:
+            raise QuadratureError(
+                f"integrand point budget of {POINT_BUDGET} exceeded "
+                f"({len(lo)} pieces unresolved, first at x={lo[0]})"
+            )
+        return _eval_many(fun, xs)
 
     n = len(lo)
-    mid = 0.5 * (lo + hi)
-    m_mid = _eval_many(m.m, mid)
-    ys = rule(np.concatenate([lo, mid, hi]), np.tile(origin, 3))
-    y_lo, centre, y_hi = ys[:n], ys[n : 2 * n], ys[2 * n :]
+    cuts, at = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    ms = _eval_many(m.m, cuts)[at]
+    m_lo, m_hi = ms[:n], ms[n:]
+    head = cuts if kronrod else np.concatenate([cuts, 0.5 * (lo + hi)])
+    ys = integrand(np.concatenate([head, _level_points(lo, hi, kronrod)]))
+    y_ends = ys[: len(cuts)][at]
+    y_lo, y_hi, centre, ys = y_ends[:n], y_ends[n:], ys[len(cuts) : len(head)], ys[len(head) :]
+    density = cfg.atol / span if span is not None else np.full(n, cfg.atol / np.sum(m_hi - m_lo))
     done = []
-    for _ in range(LOCAL_HALVINGS + 1):
+    for level in range(LOCAL_HALVINGS + 1):
         n = len(lo)
-        quarters = np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)])
-        ys = rule(quarters, np.tile(origin, 2))
-        y1, y3 = ys[:n], ys[n:]
-        if simpson:
-            w = hi - lo
-            coarse = w / 6.0 * (y_lo + 4.0 * centre + y_hi)
-            fine = w / 12.0 * (y_lo + 4.0 * y1 + 2.0 * centre + 4.0 * y3 + y_hi)
-            err = np.abs(fine - coarse)
-            value = fine + (fine - coarse) / 15.0
+        mid = 0.5 * (lo + hi)
+        m_mid = _eval_many(m.m, mid)
+        if level:
+            ys = integrand(_level_points(lo, hi, kronrod))
+        if kronrod:
+            half = hi - mid
+            ys = ys.reshape(n, -1)
+            value = half * (ys @ KRONROD_WEIGHTS)
+            gauss = half * (ys @ GAUSS_WEIGHTS)
+            ends = half * (ys @ INNER_WEIGHTS + END_WEIGHT * (y_lo + y_hi))
+            err = np.maximum(np.abs(value - gauss), np.abs(value - ends))
+            centre = ys[:, 7]
         else:
+            y1, y3 = ys[:n], ys[n:]
             dm_lo, dm_hi = m_mid - m_lo, m_hi - m_mid
-            coarse = centre * (m_hi - m_lo)
-            fine = y1 * dm_lo + y3 * dm_hi
+            value = y1 * dm_lo + y3 * dm_hi
             trapezoid = 0.5 * ((y_lo + centre) * dm_lo + (centre + y_hi) * dm_hi)
-            err = np.maximum(np.abs(fine - coarse), np.abs(trapezoid - fine))
-            value = fine + (fine - coarse) / 3.0
-        tol = 0.25 * np.maximum(cfg.atol * (m_hi - m_lo) / span[origin],
-                                cfg.rtol * np.abs(fine))
+            err = np.maximum(np.abs(value - centre * (m_hi - m_lo)), np.abs(trapezoid - value))
+        tol = 0.25 * np.maximum(density * (m_hi - m_lo), cfg.rtol * np.abs(value))
         ok = err <= tol
-        done.append((lo[ok], hi[ok], value[ok], origin[ok]))
+        done.append((lo[ok], hi[ok], value[ok], err[ok], origin[ok]))
         if ok.all():
             return done
         s = ~ok
-        lo, mid, hi = (np.concatenate([lo[s], mid[s]]), quarters[np.tile(s, 2)],
-                       np.concatenate([mid[s], hi[s]]))
-        m_lo, m_mid, m_hi = (np.concatenate([m_lo[s], m_mid[s]]), _eval_many(m.m, mid),
-                             np.concatenate([m_mid[s], m_hi[s]]))
         y_lo, y_hi = np.concatenate([y_lo[s], centre[s]]), np.concatenate([centre[s], y_hi[s]])
-        centre = np.concatenate([y1[s], y3[s]])
-        origin = np.tile(origin[s], 2)
+        if not kronrod:
+            centre = np.concatenate([y1[s], y3[s]])
+        lo, hi = np.concatenate([lo[s], mid[s]]), np.concatenate([mid[s], hi[s]])
+        m_lo, m_hi = np.concatenate([m_lo[s], m_mid[s]]), np.concatenate([m_mid[s], m_hi[s]])
+        origin, density = np.tile(origin[s], 2), np.tile(density[s], 2)
     raise QuadratureError(
         f"no convergence after {LOCAL_HALVINGS} local halvings "
         f"({len(lo) // 2} pieces left, first at x={lo[0]})"

@@ -144,8 +144,8 @@ def decreasing_majorant_mean(
 
     D decreases in R and dominates every mean of f over [r, R] with r >= a.
     The first query builds the cumulative integral of the envelope against m
-    between consecutive samples of the envelope table (see segment_integrals);
-    every query is then a table lookup plus one partial piece.  D accepts
+    over the runs of the envelope table (see segment_integrals); every query
+    is then a table lookup plus one partial piece.  D accepts
     arrays of R.
     """
     cfg = cfg or QuadratureConfig()
@@ -164,23 +164,33 @@ def decreasing_majorant_mean(
 
     def pieces(lo, hi, span):
         # (right end, integral, segment index) of the accepted pieces of each
-        # segment [lo, hi].  Each lies between the two samples around its
-        # right end; where the table is flat there the envelope is that
-        # constant, integrated exactly.
+        # segment [lo, hi].  A segment lies in one run of flat gaps or of
+        # steep ones, the run of the gap its right end closes; over a flat
+        # run the envelope is that constant, integrated exactly.
         level = flat[np.searchsorted(xs, hi) - 1]
         exact = ~np.isnan(level)
         rest = np.flatnonzero(~exact)
-        done = segment_integrals(lambda x, i: env.value_at(x), m, lo[rest], hi[rest], cfg,
+        done = segment_integrals(env.value_at, m, lo[rest], hi[rest], cfg,
                                  np.broadcast_to(span, lo.shape)[rest])
         value = level[exact] * (batch_eval(m.m, hi[exact]) - batch_eval(m.m, lo[exact]))
         return (np.concatenate([hi[exact], done.hi]), np.concatenate([value, done.value]),
                 np.concatenate([np.flatnonzero(exact), rest[done.origin]]))
 
     def build():
-        # Cutting at every sample the measure is defined at keeps each
-        # segment between two samples, so no segment hides a sampled maximum.
-        # Queries past the last cut integrate from it, between two samples.
-        cuts = xs[: max(int(np.searchsorted(xs, m.domain.b)), 1)]
+        # Over the samples the measure is defined at, a run of gaps where the
+        # table is not flat is the envelope following f, smooth across its
+        # samples: cut only at the ends of each run, and around every gap of
+        # it next to a flat gap, where the envelope leaves f for a plateau at
+        # a kink inside the gap.  A run of flat gaps is one constant.
+        # Queries past the last cut integrate from it.
+        n = max(int(np.searchsorted(xs, m.domain.b)), 1)
+        steep = np.isnan(flat[: n - 1])
+        beside_flat = np.zeros(n + 1, dtype=bool)
+        beside_flat[1:-1] = ~steep
+        kinked = steep & (beside_flat[:-2] | beside_flat[2:])
+        keep = np.ones(n, dtype=bool)
+        keep[1:-1] = (steep[:-1] != steep[1:]) | kinked[:-1] | kinked[1:]
+        cuts = xs[:n][keep]
         span = m.m(cuts[-1]) - m.m(a)
         hi, value, _ = pieces(cuts[:-1], cuts[1:], span)
         order = np.argsort(hi)

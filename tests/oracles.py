@@ -144,3 +144,20 @@ def wave_right_max_integral(R: float) -> float:
         total += max(0.0, min(R, nxt) - cut) * level
         k += 1
     return total
+
+
+def table_log_integral(xs, ys, r: float, R: float) -> float:
+    """integral_r^R of the linear interpolant of (xs, ys) against ln x, in closed form.
+
+    On a gap where the interpolant is y0 + s (x - x0), the integral of it dx/x
+    between u and v is (y0 - s x0) ln(v / u) + s (v - u).
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    total = 0.0
+    for k in range(len(xs) - 1):
+        u, v = max(r, xs[k]), min(R, xs[k + 1])
+        if u < v:
+            s = (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
+            total += (ys[k] - s * xs[k]) * math.log(v / u) + s * (v - u)
+    return total

@@ -7,6 +7,8 @@ import pytest
 from meanmax.cli import load_csv_function, run_command
 from meanmax.errors import CsvFormatError
 
+from oracles import table_log_integral
+
 
 def run(capsys, *argv):
     code = run_command(list(argv))
@@ -109,6 +111,15 @@ class TestMean:
         want = (R ** (4 / 3) - r ** (4 / 3)) / 4 / (R ** (1 / 3) - r ** (1 / 3))
         assert float(out) == pytest.approx(want, rel=1e-8)
 
+    def test_peak_at_the_left_end(self, capsys):
+        # the mass of exp(-1000 x) lies nearer x = 0 than any Kronrod node of [0, 10]
+        code, out, _ = run(
+            capsys, "mean", "--f", "exp(-1000*x)", "--m", "x", "--a", "0",
+            "--r", "0", "--R", "10",
+        )
+        assert code == 0
+        assert float(out) == pytest.approx(-math.expm1(-1e4) / 1e4, rel=1e-8)
+
     def test_accepts_measure_that_overflows_past_the_interval(self, capsys):
         code, out, _ = run(
             capsys, "mean", "--f", "x", "--m", "exp(x)",
@@ -117,6 +128,24 @@ class TestMean:
         assert code == 0
         e = math.e
         assert float(out) == pytest.approx(4 * e**5 / (e**5 - e), rel=1e-8)
+
+    @pytest.mark.parametrize("r,R", [(1.5, 20.0), (3.0, 45.0)])
+    def test_kinked_csv_within_tolerance(self, capsys, tmp_path, r, R):
+        # x^-0.9 on 40 geometric nodes: a kink at every node inside [r, R]
+        xs = np.geomspace(1.0, 50.0, 40)
+        xs[-1] = 50.0
+        ys = xs**-0.9
+        p = tmp_path / "kinked.csv"
+        p.write_text("".join(f"{x!r},{y!r}\n" for x, y in zip(xs.tolist(), ys.tolist())))
+        code, out, _ = run(
+            capsys, "mean", "--f", str(p), "--m", "ln(x)",
+            "--a", "1", "--b", "50", "--r", str(r), "--R", str(R),
+        )
+        assert code == 0
+        integral, dm = table_log_integral(xs, ys, r, R), math.log(R / r)
+        printed_digit = 0.5 * 10.0 ** (math.floor(math.log10(integral / dm)) - 9)
+        tol = max(1e-10, 1e-9 * integral) / dm + printed_digit
+        assert abs(float(out) - integral / dm) <= tol
 
 
 class TestTransform:
@@ -381,6 +410,18 @@ class TestUsageErrors:
             "--r", "0", "--R", "1",
         )
         assert code == 3
+
+    def test_point_budget_exit_code(self, capsys):
+        # 5e6 periods of sin on [0, 1] need millions of pieces
+        code, out, err = run(
+            capsys, "mean", "--f", "sin(10000000*x)", "--m", "x", "--a", "0",
+            "--r", "0", "--R", "1",
+        )
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "budget" in lines[0]
 
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--help")

@@ -11,10 +11,15 @@ from meanmax.errors import (
     NonFiniteValueError,
     QuadratureError,
 )
-from meanmax.func1d import GEOMETRIC_RATIO, Domain, Function1D, batch_eval
+from meanmax.func1d import GEOMETRIC_RATIO, Domain, Function1D
 from meanmax.stieltjes import (
     BASE_PANELS,
-    MeanValue,
+    END_WEIGHT,
+    GAUSS_WEIGHTS,
+    INNER_WEIGHTS,
+    KRONROD_NODES,
+    KRONROD_WEIGHTS,
+    POINT_BUDGET,
     Measure1D,
     QuadratureConfig,
     identity_measure,
@@ -26,7 +31,7 @@ from meanmax.stieltjes import (
     stieltjes_integral,
 )
 
-from oracles import midpoint_stieltjes
+from oracles import midpoint_stieltjes, table_log_integral
 
 
 def fn(fun, a, b):
@@ -86,10 +91,12 @@ class TestStieltjesIntegral:
             stieltjes_integral(g, M_LN, 1.0, 4.0)
 
     def test_non_convergence(self):
-        wild = fn(lambda x: np.sin(1e7 * x), 0.0, math.inf)
-        cfg = QuadratureConfig(max_halvings=3)
-        with pytest.raises(QuadratureError):
-            stieltjes_integral(wild, M_ID, 0.0, 1.0, cfg)
+        # 5e6 periods: resolving them takes millions of pieces, far past the budget
+        points = []
+        wild = fn(counted(lambda x: np.sin(1e7 * x), points), 0.0, math.inf)
+        with pytest.raises(QuadratureError, match="budget"):
+            stieltjes_integral(wild, M_ID, 0.0, 1.0)
+        assert sum(points) <= POINT_BUDGET
 
     def test_additivity(self):
         whole = stieltjes_integral(EXP, M_ID, 0.0, 3.0)
@@ -98,83 +105,6 @@ class TestStieltjesIntegral:
             left = stieltjes_integral(EXP, M_ID, 0.0, s).value
             right = stieltjes_integral(EXP, M_ID, s, 3.0).value
             assert left + right == pytest.approx(whole.value, abs=tol)
-
-
-def reference_integral(g, m, r, R, cfg=None):
-    """stieltjes_integral as a loop that evaluates every node of every level afresh."""
-    cfg = cfg or QuadratureConfig()
-    ge = g.eval
-    use_log = r > 0 and R / r > GEOMETRIC_RATIO
-
-    def values(fun, xs):
-        ys = batch_eval(fun, xs)
-        assert np.all(np.isfinite(ys))
-        return ys
-
-    if m.m_prime is not None:
-        dm = m.m_prime
-        lo, hi = (math.log(r), math.log(R)) if use_log else (r, R)
-
-        def integrand(x):
-            if use_log:
-                x = np.exp(x)
-                return ge(x) * dm(x) * x
-            return ge(x) * dm(x)
-
-        def level_sum(n):
-            ys = values(integrand, np.linspace(lo, hi, n + 1))
-            h = (hi - lo) / n
-            return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum()
-                                    + 2.0 * ys[2:-2:2].sum()))
-
-        richardson = 15.0
-    else:
-        def level_sum(n):
-            if use_log:
-                ts = np.exp(np.linspace(math.log(r), math.log(R), n + 1))
-                ts[0], ts[-1] = r, R
-                mids = np.sqrt(ts[:-1] * ts[1:])
-            else:
-                ts = np.linspace(r, R, n + 1)
-                mids = 0.5 * (ts[:-1] + ts[1:])
-            return float(np.sum(values(ge, mids) * np.diff(values(m.m, ts))))
-
-        richardson = 3.0
-    n = BASE_PANELS
-    prev = level_sum(n)
-    for _ in range(cfg.max_halvings):
-        n *= 2
-        cur = level_sum(n)
-        diff = abs(cur - prev)
-        if diff <= cfg.tolerance(cur):
-            return MeanValue(value=cur + (cur - prev) / richardson, est_error=diff, panels_used=n)
-        prev = cur
-    raise AssertionError("the reference did not converge")
-
-
-# x^-0.9 interpolated linearly on 40 geometric nodes over [1, 50]: a kink at
-# every node, which Simpson resolves only after many halvings.
-TABLE_XS = np.geomspace(1.0, 50.0, 40)
-KINKED = fn(lambda x: np.interp(x, TABLE_XS, TABLE_XS**-0.9), 1.0, 50.0)
-TABULATED_LN = Measure1D(m=lambda x: np.interp(x, TABLE_XS, np.log(TABLE_XS)),
-                         domain=Domain(1.0, 50.0))
-
-
-class TestNodeReuse:
-    @pytest.mark.parametrize("g,m,r,R", [
-        (EXP, M_ID, 0.0, 3.0),
-        (INV, M_LN, 1.0, 4.0),
-        (fn(lambda x: math.exp(-x), 0.0, math.inf), M_ID, 0.5, 3.0),
-        (fn(lambda x: 1 / (x * x), 0.5, math.inf), M_ID, 1.0, 1e6),
-        (KINKED, log_measure(1.0, 50.0), 1.5, 20.0),
-        (INV, TABULATED_LN, 1.5, 20.0),
-        (INV, TABULATED_LN, 1.0, 49.0),
-    ], ids=["numpy", "numpy-ln", "math", "wide-log", "kinked", "tabulated", "tabulated-wide"])
-    def test_equals_the_re_evaluating_loop(self, g, m, r, R):
-        assert stieltjes_integral(g, m, r, R) == reference_integral(g, m, r, R)
-
-    def test_kinked_source_takes_many_halvings(self):
-        assert stieltjes_integral(KINKED, log_measure(1.0, 50.0), 1.5, 20.0).panels_used >= 2**15
 
 
 def counted(fun, points):
@@ -186,26 +116,107 @@ def counted(fun, points):
     return wrapped
 
 
+def seen(fun, xs):
+    """fun, appending every point it is called at."""
+    def wrapped(x):
+        xs.extend(np.atleast_1d(x).tolist())
+        return fun(x)
+    return wrapped
+
+
+# x^-0.9 interpolated linearly on 40 geometric nodes over [1, 50]: a kink at
+# every node.
+TABLE_XS = np.geomspace(1.0, 50.0, 40)
+TABLE_YS = TABLE_XS**-0.9
+KINKED = fn(lambda x: np.interp(x, TABLE_XS, TABLE_YS), 1.0, 50.0)
+TABULATED_LN = Measure1D(m=lambda x: np.interp(x, TABLE_XS, np.log(TABLE_XS)),
+                         domain=Domain(1.0, 50.0))
+
+
+class TestKronrodRule:
+    def test_kronrod_exact_to_degree_22(self):
+        for k in range(23):
+            want = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert abs(KRONROD_WEIGHTS @ KRONROD_NODES**k - want) <= 1e-15
+
+    def test_gauss_nodes_are_legendre_7(self):
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        assert KRONROD_NODES[1::2] == pytest.approx(nodes, abs=1e-15)
+        assert GAUSS_WEIGHTS[1::2] == pytest.approx(weights, abs=1e-15)
+        assert not GAUSS_WEIGHTS[::2].any()
+
+    def test_end_rule_exact_to_degree_15(self):
+        for k in range(16):
+            want = 0.0 if k % 2 else 2.0 / (k + 1)
+            got = INNER_WEIGHTS @ KRONROD_NODES**k + END_WEIGHT * ((-1.0) ** k + 1.0)
+            assert abs(got - want) <= 1e-15
+        assert END_WEIGHT > 0 and np.all(INNER_WEIGHTS[1:-1] > 0)
+        assert INNER_WEIGHTS[0] == INNER_WEIGHTS[-1] == 0.0
+
+
 class TestEvaluationBudget:
-    # Exact counts: each halving evaluates only the nodes new to it.
-    @pytest.mark.parametrize("source,m,r,R", [
-        (math.exp, identity_measure(0.0), 0.5, 3.0),
-        (lambda x: 1.0 / float(x), log_measure(1.0), 1.0, 1e4),
-    ], ids=["math.exp", "scalar-inverse-ln"])
-    def test_simpson_reads_each_node_once(self, source, m, r, R):
+    def test_smooth_segment_reads_its_ends_and_15_points(self):
+        # G7 is exact on x^2, so the first estimate is accepted
         points = []
-        got = stieltjes_integral(fn(counted(source, points), 0.5, math.inf), m, r, R)
-        assert set(points) == {1}
-        assert sum(points) == got.panels_used + 1
+        got = stieltjes_integral(fn(counted(lambda x: x * x, points), 0.0, math.inf),
+                                 M_ID, 0.0, 1.0)
+        assert points == [17]
+        assert got.panels_used == 1
+        assert got.value == pytest.approx(1 / 3, rel=1e-15)
+
+    # A level reads 15 points for each piece it estimates, the first also the
+    # n0 + 1 cuts of the n0 starting pieces.  Bisecting pieces from n0
+    # starting ones to A accepted ones estimates 2A - n0 pieces.
+    @pytest.mark.parametrize("source,m,r,R", [
+        (lambda x: np.exp(-x), M_ID, 0.0, 3.0),
+        (lambda x: 1 / x, M_LN, 1.0, 4.0),
+        (lambda x: math.exp(-x), M_ID, 0.5, 3.0),
+        (math.exp, identity_measure(0.0), 0.5, 3.0),
+        (lambda x: 1 / (x * x), identity_measure(0.5), 1.0, 1e6),
+        (lambda x: 1.0 / float(x), log_measure(1.0), 1.0, 1e4),
+        (KINKED.eval, log_measure(1.0, 50.0), 1.5, 20.0),
+    ], ids=["numpy", "numpy-ln", "math", "math.exp", "wide-log", "scalar-inverse-ln", "kinked"])
+    def test_reads_15_points_per_piece(self, source, m, r, R):
+        points = []
+        got = stieltjes_integral(fn(counted(source, points), r, math.inf), m, r, R)
+        start = BASE_PANELS if 0 < r and GEOMETRIC_RATIO * r < R else 1
+        assert sum(points) == start + 1 + 15 * (2 * got.panels_used - start)
+        assert (points[0] == start + 1 + 15 * start and all(p % 15 == 0 for p in points[1:])
+                or set(points) == {1})
+
+    # the cuts are the ends and the midpoint of every accepted piece
+    def assert_reads_each_cut_once(self, m, r, R):
+        xs = []
+        got = stieltjes_integral(INV, Measure1D(m=seen(m.m, xs), domain=m.domain), r, R)
+        assert len(xs) == len(set(xs)) == 2 * got.panels_used + 1
 
     def test_midpoint_reads_each_cut_once(self):
-        g_points, m_points = [], []
-        g = fn(counted(lambda x: 1 / x, g_points), 0.5, math.inf)
-        m = Measure1D(m=counted(np.log, m_points), domain=Domain(0.5, math.inf))
-        got = stieltjes_integral(g, m, 1.0, 4.0)
-        assert sum(m_points) == got.panels_used + 1
-        # midpoints do not nest: every level evaluates g at all of its panels
-        assert sum(g_points) == 2 * got.panels_used - BASE_PANELS
+        self.assert_reads_each_cut_once(Measure1D(m=np.log, domain=Domain(0.5, math.inf)), 1.0, 4.0)
+
+    @pytest.mark.parametrize("r,R", [(1.5, 20.0), (1.0, 49.0)], ids=["tabulated", "tabulated-wide"])
+    def test_midpoint_reads_each_table_cut_once(self, r, R):
+        self.assert_reads_each_cut_once(TABULATED_LN, r, R)
+
+
+class TestKinkedTable:
+    # The table's kinks sit at its nodes, inside [r, R]: each piece of the
+    # bisection that holds one converges only linearly.
+    @pytest.mark.parametrize("r,R", [(1.5, 20.0), (3.0, 45.0)])
+    def test_within_tolerance_of_closed_form(self, r, R):
+        want = table_log_integral(TABLE_XS, TABLE_YS, r, R)
+        got = stieltjes_integral(KINKED, log_measure(1.0, 50.0), r, R).value
+        assert abs(got - want) <= max(1e-10, 1e-9 * abs(want))
+
+
+class TestEndPeak:
+    # The mass of exp(-1000 x) lies within 0.005 of x = 0, nearer the end of
+    # [0, 10] than any Kronrod node, where both K15 and G7 read ~0.
+    @pytest.mark.parametrize("peak", [lambda x: np.exp(-1000 * x),
+                                      lambda x: np.exp(1000 * (x - 10))], ids=["left", "right"])
+    def test_peak_at_an_end(self, peak):
+        got = stieltjes_integral(fn(peak, 0.0, math.inf), M_ID, 0.0, 10.0).value
+        want = -math.expm1(-1e4) / 1000
+        assert abs(got - want) <= max(1e-10, 1e-9 * want)
 
 
 class TestSegmentIntegrals:
@@ -217,12 +228,12 @@ class TestSegmentIntegrals:
         want = (hi**3 - lo**3) / 3
         plain = Measure1D(m=lambda x: x, domain=Domain(0.0, 5.0))
         for m in (identity_measure(0.0), plain):
-            pieces = segment_integrals(lambda x, i: x**2, m, lo, hi)
+            pieces = segment_integrals(lambda x: x**2, m, lo, hi)
             assert self.per_segment(pieces, 3) == pytest.approx(want, rel=1e-9)
             assert np.all(np.diff(pieces.lo) > 0)
 
     def test_wide_segment(self):
-        pieces = segment_integrals(lambda x, i: 1 / x, log_measure(1.0), [1.0], [1e25])
+        pieces = segment_integrals(lambda x: 1 / x, log_measure(1.0), [1.0], [1e25])
         assert pieces.value.sum() == pytest.approx(1 - 1e-25, rel=1e-9)
 
 
@@ -344,5 +355,3 @@ class TestMeasureValidation:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(atol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_halvings=0)

@@ -39,6 +39,16 @@ class TestDecreasingMajorantMean:
         for R in (0.5, 1.0, 5.0, 20.0):
             assert res.fn(R) == pytest.approx((1 - math.exp(-R)) / R, rel=1e-8)
 
+    def test_peak_at_the_left_end(self):
+        # exp(-1000 x) + 10 - x decreases, so it is its own envelope.  The
+        # table is one run from a = 0, on which G7 and K15 are exact for the
+        # linear part; the mass of exp(-1000 x) lies within 0.005 of a.
+        f = fn(lambda x: np.exp(-1000 * x) + (10 - x), 0.0, 10.0)
+        res = decreasing_majorant_mean(f, identity_measure(0.0, 10.0))
+        for R in (1e-3, 0.1, 5.0, 9.9):
+            want = -math.expm1(-1000 * R) / 1000 + 10 * R - R * R / 2
+            assert abs(res.fn(R) * R - want) <= max(1e-10, 1e-9 * want), R
+
     def test_zero_function(self):
         f = fn(lambda x: 0.0 * x, 0.0, math.inf, tail=Tail.vanishing())
         res = decreasing_majorant_mean(f, identity_measure(0.0))
