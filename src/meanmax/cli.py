@@ -378,6 +378,8 @@ def _verdict_exit(verdict: str) -> int:
 
 def _grid_points(m: Measure1D, lo: float, hi: float, steps: int) -> list[float]:
     # Uniform in m-coordinates so wide logarithmic windows are covered evenly.
+    if steps < 2:
+        raise ValueError(f"--steps must be at least 2, got {steps}")
     return invert_measure(m, lo, hi, np.linspace(m.m(lo), m.m(hi), steps)).tolist()
 
 

@@ -161,9 +161,21 @@ def evaluate(f: Function1D, x: float) -> float:
 
 
 def build_nodes(lo: float, hi: float, count: int, spacing: str | None = None) -> np.ndarray:
-    """count nodes from lo to hi, both ends exact; spacing None picks by GEOMETRIC_RATIO."""
+    """count nodes from lo to hi, both ends exact; spacing None picks by GEOMETRIC_RATIO.
+
+    It picks geometric nodes when lo > 0 and hi / lo exceeds the ratio.  From
+    lo <= 0 to hi past the ratio times max(1, -lo), the nodes are uniform in t
+    for x = t up to 1 and x = e^(t - 1) past 1: uniform up to 1, geometric
+    past it, their spacing continuous at 1.  Otherwise they are uniform.
+    """
     if spacing is None:
-        spacing = "geometric" if lo > 0 and hi / lo > GEOMETRIC_RATIO else "uniform"
+        if lo > 0:
+            spacing = "geometric" if hi / lo > GEOMETRIC_RATIO else "uniform"
+        elif hi > GEOMETRIC_RATIO * max(1.0, -lo):
+            ts = np.linspace(lo, 1.0 + math.log(hi), count)
+            xs = np.where(ts > 1.0, np.exp(ts - 1.0), ts)
+            xs[0], xs[-1] = lo, hi
+            return xs
     if spacing == "geometric" and lo > 0:
         xs = np.geomspace(lo, hi, count)
     else:

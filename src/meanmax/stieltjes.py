@@ -6,7 +6,8 @@ The integral mean of f against a strictly increasing weight m over [r, R] is
 
 Every integral runs through segment_integrals, which bisects pieces of its
 segments locally until each piece's error estimate meets the piece's share of
-the tolerance.  When m carries a derivative a piece gets the 7-point Gauss /
+the tolerance; the integrals over an array of intervals share one such call.
+When m carries a derivative a piece gets the 7-point Gauss /
 15-point Kronrod pair on f * m' (QUADPACK, Piessens et al. 1983); its
 error is the larger of |K15 - G7| and the gap between K15 and a rule that
 also reads the piece's ends, which no Kronrod node sees.  Otherwise it gets a
@@ -172,9 +173,9 @@ class QuadratureConfig:
 
 @dataclass
 class MeanValue:
-    value: float
-    est_error: float  # the sum of the accepted pieces' error estimates
-    panels_used: int  # the number of accepted pieces
+    value: float | np.ndarray  # an array for an array call, one entry per interval
+    est_error: float | np.ndarray  # the sum of the accepted pieces' error estimates
+    panels_used: int  # the number of accepted pieces of the call, all intervals together
 
 
 def _eval_many(fun: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
@@ -188,32 +189,61 @@ def _eval_many(fun: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
     return ys
 
 
-def check_interval(g: Function1D, m: Measure1D, r: float, R: float) -> None:
-    """Raise unless r < R and [r, R] lies inside the domains of g and m."""
-    if not r < R:
-        raise DegenerateIntervalError(f"need r < R, got r={r}, R={R}")
-    if r < g.domain.a or R >= g.domain.b:
-        raise DegenerateIntervalError(
-            f"[{r}, {R}] not inside the integrand domain [{g.domain.a}, {g.domain.b})"
-        )
-    if r < m.domain.a or R >= m.domain.b:
-        raise DegenerateIntervalError(
-            f"[{r}, {R}] not inside the measure domain [{m.domain.a}, {m.domain.b})"
-        )
+def check_interval(g: Function1D, m: Measure1D, r: float | np.ndarray,
+                   R: float | np.ndarray) -> None:
+    """Raise unless r < R and [r, R] lies inside the domains of g and m.
+
+    r and R may be numbers or numpy arrays; the first bad pair raises what a
+    call on that pair alone raises.
+    """
+    arrays = isinstance(r, np.ndarray) or isinstance(R, np.ndarray)
+    for lo, hi in np.broadcast(r, R) if arrays else ((r, R),):
+        if not lo < hi:
+            raise DegenerateIntervalError(f"need r < R, got r={lo}, R={hi}")
+        if lo < g.domain.a or hi >= g.domain.b:
+            raise DegenerateIntervalError(
+                f"[{lo}, {hi}] not inside the integrand domain [{g.domain.a}, {g.domain.b})"
+            )
+        if lo < m.domain.a or hi >= m.domain.b:
+            raise DegenerateIntervalError(
+                f"[{lo}, {hi}] not inside the measure domain [{m.domain.a}, {m.domain.b})"
+            )
 
 
 def stieltjes_integral(
     g: Function1D,
     m: Measure1D,
-    r: float,
-    R: float,
+    r: float | np.ndarray,
+    R: float | np.ndarray,
     cfg: QuadratureConfig | None = None,
 ) -> MeanValue:
-    """integral_r^R g dm, as the one segment [r, R] of segment_integrals."""
+    """integral_r^R g dm, for numbers r and R or numpy arrays of them.
+
+    All intervals share one refinement: one segment_integrals call over the
+    gaps between consecutive ends that some [r, R] covers, so the tolerance's
+    span is the weight of their union and each integral I meets
+    max(atol, rtol * |I|) when g keeps its sign.  A scalar call is the one
+    segment [r, R].  An interval's value and est_error are sums over the run
+    of accepted pieces it covers, never differences; panels_used counts the
+    pieces of the whole call.
+    """
     check_interval(g, m, r, R)
-    pieces = segment_integrals(g.eval, m, [r], [R], cfg)
-    return MeanValue(value=float(np.sum(pieces.value)), est_error=float(np.sum(pieces.error)),
-                     panels_used=len(pieces.value))
+    rs, Rs = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(R, dtype=float))
+    shape, rs, Rs = rs.shape, rs.ravel(), Rs.ravel()
+    ends = np.unique(np.concatenate([rs, Rs]))
+    n = len(ends)
+    depth = np.cumsum(np.bincount(np.searchsorted(ends, rs), minlength=n)
+                      - np.bincount(np.searchsorted(ends, Rs), minlength=n))
+    gaps = np.flatnonzero(depth[:-1] > 0)
+    pieces = segment_integrals(g.eval, m, ends[gaps], ends[gaps + 1], cfg)
+    # Pieces are sorted and lie inside the gaps, so those of [r, R] start at r
+    # and run up to R.
+    runs = list(zip(np.searchsorted(pieces.lo, rs), np.searchsorted(pieces.lo, Rs)))
+    value, error = (np.array([np.sum(v[i:j]) for i, j in runs]).reshape(shape)
+                    for v in (pieces.value, pieces.error))
+    if not shape:
+        value, error = float(value), float(error)
+    return MeanValue(value=value, est_error=error, panels_used=len(pieces.value))
 
 
 @dataclass
@@ -350,9 +380,13 @@ def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig):
     )
 
 
-def measure_weight(m: Measure1D, r: float, R):
-    """m(R) - m(r) for a number or an array R, checked positive."""
-    dm = batch_eval(m.m, R) - m.m(r) if np.ndim(R) else m.m(R) - m.m(r)
+def measure_weight(m: Measure1D, r: float | np.ndarray, R: float | np.ndarray):
+    """m(R) - m(r) for numbers or numpy arrays r and R, checked positive."""
+
+    def at(x):
+        return batch_eval(m.m, x.ravel()).reshape(x.shape) if isinstance(x, np.ndarray) else m.m(x)
+
+    dm = at(R) - at(r)
     if np.any(dm <= 0):
         raise DegenerateIntervalError(
             f"m(R) - m(r) = {np.min(dm)} is not positive; the measure data is not increasing"
@@ -363,11 +397,15 @@ def measure_weight(m: Measure1D, r: float, R):
 def integral_mean(
     f: Function1D,
     m: Measure1D,
-    r: float,
-    R: float,
+    r: float | np.ndarray,
+    R: float | np.ndarray,
     cfg: QuadratureConfig | None = None,
 ) -> MeanValue:
-    """The normalized Stieltjes mean of f against m over [r, R]."""
+    """The normalized Stieltjes mean of f against m over [r, R].
+
+    r and R may be numpy arrays: the means then share one refinement (see
+    stieltjes_integral), and panels_used counts the pieces of all of them.
+    """
     cfg = cfg or QuadratureConfig()
     check_interval(f, m, r, R)
     dm = measure_weight(m, r, R)

@@ -3,6 +3,9 @@
 Each check evaluates both sides of a claim through the quadrature/envelope
 machinery, accounts slack as max(LHS - RHS) over its samples against the
 budget 1e-8 * (1 + |RHS|), and reports holds / violated / inconclusive.
+The monotonicity, sup-identity and pair checks get the means or integrals
+they compare from one array call of integral_mean or stieltjes_integral, so
+these share one refinement of the union of their intervals.
 Candidate violations are re-checked against a brute-force midpoint oracle
 before being reported, so a "violated" verdict never rests on the adaptive
 path alone.  Limits at the right endpoint are operationalized as geometric
@@ -176,9 +179,11 @@ def _pair_claim(property_id: str, hypothesis_failures, m: Measure1D, lo: float,
 
     hi is sample_hi, or dom_b, the right end of the domain, when sample_hi is
     None; a finite dom_b caps it just inside the domain.  Any hypothesis
-    failure, or an infinite hi, makes the claim inconclusive.  sides(r, R) returns
-    (LHS, RHS) by the adaptive route; a violation is reported only when
-    oracle_sides, the brute-force midpoint route, confirms it at the worst pair.
+    failure, or an infinite hi, makes the claim inconclusive.  sides(rs, Rs)
+    takes the arrays of every pair's r and R and returns the arrays (LHS, RHS)
+    by the adaptive route, in one array call of the quadrature; a violation is
+    reported only when oracle_sides(r, R), the brute-force midpoint route,
+    confirms it at the worst pair.
     """
     if hypothesis_failures:
         return VerifyReport(property_id, INCONCLUSIVE, 0.0, 0,
@@ -192,20 +197,13 @@ def _pair_claim(property_id: str, hypothesis_failures, m: Measure1D, lo: float,
     pairs = _sample_pairs(m, lo, hi, pair_count, seed)
     if not pairs:
         return VerifyReport(property_id, INCONCLUSIVE, 0.0, 0, note="no samples")
-    worst = -math.inf
-    witness = None
-    violated = False
-    for r, R in pairs:
-        lhs, rhs = sides(r, R)
-        gap = lhs - rhs
-        if gap > worst:
-            worst = gap
-            witness = (r, R)
-        if gap > slack_budget(rhs):
-            violated = True
+    lhs, rhs = sides(*(np.array(v) for v in zip(*pairs)))
+    gaps = lhs - rhs
+    k = int(np.argmax(gaps))
+    worst, witness = float(gaps[k]), pairs[k]
     verdict = HOLDS
     note = None
-    if violated:
+    if np.any(gaps > slack_budget(rhs)):
         lhs, rhs = oracle_sides(*witness)
         if lhs - rhs > slack_budget(rhs):
             verdict = VIOLATED
@@ -224,20 +222,24 @@ def check_mean_monotonicity(
     cfg: QuadratureConfig | None = None,
     grid: GridSpec | None = None,
 ) -> VerifyReport:
-    """For decreasing f the mean is nonincreasing in r and in R; partials are <= 0."""
+    """For decreasing f the mean is nonincreasing in r and in R; partials are <= 0.
+
+    Raises ValueError when no grid pair has r < R.
+    """
     cfg = cfg or QuadratureConfig()
+    r_grid = sorted(float(r) for r in r_grid)
+    R_grid = sorted(float(R) for R in R_grid)
+    cells = [(i, j) for i, r in enumerate(r_grid) for j, R in enumerate(R_grid) if r < R]
+    if not cells:
+        raise ValueError("monotonicity: no grid pair has r < R")
     if classify_monotonicity(f, grid) != DECREASING:
         return VerifyReport(
             "monotonicity", INCONCLUSIVE, 0.0, 0,
             note="precondition failed: f does not classify as decreasing",
         )
-    r_grid = sorted(float(r) for r in r_grid)
-    R_grid = sorted(float(R) for R in R_grid)
-    means: dict[tuple[int, int], float] = {}
-    for i, r in enumerate(r_grid):
-        for j, R in enumerate(R_grid):
-            if r < R:
-                means[i, j] = integral_mean(f, m, r, R, cfg).value
+    i, j = np.array(cells).T
+    values = integral_mean(f, m, np.take(r_grid, i), np.take(R_grid, j), cfg).value
+    means = dict(zip(cells, values.tolist()))
     scale = 1.0 + max(abs(v) for v in means.values())
     slack = 1e-8 * scale
     samples = []
@@ -287,17 +289,22 @@ def check_sup_identity(
     cfg: QuadratureConfig | None = None,
     grid: GridSpec | None = None,
 ) -> VerifyReport:
-    """sup over r of the mean on [r, R] is the mean on [a, R], attained at r = a."""
+    """sup over r of the mean on [r, R] is the mean on [a, R], attained at r = a.
+
+    Raises ValueError when no grid r has a <= r < R.
+    """
     cfg = cfg or QuadratureConfig()
+    a = f.domain.a
+    rs = sorted(float(r) for r in r_grid if a <= r < R)
+    if not rs:
+        raise ValueError(f"sup-identity: no grid r has a <= r < R = {R}")
     if classify_monotonicity(f, grid) != DECREASING:
         return VerifyReport(
             "sup-identity", INCONCLUSIVE, 0.0, 0,
             note="precondition failed: f does not classify as decreasing",
         )
-    a = f.domain.a
-    base = integral_mean(f, m, a, R, cfg).value
-    rs = sorted(float(r) for r in r_grid if a <= r < R)
-    vals = [base if r == a else integral_mean(f, m, r, R, cfg).value for r in rs]
+    # The mean on [a, R] and on every [r, R]; r = a gets the same value.
+    base, *vals = integral_mean(f, m, np.array([a, *rs]), R, cfg).value.tolist()
     worst = max(vals) - base
     slack = slack_budget(base)
     attained_at_smallest = vals[0] >= max(vals) - slack
@@ -326,8 +333,8 @@ def check_majorant_inequality(
     maj = decreasing_majorant_mean(f, m, cfg, grid)
     lo = f.domain.a
 
-    def sides(r, R):
-        return integral_mean(f, m, r, R, cfg).value, maj.fn(R)
+    def sides(rs, Rs):
+        return integral_mean(f, m, rs, Rs, cfg).value, maj.fn.eval(Rs)
 
     def oracle_sides(r, R):
         env = envelope_function(f, RIGHT, grid)
@@ -355,8 +362,9 @@ def check_pointwise_mean_bound(
     wde = weighted_double_envelope(f, n, grid)
     h = wde.fn
 
-    def sides(r, R):
-        return evaluate(f, R), integral_mean(h, m, r, R, cfg).value
+    def sides(rs, Rs):
+        lhs = np.array([evaluate(f, R) for R in Rs.tolist()])
+        return lhs, integral_mean(h, m, rs, Rs, cfg).value
 
     def oracle_sides(r, R):
         return evaluate(f, R), midpoint_stieltjes_oracle(h.eval, m.m, r, R) / (m.m(R) - m.m(r))
@@ -392,15 +400,18 @@ def check_corollary_bounds(
         locally_bounded=True,
     )
 
-    def ordered(integral, r, R):
-        bound = evaluate(d, R) * math.log(R / r)
-        return (integral, bound) if direction == "dQ" else (bound, integral)
+    def bound(r, R):
+        return evaluate(d, R) * math.log(R / r)
 
-    def sides(r, R):
-        return ordered(stieltjes_integral(density, lebesgue, r, R, cfg).value, r, R)
+    def ordered(integral, bounds):
+        return (integral, bounds) if direction == "dQ" else (bounds, integral)
+
+    def sides(rs, Rs):
+        return ordered(stieltjes_integral(density, lebesgue, rs, Rs, cfg).value,
+                       np.array([bound(r, R) for r, R in zip(rs.tolist(), Rs.tolist())]))
 
     def oracle_sides(r, R):
-        return ordered(midpoint_stieltjes_oracle(density.eval, lebesgue.m, r, R), r, R)
+        return ordered(midpoint_stieltjes_oracle(density.eval, lebesgue.m, r, R), bound(r, R))
 
     return _pair_claim(direction, (), log_measure(r0, dom_b), r0, dom_b, sample_hi,
                        pair_count, seed, sides, oracle_sides)

@@ -391,6 +391,19 @@ class TestUsageErrors:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--property", "monotonicity", "--steps", "1"],
+        ["--property", "sup-identity", "--R", "10", "--steps", "1"],
+        ["--property", "monotonicity", "--steps", "0"],
+    ], ids=["monotonicity", "sup-identity", "zero"])
+    def test_steps_below_2(self, capsys, argv):
+        # One grid point leaves no pair r < R to compare.
+        code, out, err = run(capsys, "verify", "--f", "1/x", "--m", "ln(x)", "--a", "1",
+                             "--b", "50", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --steps must be at least 2, got {argv[-1]}\n"
+
     def test_missing_required_source(self, capsys):
         code, _, err = run(
             capsys, "transform", "--kind", "d-from-q", "--table", "1:2:uniform:3",

@@ -17,6 +17,7 @@ from meanmax.func1d import (
     GridSpec,
     Tail,
     batch_eval,
+    build_nodes,
     classify_monotonicity,
     envelope_function,
     evaluate,
@@ -157,6 +158,14 @@ class TestLeftMaximization:
         with pytest.raises(UnboundedSupError):
             left_maximization(f, 0.5)
 
+    def test_envelope_to_the_horizon_from_0(self):
+        # The left envelope of an unbounded domain samples [0, 1e6]; nodes
+        # about 244 apart read 0.037 at x = 3 and 0.0 at x = 10.
+        f = make(lambda x: np.exp(-x / 50) * np.sin(x), 0.0, math.inf, tail=Tail.vanishing())
+        env = envelope_function(f, "left")
+        for x in (3.0, 10.0):
+            assert abs(env.value_at(x) - left_maximization(f, x)) <= env.eps_sup
+
 
 class TestEnvelope:
     def test_right_of_decreasing_is_f(self, f_exp):
@@ -270,6 +279,38 @@ class TestClassify:
 
     def test_constant_counts_as_decreasing(self):
         assert classify_monotonicity(make(lambda x: 3.0 + 0 * x, 0.0, 5.0)) == "decreasing"
+
+    def test_rising_start_on_unbounded_domain(self):
+        # Rises on [0, 1.1], then decays with ripples; nodes about 244 apart
+        # from 0 to the horizon 1e6 saw only the decay.
+        f = make(lambda x: np.exp(-x / 50) * (1 + 0.5 * np.sin(x)), 0.0, math.inf)
+        assert classify_monotonicity(f) == "neither"
+
+
+class TestBuildNodes:
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1e6), (-3.0, 1e6), (0.0, 101.0), (-5.0, 2e9)])
+    def test_uniform_to_1_then_geometric(self, lo, hi):
+        xs = build_nodes(lo, hi, 4097)
+        assert len(xs) == 4097 and xs[0] == lo and xs[-1] == hi
+        gaps = np.diff(xs)
+        assert np.all(gaps > 0)
+        low, high = xs[xs <= 1.0], xs[xs >= 1.0]
+        step = gaps[0]
+        assert np.allclose(np.diff(low), step, rtol=1e-6)
+        assert np.allclose(high[1:] / high[:-1], 1 + step, rtol=1e-3)
+        assert np.allclose(np.diff(np.log(high[1:])), np.log(high[2] / high[1]), rtol=1e-6)
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 100.0), (-2.0, 150.0), (-1e6, 1e6)])
+    def test_uniform_when_the_positive_part_is_narrow(self, lo, hi):
+        xs = build_nodes(lo, hi, 129)
+        assert np.array_equal(xs, np.linspace(lo, hi, 129))
+
+    @pytest.mark.parametrize("lo,hi", [(1.0, 1e6), (0.5, 20.0), (1e-3, 1.0)])
+    def test_positive_windows_unchanged(self, lo, hi):
+        xs = build_nodes(lo, hi, 257)
+        want = np.geomspace(lo, hi, 257) if hi / lo > 100 else np.linspace(lo, hi, 257)
+        want[0], want[-1] = lo, hi
+        assert np.array_equal(xs, want)
 
 
 @st.composite

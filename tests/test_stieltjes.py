@@ -27,6 +27,7 @@ from meanmax.stieltjes import (
     log_measure,
     mean_partial_R,
     mean_partial_r,
+    measure_weight,
     segment_integrals,
     stieltjes_integral,
 )
@@ -235,6 +236,98 @@ class TestSegmentIntegrals:
     def test_wide_segment(self):
         pieces = segment_integrals(lambda x: 1 / x, log_measure(1.0), [1.0], [1e25])
         assert pieces.value.sum() == pytest.approx(1 - 1e-25, rel=1e-9)
+
+
+def tabulated_ln_of_inverse(r, R):
+    """integral_r^R dm / x for m = TABULATED_LN: slope * ln(hi / lo) on each table gap."""
+    xs = np.clip(TABLE_XS, r, R)
+    slopes = np.diff(np.log(TABLE_XS)) / np.diff(TABLE_XS)
+    return float(np.sum(slopes * np.log(xs[1:] / xs[:-1])))
+
+
+# Overlapping, nested, touching and disjoint intervals, in no order.
+ARRAY_CASES = [
+    (INV, M_LN, [1.0, 1.5, 2.0, 7.0, 3.0, 2.5], [4.0, 20.0, 2.5, 45.0, 3.5, 1e4],
+     lambda r, R: 1 / r - 1 / R),
+    (EXP, M_ID, [0.0, 0.5, 2.0, 1.0, 5.0, 2.5], [1.0, 3.0, 2.5, 9.0, 6.0, 40.0],
+     lambda r, R: math.exp(-r) - math.exp(-R)),
+    (fn(lambda x: 1 / x, 1.0, 50.0), TABULATED_LN, [1.0, 1.5, 3.0, 7.0, 2.0],
+     [45.0, 20.0, 4.5, 49.0, 2.2], tabulated_ln_of_inverse),
+]
+
+
+class TestArrayIntervals:
+    @pytest.mark.parametrize("g,m,rs,Rs,closed", ARRAY_CASES, ids=["ln", "identity", "table"])
+    def test_each_interval_within_tolerance(self, g, m, rs, Rs, closed):
+        got = stieltjes_integral(g, m, np.array(rs), np.array(Rs))
+        assert got.value.shape == got.est_error.shape == (len(rs),)
+        for r, R, value in zip(rs, Rs, got.value):
+            want = closed(r, R)
+            tol = max(1e-10, 1e-9 * abs(want))
+            assert abs(value - want) <= tol
+            one = stieltjes_integral(g, m, r, R).value
+            assert abs(value - one) <= 2 * tol
+
+    @pytest.mark.parametrize("g,m,rs,Rs,closed", ARRAY_CASES, ids=["ln", "identity", "table"])
+    def test_means_within_tolerance(self, g, m, rs, Rs, closed):
+        got = integral_mean(g, m, np.array(rs), np.array(Rs)).value
+        for r, R, value in zip(rs, Rs, got):
+            dm = m.m(R) - m.m(r)
+            want = closed(r, R) / dm
+            assert abs(value - want) <= max(1e-10, 1e-9 * abs(closed(r, R))) / dm
+
+    @pytest.mark.parametrize("g,m,rs,Rs,closed", ARRAY_CASES[:2], ids=["ln", "identity"])
+    def test_one_refinement_for_all_intervals(self, g, m, rs, Rs, closed):
+        # One segment_integrals call over the gaps between the sorted ends, all
+        # of them covered here: the cuts once, then 15 points a piece.
+        points = []
+        counted_g = fn(counted(g.eval, points), g.domain.a, g.domain.b)
+        got = stieltjes_integral(counted_g, m, np.array(rs), np.array(Rs))
+        ends = np.unique(rs + Rs)
+        wide = (ends[:-1] > 0) & (ends[1:] > GEOMETRIC_RATIO * ends[:-1])
+        start = int(np.sum(np.where(wide, BASE_PANELS, 1)))
+        assert isinstance(got.panels_used, int)
+        assert sum(points) == start + 1 + 15 * (2 * got.panels_used - start)
+
+    def test_scalar_call_is_one_segment(self):
+        for g, m, r, R in [(INV, M_LN, 1.0, 1e4), (EXP, M_ID, 0.5, 3.0),
+                           (fn(lambda x: 1 / x, 1.0, 50.0), TABULATED_LN, 1.5, 45.0)]:
+            pieces = segment_integrals(g.eval, m, [r], [R])
+            got = stieltjes_integral(g, m, r, R)
+            assert type(got.value) is float and type(got.est_error) is float
+            assert got.value == float(np.sum(pieces.value))
+            assert got.est_error == float(np.sum(pieces.error))
+            assert got.panels_used == len(pieces.value)
+
+    def test_shapes_broadcast(self):
+        rs = np.array([[1.0], [2.0]])
+        Rs = np.array([3.0, 4.0, 5.0])
+        got = integral_mean(INV, M_LN, rs, Rs)
+        assert got.value.shape == (2, 3)
+        for (i, j), value in np.ndenumerate(got.value):
+            want = (1 / rs[i, 0] - 1 / Rs[j]) / math.log(Rs[j] / rs[i, 0])
+            assert value == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("r,R", [(2.0, 2.0), (3.0, 2.0), (0.25, 2.0), (1.0, 60.0)],
+                             ids=["empty", "reversed", "left-of-domain", "right-of-domain"])
+    def test_bad_pair_raises_as_alone(self, r, R):
+        g, m = fn(lambda x: 1 / x, 0.5, 50.0), log_measure(0.5, 50.0)
+        with pytest.raises(DegenerateIntervalError) as alone:
+            stieltjes_integral(g, m, r, R)
+        for call in (stieltjes_integral, integral_mean):
+            with pytest.raises(DegenerateIntervalError) as among:
+                call(g, m, np.array([1.0, r, 1.0]), np.array([4.0, R, 3.0]))
+            assert str(among.value) == str(alone.value)
+
+    def test_flat_measure_raises_for_arrays(self):
+        flat = Measure1D(m=lambda x: 1.0 + 0 * x, domain=Domain(0.0, 10.0))
+        with pytest.raises(DegenerateIntervalError, match="not increasing"):
+            integral_mean(ONE, flat, np.array([1.0, 2.0]), 3.0)
+
+    def test_measure_weight_of_arrays(self):
+        rs, Rs = np.array([1.0, 2.0, 3.0]), np.array([4.0, 4.0, 5.0])
+        assert np.array_equal(measure_weight(M_LN, rs, Rs), np.log(Rs) - np.log(rs))
+        assert np.array_equal(measure_weight(M_LN, rs, 4.0), math.log(4.0) - np.log(rs))
 
 
 class TestIntegralMean:

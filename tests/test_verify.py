@@ -83,6 +83,38 @@ class TestSupIdentity:
         assert report.details["mean_at_a"] == pytest.approx(0.3908650337, abs=1e-9)
 
 
+class TestEmptyGrid:
+    def test_monotonicity_without_r_below_R(self):
+        f, m = exp_on(0.0, 10.5), identity_measure(0.0, 10.5)
+        with pytest.raises(ValueError, match="monotonicity: no grid pair has r < R"):
+            check_mean_monotonicity(f, m, [5.0, 6.0], [1.0, 5.0])
+
+    def test_sup_identity_without_r_below_R(self):
+        f, m = exp_on(0.0, 10.5), identity_measure(0.0, 10.5)
+        with pytest.raises(ValueError, match="sup-identity: no grid r has a <= r < R"):
+            check_sup_identity(f, m, 5.0, [5.0, 7.0])
+
+
+class TestPointCount:
+    def test_sup_identity_against_a_table_shares_its_refinement(self):
+        # x^-1.25 against ln x tabulated on 257 geometric nodes (no derivative,
+        # so midpoint sums), r on 8 geometric points of [1, 0.99 R], R = 45:
+        # 418,966 source points with one integral for every r (the
+        # classifier's 4,097 included), 1,373,881 with one each.
+        points = []
+
+        def source(x):
+            points.append(np.size(x))
+            return np.power(x, -1.25)
+
+        xs = np.geomspace(1.0, 50.0, 257)
+        table = Measure1D(m=lambda x: np.interp(x, xs, np.log(xs)), domain=Domain(1.0, 50.0))
+        f = fn(source, 1.0, 50.0, tail=Tail.vanishing())
+        report = check_sup_identity(f, table, 45.0, np.geomspace(1.0, 0.99 * 45.0, 8))
+        assert report.verdict == HOLDS
+        assert sum(points) <= 500_000
+
+
 class TestMajorantInequality:
     def test_exponential_holds(self):
         f = exp_on(0.0, 50.0)
