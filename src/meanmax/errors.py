@@ -51,9 +51,5 @@ class ExpressionSyntaxError(ExpressionError):
     """Lexical or grammatical error in an expression string."""
 
 
-class ExpressionEvalError(ExpressionError):
-    """Evaluation produced a non-finite value; names the offending subexpression."""
-
-
 class NonDifferentiableError(ExpressionError):
     """Symbolic derivative requested for a non-differentiable primitive."""

@@ -19,11 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import (
-    ExpressionEvalError,
-    ExpressionSyntaxError,
-    NonDifferentiableError,
-)
+from .errors import ExpressionSyntaxError, NonDifferentiableError
 
 FUNCTIONS = {"ln": 1, "exp": 1, "sqrt": 1, "sin": 1, "cos": 1, "abs": 1, "min": 2, "max": 2}
 CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -74,21 +70,6 @@ class Call:
 Expression = Num | Var | Const | Neg | BinOp | Call
 
 X = Var()
-
-
-def to_text(node: Expression) -> str:
-    """Render a subtree back to expression syntax, fully parenthesized."""
-    if isinstance(node, Num):
-        return f"{node.value:g}"
-    if isinstance(node, Var):
-        return "x"
-    if isinstance(node, Const):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{to_text(node.arg)})"
-    if isinstance(node, BinOp):
-        return f"({to_text(node.left)} {node.op} {to_text(node.right)})"
-    return f"{node.name}({', '.join(to_text(a) for a in node.args)})"
 
 
 class _Parser:
@@ -197,62 +178,6 @@ def parse_expression(text: str) -> Expression:
     return _Parser(text).parse()
 
 
-def _apply(name: str, args: list[float], node: Expression) -> float:
-    try:
-        if name == "ln":
-            return math.log(args[0])
-        if name == "exp":
-            return math.exp(args[0])
-        if name == "sqrt":
-            return math.sqrt(args[0])
-        if name == "sin":
-            return math.sin(args[0])
-        if name == "cos":
-            return math.cos(args[0])
-        if name == "abs":
-            return abs(args[0])
-        if name == "min":
-            return min(args)
-        return max(args)
-    except (ValueError, OverflowError) as exc:
-        raise ExpressionEvalError(f"non-finite value in {to_text(node)}: {exc}") from exc
-
-
-def eval_expression(node: Expression, x: float) -> float:
-    """Evaluate the tree at x; non-finite intermediate results raise, never propagate."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Const):
-        return CONSTANTS[node.name]
-    if isinstance(node, Neg):
-        return -eval_expression(node.arg, x)
-    if isinstance(node, BinOp):
-        a = eval_expression(node.left, x)
-        b = eval_expression(node.right, x)
-        try:
-            if node.op == "+":
-                out = a + b
-            elif node.op == "-":
-                out = a - b
-            elif node.op == "*":
-                out = a * b
-            elif node.op == "/":
-                out = a / b
-            else:
-                out = math.pow(a, b)
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise ExpressionEvalError(f"non-finite value in {to_text(node)}: {exc}") from exc
-        if not math.isfinite(out):
-            raise ExpressionEvalError(f"non-finite value in {to_text(node)}")
-        return out
-    out = _apply(node.name, [eval_expression(a, x) for a in node.args], node)
-    if not math.isfinite(out):
-        raise ExpressionEvalError(f"non-finite value in {to_text(node)}")
-    return out
-
-
 def _is_const(node: Expression) -> bool:
     return isinstance(node, (Num, Const))
 
@@ -340,12 +265,11 @@ def derive_expression(node: Expression) -> Expression:
 
 
 def compile_expression(node: Expression):
-    """Compile the tree into a fast callable with the same semantics.
+    """Compile the tree into a callable, the library's one evaluator.
 
-    Used when an expression becomes a Function1D that quadrature will hammer.
-    Built on numpy ufuncs, so the result also accepts arrays; out-of-domain
-    inputs surface as non-finite values rather than the named-subexpression
-    errors eval_expression raises.
+    Built on numpy ufuncs, so the result accepts numbers and arrays alike;
+    out-of-domain inputs surface as non-finite values, which the callers
+    check.
     """
     import numpy as np
 

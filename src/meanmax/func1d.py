@@ -4,8 +4,8 @@ The right maximization of f at r is sup f over [r, b); the left maximization is
 sup f over [a, r].  The right one is a decreasing function of r, the left one an
 increasing function, both dominate f pointwise, and both preserve the global
 supremum.  Suprema are estimated by dense sampling plus golden-section
-refinement of every local maximum of the samples; accuracy is governed by
-``GridSpec.eps_sup``.
+refinement of every local maximum of the samples, to within
+eps_sup = 1e-9 * max(1, |grid max|) (``GridSpec.effective_eps``).
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ OVERFLOW_GUARD = 1e300
 # Large enough to certify power-law tails like x^(-1/2) at eps ~ 1e-9.
 TAIL_SCAN_CAP = 1e20
 
-# Sampling horizon (relative to max(a, 1)) for unbounded domains when no
-# vanishing-tail cutoff applies.
+# Sampling horizon (relative to max(lo, a, 1)) for unbounded domains when no
+# vanishing-tail cutoff applies; see window_end.
 DEFAULT_HORIZON_FACTOR = 1e6
 
 # A positive interval whose ends differ by more than this factor is sampled
@@ -48,6 +48,9 @@ DEFAULT_HORIZON_FACTOR = 1e6
 GEOMETRIC_RATIO = 100.0
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Golden-section steps per bracket at most: they shrink it by 0.618^60, about 3e-13.
+GOLDEN_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -121,28 +124,19 @@ class Function1D:
 
 @dataclass
 class GridSpec:
-    """Sampling plan for supremum estimation.
+    """Sampling plan for supremum estimation: the number of base-grid nodes.
 
-    spacing None selects geometric nodes when the interval spans more than two
-    decades of positive values, uniform otherwise.  eps_sup None resolves to
-    1e-9 * max(1, |grid max|) after sampling.
+    build_nodes places them; the suprema it yields are accurate to
+    effective_eps, 1e-9 * max(1, |grid max|).
     """
 
     node_count: int = 4097
-    spacing: str | None = None
-    eps_sup: float | None = None
 
     def __post_init__(self):
         if self.node_count < 3:
             raise ValueError("node_count must be at least 3")
-        if self.spacing not in (None, "uniform", "geometric"):
-            raise ValueError(f"bad spacing {self.spacing!r}")
-        if self.eps_sup is not None and not self.eps_sup > 0:
-            raise ValueError("eps_sup must be positive")
 
     def effective_eps(self, grid_max: float) -> float:
-        if self.eps_sup is not None:
-            return self.eps_sup
         return 1e-9 * max(1.0, abs(grid_max))
 
 
@@ -224,7 +218,7 @@ def _sample(f: Function1D, xs) -> np.ndarray:
     return ys
 
 
-def _golden_max(f: Function1D, lo: np.ndarray, hi: np.ndarray, iters: int = 60):
+def _golden_max(f: Function1D, lo: np.ndarray, hi: np.ndarray):
     """Golden-section maximization on every bracket [lo[i], hi[i]] at once.
 
     Each iteration evaluates the new point of every bracket still wider than
@@ -238,8 +232,8 @@ def _golden_max(f: Function1D, lo: np.ndarray, hi: np.ndarray, iters: int = 60):
     c = hi - (hi - lo) * _INV_PHI
     d = lo + (hi - lo) * _INV_PHI
     fc, fd = np.split(_sample(f, np.concatenate([c, d])), 2)
-    for k in range(iters + 1):
-        done = (hi - lo <= tol) | (k == iters)
+    for k in range(GOLDEN_ITERS + 1):
+        done = (hi - lo <= tol) | (k == GOLDEN_ITERS)
         if done.any():
             better = fc[done] >= fd[done]
             best_x[idx[done]] = np.where(better, c[done], d[done])
@@ -267,7 +261,7 @@ def _refined_samples(f: Function1D, lo: float, hi: float, grid: GridSpec):
     Golden section runs on the gap pair around every peak at once.  Returns
     (xs, ys), sorted by position.
     """
-    xs = build_nodes(lo, hi, grid.node_count, grid.spacing)
+    xs = build_nodes(lo, hi, grid.node_count)
     ys = _sample(f, xs)
     prev = np.concatenate([ys[:1], ys[:-1]])
     succ = np.concatenate([ys[1:], ys[-1:]])
@@ -281,10 +275,12 @@ def _refined_samples(f: Function1D, lo: float, hi: float, grid: GridSpec):
     return xs, ys
 
 
-def _near_b(domain: Domain, lo: float) -> float:
-    """A sampling endpoint strictly inside [lo, b) for finite b."""
-    span = domain.b - lo
-    return domain.b - span * 1e-12
+def window_end(domain: Domain, lo: float) -> float:
+    """The end of a sampling window from lo: b - (b - lo) * 1e-12 inside a finite b,
+    else the horizon max(lo, a, 1) * DEFAULT_HORIZON_FACTOR."""
+    if domain.unbounded:
+        return max(lo, domain.a, 1.0) * DEFAULT_HORIZON_FACTOR
+    return domain.b - (domain.b - lo) * 1e-12
 
 
 def _vanishing_cutoff(f: Function1D, start: float, threshold: float) -> tuple[float, bool]:
@@ -309,25 +305,23 @@ def _vanishing_cutoff(f: Function1D, start: float, threshold: float) -> tuple[fl
     return TAIL_SCAN_CAP, False
 
 
-def _right_sampling_end(f: Function1D, lo: float, grid: GridSpec) -> tuple[float, bool]:
-    """Upper sampling endpoint for suprema over [lo, b); bool flags a certified tail."""
+def _right_sampling_end(f: Function1D, lo: float) -> tuple[float, bool]:
+    """Upper sampling endpoint for suprema over [lo, b); bool flags a certified tail.
+
+    An unbounded vanishing tail is cut where |f| stays below 0.5e-9, half the
+    least eps_sup; any other window ends at window_end.
+    """
     dom = f.domain
-    if not dom.unbounded:
-        return _near_b(dom, lo), True
-    if f.monotonicity == DECREASING:
-        # Supremum sits at the left endpoint; the horizon only shapes the table.
-        return max(lo, dom.a, 1.0) * DEFAULT_HORIZON_FACTOR, True
-    if f.tail.kind == "vanishing":
-        threshold = 0.5 * (grid.eps_sup if grid.eps_sup is not None else 1e-9)
-        cutoff, certified = _vanishing_cutoff(f, max(lo, dom.a, 1.0), threshold)
-        hi = max(cutoff, 2.0 * max(lo, 1.0), lo + 1.0)
-        return hi, certified
-    if f.tail.kind == "bounded":
-        return max(lo, dom.a, 1.0) * DEFAULT_HORIZON_FACTOR, True
-    raise UncertifiableTailError(
-        "supremum over an unbounded domain needs a vanishing or bounded tail "
-        "declaration (or a decreasing-monotonicity hint)"
-    )
+    if dom.unbounded and f.monotonicity != DECREASING:
+        if f.tail.kind == "vanishing":
+            cutoff, certified = _vanishing_cutoff(f, max(lo, dom.a, 1.0), 0.5e-9)
+            return max(cutoff, 2.0 * max(lo, 1.0), lo + 1.0), certified
+        if f.tail.kind != "bounded":
+            raise UncertifiableTailError(
+                "supremum over an unbounded domain needs a vanishing or bounded tail "
+                "declaration (or a decreasing-monotonicity hint)"
+            )
+    return window_end(dom, lo), True
 
 
 def _sup_on(f: Function1D, lo: float, hi: float, grid: GridSpec) -> float:
@@ -346,7 +340,7 @@ def right_maximization(f: Function1D, r: float, grid: GridSpec | None = None) ->
         raise DomainError(f"r={r} outside [{f.domain.a}, {f.domain.b})")
     if f.monotonicity == DECREASING:
         return evaluate(f, r)
-    hi, certified = _right_sampling_end(f, r, grid)
+    hi, certified = _right_sampling_end(f, r)
     if not certified:
         warnings.warn(
             "vanishing-tail scan hit its cap; supremum beyond the horizon "
@@ -451,15 +445,10 @@ def envelope_function(f: Function1D, side: str, grid: GridSpec | None = None) ->
     if side == LEFT and not f.locally_bounded:
         raise UnboundedSupError("left maximization needs a locally bounded function")
     dom = f.domain
-    certified = True
     if side == RIGHT:
-        hi, certified = _right_sampling_end(f, dom.a, grid)
+        hi, certified = _right_sampling_end(f, dom.a)
     else:
-        hi = (
-            _near_b(dom, dom.a)
-            if not dom.unbounded
-            else max(dom.a, 1.0) * DEFAULT_HORIZON_FACTOR
-        )
+        hi, certified = window_end(dom, dom.a), True
     xs, ys = _refined_samples(f, dom.a, hi, grid)
     table = np.maximum.accumulate(ys[::-1])[::-1] if side == RIGHT else np.maximum.accumulate(ys)
     top = float(np.max(table))
@@ -485,12 +474,7 @@ def classify_monotonicity(f: Function1D, grid: GridSpec | None = None) -> str:
     """
     grid = grid or GridSpec()
     dom = f.domain
-    hi = (
-        _near_b(dom, dom.a)
-        if not dom.unbounded
-        else max(dom.a, 1.0) * DEFAULT_HORIZON_FACTOR
-    )
-    xs = build_nodes(dom.a, hi, grid.node_count, grid.spacing)
+    xs = build_nodes(dom.a, window_end(dom, dom.a), grid.node_count)
     try:
         ys = _sample(f, xs)
     except (NonFiniteValueError, DomainError):

@@ -32,7 +32,8 @@ from .errors import (
     NonFiniteValueError,
     QuadratureError,
 )
-from .func1d import GEOMETRIC_RATIO, Domain, Function1D, batch_eval, build_nodes, evaluate
+from .func1d import (GEOMETRIC_RATIO, Domain, Function1D, batch_eval, build_nodes, evaluate,
+                     window_end)
 
 # Geometric pieces a segment of segment_integrals wider than GEOMETRIC_RATIO
 # on positive x starts from.
@@ -92,24 +93,21 @@ class Measure1D:
     m_prime: Callable[[float], float] | None = None
     diverges: bool = False
 
-    def validate(self, lo: float | None = None, hi: float | None = None,
-                 samples: int = 257) -> None:
-        """Spot-check strict increase of m, and positivity of m', on [lo, hi].
+    def validate(self, lo: float | None = None, hi: float | None = None) -> None:
+        """Spot-check strict increase of m, and positivity of m', on 257 nodes of [lo, hi].
 
-        lo and hi default to the domain, an unbounded one cut at
-        max(a, 1) * 1e6.  m must be finite at lo.  Any other sample where m
-        or m' cannot be computed (an overflow, a pole) is left unchecked: only
-        the values that exist are compared.
+        lo defaults to a and hi to window_end(domain, a), which also caps a
+        given hi unless the domain is unbounded.  m must be finite at lo.  Any
+        other sample where m or m' cannot be computed (an overflow, a pole) is
+        left unchecked: only the values that exist are compared.
         """
         dom = self.domain
         lo = dom.a if lo is None else max(lo, dom.a)
-        if hi is None:
-            hi = max(dom.a, 1.0) * 1e6 if dom.unbounded else dom.b
-        if not dom.unbounded:
-            hi = min(hi, dom.b - (dom.b - dom.a) * 1e-12)
+        end = window_end(dom, dom.a)
+        hi = end if hi is None else (hi if dom.unbounded else min(hi, end))
         if not lo < hi:
             return
-        xs = build_nodes(lo, hi, samples)
+        xs = build_nodes(lo, hi, 257)
         ms = _values_where_defined(self.m, xs)
         if np.isnan(ms[0]):
             raise DegenerateIntervalError(f"measure is not finite at the left end x={lo}")

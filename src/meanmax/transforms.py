@@ -55,13 +55,14 @@ class WeightN:
     n: Callable[[float], float]
     domain: Domain
 
-    def spot_check(self, samples: int = 64) -> list[str]:
+    def spot_check(self) -> list[str]:
+        """Problems seen at 64 probe points toward b, as notes; n(a) <= 0 raises."""
         issues = []
         a = self.domain.a
         na = self.n(a)
         if not na > 0:
             raise ValueError(f"weight must be positive at the left endpoint, got n({a})={na}")
-        xs = _geometric_probe(self.domain, samples)
+        xs = _geometric_probe(self.domain, 64)
         vals = [self.n(float(x)) for x in xs]
         if any(not math.isfinite(v) for v in vals):
             issues.append("weight produced non-finite values")
@@ -98,13 +99,13 @@ def _geometric_probe(domain: Domain, steps: int) -> np.ndarray:
     return domain.b - gap * 0.5 ** np.arange(1, steps + 1, dtype=float)
 
 
-def _decays_to_zero(fun: Callable[[float], float], domain: Domain, steps: int = 24):
+def _decays_to_zero(fun: Callable[[float], float], domain: Domain):
     """Heuristic check that fun -> 0 toward b: tail nonincreasing, final value halved.
 
-    Slow but genuine decay (1/ln x) passes; constants and growth fail.  Returns
-    (ok, samples, max_abs).
+    Probes 24 points.  Slow but genuine decay (1/ln x) passes; constants and
+    growth fail.  Returns (ok, samples, max_abs).
     """
-    xs = _geometric_probe(domain, steps)
+    xs = _geometric_probe(domain, 24)
     vals = []
     for x in xs:
         if not domain.contains(float(x)):
@@ -123,6 +124,10 @@ def _decays_to_zero(fun: Callable[[float], float], domain: Domain, steps: int = 
     nonincreasing = all(b <= c + slack for b, c in zip(tail[1:], tail[:-1]))
     small_enough = abs(vals[-1]) <= max(0.5 * abs(vals[0]), 1e-12)
     return nonincreasing and small_enough, vals, max(abs(v) for v in vals)
+
+
+# The note a transform adds when its envelope's vanishing-tail scan hits TAIL_SCAN_CAP.
+TAIL_CAP_NOTE = "vanishing-tail cutoff scan hit its cap; tail taken on trust"
 
 
 def _f0m_warnings(f: Function1D, m: Measure1D | None) -> list[str]:
@@ -153,7 +158,7 @@ def decreasing_majorant_mean(
     notes = _f0m_warnings(f, m)
     env = envelope_function(f, RIGHT, grid)
     if not env.tail_certified:
-        notes.append("vanishing-tail cutoff scan hit its cap; tail taken on trust")
+        notes.append(TAIL_CAP_NOTE)
     a = f.domain.a
     at_a = env.value_at(a)
     xs, T = env.xs, env.table
@@ -253,7 +258,7 @@ def _double_envelope_parts(
     notes.extend(n.spot_check())
     right_env = envelope_function(f, RIGHT, grid)
     if not right_env.tail_certified:
-        notes.append("vanishing-tail cutoff scan hit its cap; tail taken on trust")
+        notes.append(TAIL_CAP_NOTE)
     ne = n.n
 
     def weighted(x: float) -> float:
@@ -309,6 +314,37 @@ def weighted_double_envelope(
     )
 
 
+def _duality_source(src: Function1D, name: str, r0: float, fun, decay_note: str,
+                    monotonicity: str, bounded: bool = False):
+    """The shared prologue of d_from_Q and Q_from_d, whose messages call src name.
+
+    Checks r0 (and, if bounded, that src is locally bounded), probes fun for
+    decay on [r0, b), and returns (f, ok, probe, notes): fun on [r0, b) with a
+    vanishing tail if it decays, else one bounded by the largest probe |value|.
+    """
+    if not r0 > 0:
+        raise ValueError(f"r0 must be positive, got {r0}")
+    if not src.domain.contains(r0):
+        raise DomainError(f"r0={r0} outside the domain of {name}")
+    if bounded and not src.locally_bounded:
+        raise UnboundedSupError("Q construction needs a locally bounded density")
+    dom = Domain(r0, src.domain.b)
+    ok, probe, max_abs = _decays_to_zero(fun, dom)
+    notes = []
+    if not ok:
+        notes.append(decay_note)
+    if any(v < -1e-12 * max(1.0, max_abs) for v in probe):
+        notes.append(f"{name} takes negative values on probe points")
+    f = Function1D(
+        eval=fun,
+        domain=dom,
+        tail=Tail.vanishing() if ok else Tail.bounded_by(max_abs),
+        monotonicity=monotonicity,
+        locally_bounded=True,
+    )
+    return f, ok, probe, notes
+
+
 def d_from_Q(
     Q: Function1D,
     r0: float,
@@ -321,36 +357,16 @@ def d_from_Q(
     Q(x)/x, extended at r0 by that maximization itself.  Then
     integral_r^R Q(x)/x^2 dx <= d(R) ln(R/r) for r0 <= r < R, and d -> 0.
     """
-    if not r0 > 0:
-        raise ValueError(f"r0 must be positive, got {r0}")
-    if not Q.domain.contains(r0):
-        raise DomainError(f"r0={r0} outside the domain of Q")
-    cfg = cfg or QuadratureConfig()
-    grid = grid or GridSpec()
-    dom = Domain(r0, Q.domain.b)
     qe = Q.eval
-
-    def ratio(x: float) -> float:
-        return qe(x) / x
-
-    ok, probe, max_abs = _decays_to_zero(ratio, dom)
-    notes = []
-    if not ok:
-        notes.append("Q(x)/x does not tend to 0 on probe points (growth-scale hypothesis)")
-    f = Function1D(
-        eval=ratio,
-        domain=dom,
-        tail=Tail.vanishing() if ok else Tail.bounded_by(max_abs),
-        monotonicity=NONE,
-        locally_bounded=True,
-    )
-    if any(v < -1e-12 * max(1.0, max_abs) for v in probe):
-        notes.append("Q takes negative values on probe points")
-    inner = decreasing_majorant_mean(f, log_measure(r0, dom.b), cfg, grid)
-    notes.extend(w for w in inner.warnings if "vanishing-tail cutoff" in w)
+    f, ok, probe, notes = _duality_source(
+        Q, "Q", r0, lambda x: qe(x) / x,
+        "Q(x)/x does not tend to 0 on probe points (growth-scale hypothesis)", NONE)
+    inner = decreasing_majorant_mean(f, log_measure(r0, f.domain.b), cfg or QuadratureConfig(),
+                                     grid or GridSpec())
+    notes.extend(w for w in inner.warnings if w == TAIL_CAP_NOTE)
     fn = Function1D(
         eval=inner.fn.eval,
-        domain=dom,
+        domain=f.domain,
         tail=Tail.vanishing() if ok else Tail.unknown(),
         monotonicity=DECREASING,
         locally_bounded=True,
@@ -370,33 +386,15 @@ def Q_from_d(
     Q(R) = sup over [r0, R] of x * sup over [x, b) of d; then Q(x)/x -> 0 and
     d(R) ln(R/r) <= integral_r^R Q(x)/x^2 dx for r0 <= r < R.
     """
-    if not r0 > 0:
-        raise ValueError(f"r0 must be positive, got {r0}")
-    if not d.domain.contains(r0):
-        raise DomainError(f"r0={r0} outside the domain of d")
-    if not d.locally_bounded:
-        raise UnboundedSupError("Q construction needs a locally bounded density")
-    grid = grid or GridSpec()
-    dom = Domain(r0, d.domain.b)
-    ok, probe, max_abs = _decays_to_zero(d.eval, dom)
-    notes = []
-    if not ok:
-        notes.append("d does not tend to 0 on probe points (density hypothesis)")
-    if any(v < -1e-12 * max(1.0, max_abs) for v in probe):
-        notes.append("d takes negative values on probe points")
-    f = Function1D(
-        eval=d.eval,
-        domain=dom,
-        tail=Tail.vanishing() if ok else Tail.bounded_by(max_abs),
-        monotonicity=d.monotonicity,
-        locally_bounded=True,
-    )
-    weight = WeightN(n=lambda x: x, domain=dom)
-    right_env, core_env, part_notes = _double_envelope_parts(f, weight, grid)
-    notes.extend(w for w in part_notes if "cutoff" in w)
+    f, _, probe, notes = _duality_source(
+        d, "d", r0, d.eval, "d does not tend to 0 on probe points (density hypothesis)",
+        d.monotonicity, bounded=True)
+    weight = WeightN(n=lambda x: x, domain=f.domain)
+    right_env, core_env, part_notes = _double_envelope_parts(f, weight, grid or GridSpec())
+    notes.extend(w for w in part_notes if w == TAIL_CAP_NOTE)
     fn = Function1D(
         eval=core_env.value_at,
-        domain=dom,
+        domain=f.domain,
         tail=Tail.unknown(),
         monotonicity=INCREASING,
         locally_bounded=True,

@@ -124,10 +124,9 @@ class DecaySchedule:
         return [self.start * self.ratio**k for k in range(self.steps)]
 
 
-def midpoint_stieltjes_oracle(g_eval, m_eval, r: float, R: float,
-                              panels: int = ORACLE_PANELS) -> float:
-    """Fixed-panel midpoint Riemann-Stieltjes sum, the independent brute-force route."""
-    ts = np.linspace(r, R, panels + 1)
+def midpoint_stieltjes_oracle(g_eval, m_eval, r: float, R: float) -> float:
+    """Midpoint Stieltjes sum on ORACLE_PANELS panels: the independent brute-force route."""
+    ts = np.linspace(r, R, ORACLE_PANELS + 1)
     mids = 0.5 * (ts[:-1] + ts[1:])
     gs = batch_eval(g_eval, mids)
     ms = batch_eval(m_eval, ts)
@@ -146,10 +145,10 @@ def invert_measure(m: Measure1D, lo: float, hi: float, us) -> np.ndarray:
     return np.interp(us, ms, xs)
 
 
-def _sample_pairs(m: Measure1D, lo: float, hi: float, count: int, seed: int,
-                  min_sep: float = 1e-4):
+def _sample_pairs(m: Measure1D, lo: float, hi: float, count: int, seed: int):
     """Seeded (r, R) pairs with r < R, drawn uniform in m-coordinates.
 
+    A draw whose two ends lie closer than 1e-4 of the span in m is dropped.
     m must be finite at lo and hi, or no u between them can be drawn.
     """
     with np.errstate(all="ignore"):
@@ -165,7 +164,7 @@ def _sample_pairs(m: Measure1D, lo: float, hi: float, count: int, seed: int,
         u2 = u_lo + span * rng.random()
         if u2 < u1:
             u1, u2 = u2, u1
-        if u2 - u1 < min_sep * span:
+        if u2 - u1 < 1e-4 * span:
             continue
         us += [u1, u2]
     xs = invert_measure(m, lo, hi, us).tolist()
@@ -224,7 +223,10 @@ def check_mean_monotonicity(
 ) -> VerifyReport:
     """For decreasing f the mean is nonincreasing in r and in R; partials are <= 0.
 
-    Raises ValueError when no grid pair has r < R.
+    Neighbouring grid cells r < R are compared, and, when m has a derivative,
+    the signs of the partials at midpoints of consecutive grid values with
+    a < r < R.  Raises ValueError when no grid pair has r < R, or when the
+    grid leaves nothing to compare.
     """
     cfg = cfg or QuadratureConfig()
     r_grid = sorted(float(r) for r in r_grid)
@@ -232,6 +234,16 @@ def check_mean_monotonicity(
     cells = [(i, j) for i, r in enumerate(r_grid) for j, R in enumerate(R_grid) if r < R]
     if not cells:
         raise ValueError("monotonicity: no grid pair has r < R")
+    r_mids = []
+    if m.m_prime is not None:
+        r_mids = [0.5 * (u + v) for u, v in zip(r_grid[:-1], r_grid[1:])]
+    R_mids = [0.5 * (u + v) for u, v in zip(R_grid[:-1], R_grid[1:])]
+    mid_pairs = [(r, R) for r in r_mids for R in R_mids if f.domain.a < r < R]
+    in_grid = set(cells)
+    steps = [(c, n) for c in cells for n in ((c[0] + 1, c[1]), (c[0], c[1] + 1)) if n in in_grid]
+    if not steps and not mid_pairs:
+        raise ValueError("monotonicity: the grid has no neighbouring cells r < R "
+                         "and no midpoint pair to compare")
     if classify_monotonicity(f, grid) != DECREASING:
         return VerifyReport(
             "monotonicity", INCONCLUSIVE, 0.0, 0,
@@ -242,40 +254,23 @@ def check_mean_monotonicity(
     means = dict(zip(cells, values.tolist()))
     scale = 1.0 + max(abs(v) for v in means.values())
     slack = 1e-8 * scale
-    samples = []
-    for (i, j), val in means.items():
-        if (i + 1, j) in means:
-            samples.append((means[i + 1, j], val, (r_grid[i + 1], R_grid[j])))
-        if (i, j + 1) in means:
-            samples.append((means[i, j + 1], val, (r_grid[i], R_grid[j + 1])))
+    samples = [(means[n], means[c], (r_grid[n[0]], R_grid[n[1]])) for c, n in steps]
     worst = max((lhs - rhs for lhs, rhs, _ in samples), default=-math.inf)
     witness = None
     ok = worst <= slack
-    # Sign of the analytic partials at midpoints of consecutive grid cells,
-    # which need m'; without it the grid comparisons decide alone.
-    r_mids = []
-    if m.m_prime is not None:
-        r_mids = [0.5 * (u + v) for u, v in zip(r_grid[:-1], r_grid[1:])]
-    R_mids = [0.5 * (u + v) for u, v in zip(R_grid[:-1], R_grid[1:])]
-    partial_count = 0
-    for r in r_mids:
-        for R in R_mids:
-            if r >= R or r <= f.domain.a:
-                continue
-            dr = mean_partial_r(f, m, r, R, cfg)
-            dR = mean_partial_R(f, m, r, R, cfg)
-            partial_count += 2
-            for val in (dr, dR):
-                if val > worst:
-                    worst = val
-                    witness = (r, R)
-                if val > slack:
-                    ok = False
+    # Without m' there are no midpoint pairs: the grid comparisons decide alone.
+    for r, R in mid_pairs:
+        for val in (mean_partial_r(f, m, r, R, cfg), mean_partial_R(f, m, r, R, cfg)):
+            if val > worst:
+                worst = val
+                witness = (r, R)
+            if val > slack:
+                ok = False
     verdict = HOLDS if ok else VIOLATED
     if not ok and witness is None:
         witness = max(samples, key=lambda s: s[0] - s[1])[2]
     return VerifyReport(
-        "monotonicity", verdict, worst, len(samples) + partial_count,
+        "monotonicity", verdict, worst, len(samples) + 2 * len(mid_pairs),
         witness=witness if not ok else None,
         details={"grid_pairs": len(means)},
     )

@@ -1,13 +1,70 @@
 """Independent brute-force oracles used to derive expected test values.
 
 These deliberately avoid the library's adaptive/refined code paths: dense-grid
-maxima, fixed-panel midpoint Stieltjes sums, plain numpy cumulative maxima, and
-the closed-form maxima of a damped wave.
+maxima, fixed-panel midpoint Stieltjes sums, plain numpy cumulative maxima, the
+closed-form maxima of a damped wave, and the reference expression evaluator
+eval_expression, a scalar tree-walker on the math module that checks the
+library's numpy-compiled expressions.
 """
 
 import math
 
 import numpy as np
+
+from meanmax.exprparse import CONSTANTS, BinOp, Const, Neg, Num, Var
+
+
+class ExpressionEvalError(Exception):
+    """The reference evaluator met a non-finite value; names the offending subexpression."""
+
+
+def to_text(node) -> str:
+    """Render a subtree back to expression syntax, fully parenthesized."""
+    if isinstance(node, Num):
+        return f"{node.value:g}"
+    if isinstance(node, Var):
+        return "x"
+    if isinstance(node, Const):
+        return node.name
+    if isinstance(node, Neg):
+        return f"(-{to_text(node.arg)})"
+    if isinstance(node, BinOp):
+        return f"({to_text(node.left)} {node.op} {to_text(node.right)})"
+    return f"{node.name}({', '.join(to_text(a) for a in node.args)})"
+
+
+_REFERENCE_CALLS = {
+    "ln": math.log, "exp": math.exp, "sqrt": math.sqrt, "sin": math.sin,
+    "cos": math.cos, "abs": abs, "min": min, "max": max,
+}
+_REFERENCE_OPS = {
+    "+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b, "^": math.pow,
+}
+
+
+def eval_expression(node, x: float) -> float:
+    """Evaluate the tree at x; non-finite intermediate results raise, never propagate."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Const):
+        return CONSTANTS[node.name]
+    if isinstance(node, Neg):
+        return -eval_expression(node.arg, x)
+    if isinstance(node, BinOp):
+        fn, args = _REFERENCE_OPS[node.op], (node.left, node.right)
+    else:
+        fn, args = _REFERENCE_CALLS[node.name], node.args
+    values = [eval_expression(a, x) for a in args]
+    try:
+        out = fn(*values)
+    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        raise ExpressionEvalError(f"non-finite value in {to_text(node)}: {exc}") from exc
+    if not math.isfinite(out):
+        raise ExpressionEvalError(f"non-finite value in {to_text(node)}")
+    return out
 
 
 def grid_sup(fun, lo: float, hi: float, n: int = 10**6) -> float:

@@ -209,7 +209,8 @@ def test_criterion_8_envelope_properties():
 
 
 def test_criterion_9_parser():
-    from meanmax.exprparse import derive_expression, eval_expression, parse_expression
+    from meanmax.exprparse import derive_expression, parse_expression
+    from oracles import eval_expression
 
     ok = eval_expression(parse_expression("2+3*4"), 0.0) == 14.0
     ok &= eval_expression(parse_expression("2*3^2"), 0.0) == 18.0

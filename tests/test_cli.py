@@ -404,6 +404,19 @@ class TestUsageErrors:
         assert out == ""
         assert err == f"error: --steps must be at least 2, got {argv[-1]}\n"
 
+    def test_monotonicity_with_nothing_to_compare(self, capsys):
+        # Two grid points leave no neighbouring cells and no midpoint pair r < R.
+        argv = ["verify", "--property", "monotonicity", "--f", "1/x", "--m", "ln(x)",
+                "--a", "1", "--b", "50", "--steps"]
+        code, out, err = run(capsys, *argv, "2")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: monotonicity: the grid has no neighbouring cells r < R "
+                       "and no midpoint pair to compare\n")
+        code, out, _ = run(capsys, *argv, "3")
+        assert code == 0
+        assert "verdict: holds" in out
+
     def test_missing_required_source(self, capsys):
         code, _, err = run(
             capsys, "transform", "--kind", "d-from-q", "--table", "1:2:uniform:3",

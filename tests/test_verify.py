@@ -89,6 +89,15 @@ class TestEmptyGrid:
         with pytest.raises(ValueError, match="monotonicity: no grid pair has r < R"):
             check_mean_monotonicity(f, m, [5.0, 6.0], [1.0, 5.0])
 
+    def test_monotonicity_with_nothing_to_compare(self):
+        # Two grid points leave one cell r < R: no neighbouring cell, and the
+        # one pair of midpoints has r = R.  It raises before reading f.
+        calls = []
+        f = fn(lambda x: calls.append(x) or 1 / x, 1.0, 50.0, tail=Tail.vanishing())
+        with pytest.raises(ValueError, match="monotonicity: the grid has no neighbouring cells"):
+            check_mean_monotonicity(f, log_measure(1.0, 50.0), [1.0, 49.0], [1.0, 49.0])
+        assert calls == []
+
     def test_sup_identity_without_r_below_R(self):
         f, m = exp_on(0.0, 10.5), identity_measure(0.0, 10.5)
         with pytest.raises(ValueError, match="sup-identity: no grid r has a <= r < R"):
