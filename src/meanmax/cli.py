@@ -14,7 +14,6 @@ transforms still flag blatant violations.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from dataclasses import dataclass
@@ -22,9 +21,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CsvFormatError, ExpressionSyntaxError, MeanmaxError
+# The parser and the exit codes live in cliargs, which loads no numpy, so help
+# and usage errors start without the numeric modules.  The benchmark leans on
+# this module's shape.  perfbench/tracing.py reads sys.modules["meanmax.<mod>"]
+# for func1d, stieltjes, transforms, verify and exprparse after importing only
+# this module, so the imports below must load all five.  The cli-session
+# replay in perfbench/workloads.py calls run_command, subclasses
+# TabulatedFunction and swaps compile_expression and load_csv_function here to
+# count source evaluations, so the handlers look these up as module globals at
+# call time.
+from .cliargs import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, parse_args
+from .errors import CsvFormatError, ExpressionSyntaxError, MeanmaxError, NonDifferentiableError
 from .exprparse import compile_expression, derive_expression, parse_expression
-from .errors import NonDifferentiableError
 from .func1d import (
     Domain,
     Function1D,
@@ -61,11 +69,6 @@ from .verify import (
     finite_difference_check,
     invert_measure,
 )
-
-EXIT_OK = 0
-EXIT_VIOLATED = 1
-EXIT_USAGE = 2
-EXIT_NUMERIC = 3
 
 
 def _fmt(x: float) -> str:
@@ -209,93 +212,6 @@ def _emit(text: str, output: str | None) -> None:
 def _table_text(fn: Function1D, xs: np.ndarray) -> str:
     rows = [f"{_fmt(float(x))},{_fmt(evaluate(fn, float(x)))}" for x in xs]
     return "\n".join(rows) + "\n"
-
-
-def _float_or_inf(text: str) -> float:
-    if text.strip().lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="meanmax",
-        description="Stieltjes integral means, maximization envelopes, and their verification",
-        allow_abbrev=False,
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def add_common(p, *, domain=True):
-        if domain:
-            p.add_argument("--a", type=float, help="left endpoint of the domain")
-            p.add_argument("--b", type=_float_or_inf, default=math.inf,
-                           help="right endpoint (exclusive; 'inf' allowed)")
-        p.add_argument("--tol", type=float, default=1e-9, help="quadrature relative tolerance")
-        p.add_argument("--grid", type=int, default=4097, help="supremum grid node count")
-        p.add_argument("--tail", default=None,
-                       help="tail declaration: vanishing | unknown | bounded:<v>")
-        p.add_argument("--hint", default="none",
-                       choices=["increasing", "decreasing", "none"],
-                       help="monotonicity hint for the main function")
-        p.add_argument("--output", "-o", default=None, help="write output here instead of stdout")
-
-    p_mean = sub.add_parser("mean", help="integral mean and its partials")
-    p_mean.add_argument("--f", required=True)
-    p_mean.add_argument("--m", default="ln(x)")
-    p_mean.add_argument("--r", type=float, required=True)
-    p_mean.add_argument("--R", type=float, required=True)
-    p_mean.add_argument("--partials", action="store_true",
-                        help="also print the analytic partials in r and R")
-    add_common(p_mean)
-
-    p_env = sub.add_parser("envelope", help="right/left maximization tables")
-    p_env.add_argument("--f", required=True)
-    p_env.add_argument("--side", choices=["right", "left"], required=True)
-    p_env.add_argument("--table", required=True, help="sample range lo:hi:spacing:count")
-    add_common(p_env)
-
-    p_tr = sub.add_parser("transform", help="constructed functions of the calculus")
-    p_tr.add_argument("--kind", required=True,
-                      choices=["d-from-q", "q-from-d", "majorant", "double-envelope"])
-    p_tr.add_argument("--f", default=None)
-    p_tr.add_argument("--m", default="ln(x)")
-    p_tr.add_argument("--n", default="x")
-    p_tr.add_argument("--Q", default=None)
-    p_tr.add_argument("--d", default=None)
-    p_tr.add_argument("--r0", type=float, default=None)
-    p_tr.add_argument("--table", required=True, help="sample range lo:hi:spacing:count")
-    add_common(p_tr)
-
-    p_ver = sub.add_parser("verify", help="check a stated property numerically")
-    p_ver.add_argument("--property", required=True,
-                       choices=["monotonicity", "sup-identity", "F1", "AnmA",
-                                "dQ", "Qd", "partials"])
-    p_ver.add_argument("--f", default=None)
-    p_ver.add_argument("--m", default="ln(x)")
-    p_ver.add_argument("--n", default="x")
-    p_ver.add_argument("--Q", default=None)
-    p_ver.add_argument("--d", default=None)
-    p_ver.add_argument("--r0", type=float, default=None)
-    p_ver.add_argument("--r", type=float, default=None)
-    p_ver.add_argument("--R", type=float, default=None)
-    p_ver.add_argument("--pairs", type=int, default=200)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--steps", type=int, default=20, help="grid points per axis")
-    p_ver.add_argument("--format", default="report", choices=["report", "line"])
-    add_common(p_ver)
-
-    p_dec = sub.add_parser("decay", help="geometric-schedule decay check")
-    p_dec.add_argument("--f", required=True)
-    p_dec.add_argument("--schedule", required=True, help="start:ratio:steps:threshold")
-    p_dec.add_argument("--format", default="report", choices=["report", "line"])
-    add_common(p_dec)
-
-    p_tab = sub.add_parser("table", help="sample a function to CSV rows")
-    p_tab.add_argument("--f", required=True)
-    p_tab.add_argument("--table", required=True, help="sample range lo:hi:spacing:count")
-    add_common(p_tab)
-
-    return parser
 
 
 def _require(args, parser_hint: str, **needed):
@@ -462,18 +378,11 @@ _DISPATCH = {
 }
 
 
-def run_command(argv) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
+def dispatch(args) -> int:
+    """Run the subcommand of parsed arguments; return its exit code."""
     try:
         return _DISPATCH[args.cmd](args)
-    except ExpressionSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ExpressionSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MeanmaxError as exc:
@@ -481,9 +390,7 @@ def run_command(argv) -> int:
         return EXIT_NUMERIC
 
 
-def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()
+def run_command(argv) -> int:
+    """Parse argv and run it in-process, as ``meanmax`` would; return the exit code."""
+    args = parse_args(argv)
+    return args if isinstance(args, int) else dispatch(args)

@@ -198,11 +198,8 @@ def batch_eval(fun: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
             return ys
         if ys.ndim == 0:
             return np.full(xs.shape, float(ys))
-    out = np.empty(len(xs))
     with np.errstate(all="ignore"):
-        for i, x in enumerate(xs):
-            out[i] = fun(float(x))
-    return out
+        return np.fromiter(map(fun, xs.tolist()), dtype=float, count=len(xs))
 
 
 def _sample(f: Function1D, xs) -> np.ndarray:

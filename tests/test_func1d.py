@@ -87,6 +87,24 @@ class TestBatchEval:
         want = [fun(float(x)) for x in self.XS]
         assert batch_eval(fun, self.XS).tolist() == want
 
+    def test_pointwise_fallback_matches_an_element_loop(self):
+        xs = np.geomspace(1.0, 50.0, 4226)
+        fun = lambda x: math.pow(x, -0.9)  # noqa: E731
+        want = np.empty(len(xs))
+        for i, x in enumerate(xs):
+            want[i] = fun(float(x))
+        assert np.array_equal(batch_eval(fun, xs), want)
+
+    # math.exp rejects the array, so each of these is evaluated pointwise
+    @pytest.mark.parametrize("wrap", [lambda y: np.array([y]), lambda y: "e^x"],
+                             ids=["one-element-array", "str"])
+    def test_pointwise_values_must_be_floats(self, wrap):
+        with pytest.raises(ValueError):
+            batch_eval(lambda x: wrap(math.exp(x)), self.XS)
+
+    def test_pointwise_none_reads_nan(self):
+        assert np.isnan(batch_eval(lambda x: math.exp(x) and None, self.XS)).all()
+
     def test_other_errors_propagate_from_the_array_call(self):
         seen = []
 
