@@ -67,12 +67,9 @@ from .verify import (
     check_sup_identity,
     estimate_decay,
     finite_difference_check,
+    format_number,
     invert_measure,
 )
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
 
 
 @dataclass
@@ -210,14 +207,21 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _table_text(fn: Function1D, xs: np.ndarray) -> str:
-    rows = [f"{_fmt(float(x))},{_fmt(evaluate(fn, float(x)))}" for x in xs]
+    rows = [f"{format_number(float(x))},{format_number(evaluate(fn, float(x)))}" for x in xs]
     return "\n".join(rows) + "\n"
 
 
-def _require(args, parser_hint: str, **needed):
+def _require(name: str, **needed):
     missing = [flag for flag, val in needed.items() if val is None]
     if missing:
-        raise ValueError(f"{parser_hint} requires --" + ", --".join(missing))
+        raise ValueError(f"{name} requires --" + ", --".join(missing))
+
+
+def _source(args, name: str, default_tail: Tail) -> Function1D:
+    """--f on [--a, --b) with the --tail declaration, default_tail when none is given."""
+    _require(name, f=args.f, a=args.a)
+    return _load_function(args.f, args.a, args.b, _parse_tail(args.tail, default_tail),
+                          args.hint)
 
 
 def _configs(args) -> tuple[QuadratureConfig, GridSpec]:
@@ -227,29 +231,25 @@ def _configs(args) -> tuple[QuadratureConfig, GridSpec]:
 
 
 def _cmd_mean(args) -> int:
-    _require(args, "mean", a=args.a)
+    f = _source(args, "mean", Tail.unknown())
     cfg, _ = _configs(args)
-    f = _load_function(args.f, args.a, args.b, _parse_tail(args.tail, Tail.unknown()),
-                       args.hint)
     m = _load_measure(args.m, args.a, args.b, False, args.r, args.R)
     mean = integral_mean(f, m, args.r, args.R, cfg)
     if args.partials:
         lines = [
-            f"mean,{_fmt(mean.value)}",
-            f"partial_r,{_fmt(mean_partial_r(f, m, args.r, args.R, cfg))}",
-            f"partial_R,{_fmt(mean_partial_R(f, m, args.r, args.R, cfg))}",
+            f"mean,{format_number(mean.value)}",
+            f"partial_r,{format_number(mean_partial_r(f, m, args.r, args.R, cfg))}",
+            f"partial_R,{format_number(mean_partial_R(f, m, args.r, args.R, cfg))}",
         ]
         _emit("\n".join(lines) + "\n", args.output)
     else:
-        _emit(_fmt(mean.value) + "\n", args.output)
+        _emit(format_number(mean.value) + "\n", args.output)
     return EXIT_OK
 
 
 def _cmd_envelope(args) -> int:
-    _require(args, "envelope", a=args.a)
+    f = _source(args, "envelope", Tail.unknown())
     _, grid = _configs(args)
-    f = _load_function(args.f, args.a, args.b, _parse_tail(args.tail, Tail.unknown()),
-                       args.hint)
     env = envelope_function(f, args.side, grid)
     xs = _parse_range(args.table)
     _emit(_table_text(env.as_function(), xs), args.output)
@@ -258,24 +258,21 @@ def _cmd_envelope(args) -> int:
 
 def _cmd_transform(args) -> int:
     cfg, grid = _configs(args)
-    tail = _parse_tail(args.tail, Tail.vanishing())
     xs = _parse_range(args.table)
     if args.kind == "d-from-q":
-        _require(args, "d-from-q", Q=args.Q, r0=args.r0)
+        _require("d-from-q", Q=args.Q, r0=args.r0)
         Q = _load_function(args.Q, args.r0, args.b, Tail.unknown(), args.hint)
         res = d_from_Q(Q, args.r0, cfg, grid)
     elif args.kind == "q-from-d":
-        _require(args, "q-from-d", d=args.d, r0=args.r0)
+        _require("q-from-d", d=args.d, r0=args.r0)
         d = _load_function(args.d, args.r0, args.b, Tail.unknown(), args.hint)
         res = Q_from_d(d, args.r0, grid)
     elif args.kind == "majorant":
-        _require(args, "majorant", f=args.f, a=args.a)
-        f = _load_function(args.f, args.a, args.b, tail, args.hint)
+        f = _source(args, "majorant", Tail.vanishing())
         m = _load_measure(args.m, args.a, args.b, True, args.a, float(xs.max()))
         res = decreasing_majorant_mean(f, m, cfg, grid)
     else:
-        _require(args, "double-envelope", f=args.f, a=args.a)
-        f = _load_function(args.f, args.a, args.b, tail, args.hint)
+        f = _source(args, "double-envelope", Tail.vanishing())
         n_fn = compile_expression(parse_expression(args.n))
         res = weighted_double_envelope(f, WeightN(n=n_fn, domain=f.domain), grid)
     for note in res.warnings:
@@ -284,12 +281,11 @@ def _cmd_transform(args) -> int:
     return EXIT_OK
 
 
-def _verdict_exit(verdict: str) -> int:
-    if verdict == HOLDS:
-        return EXIT_OK
-    if verdict == VIOLATED:
-        return EXIT_VIOLATED
-    return EXIT_NUMERIC
+def _emit_report(report, args) -> int:
+    """Write a verify report in --format; its verdict gives the exit code."""
+    text = report.to_kv() if args.format == "report" else report.to_line() + "\n"
+    _emit(text, args.output)
+    return {HOLDS: EXIT_OK, VIOLATED: EXIT_VIOLATED}.get(report.verdict, EXIT_NUMERIC)
 
 
 def _grid_points(m: Measure1D, lo: float, hi: float, steps: int) -> list[float]:
@@ -302,19 +298,19 @@ def _grid_points(m: Measure1D, lo: float, hi: float, steps: int) -> list[float]:
 def _cmd_verify(args) -> int:
     cfg, grid = _configs(args)
     prop = args.property
-    if prop in ("monotonicity", "sup-identity", "F1", "AnmA", "partials"):
-        _require(args, prop, f=args.f, a=args.a)
-        if math.isinf(args.b):
-            raise ValueError(f"{prop} needs a finite --b to bound its samples")
-        tail = _parse_tail(args.tail, Tail.vanishing())
-        f = _load_function(args.f, args.a, args.b, tail, args.hint)
+    sources = {"dQ": dict(Q=args.Q, r0=args.r0), "Qd": dict(d=args.d, r0=args.r0)}
+    _require(prop, **sources.get(prop, dict(f=args.f, a=args.a)))
+    if math.isinf(args.b):
+        raise ValueError(f"{prop} needs a finite --b to bound its samples")
+    if prop not in sources:
+        f = _source(args, prop, Tail.vanishing())
         hi = args.b - (args.b - args.a) * 1e-9
         m = _load_measure(args.m, args.a, args.b, True, args.a, hi)
         if prop == "monotonicity":
             pts = _grid_points(m, args.a, hi, args.steps)
             report = check_mean_monotonicity(f, m, pts, pts, cfg, grid)
         elif prop == "sup-identity":
-            _require(args, prop, R=args.R)
+            _require(prop, R=args.R)
             pts = _grid_points(m, args.a, args.R * (1 - 1e-9), args.steps)
             report = check_sup_identity(f, m, args.R, pts, cfg, grid)
         elif prop == "F1":
@@ -325,44 +321,28 @@ def _cmd_verify(args) -> int:
             report = check_pointwise_mean_bound(f, weight, m, args.pairs, args.seed,
                                                 cfg, grid)
         else:
-            _require(args, prop, r=args.r, R=args.R)
+            _require(prop, r=args.r, R=args.R)
             report = finite_difference_check(f, m, args.r, args.R, cfg)
     elif prop == "dQ":
-        _require(args, prop, Q=args.Q, r0=args.r0)
-        if math.isinf(args.b):
-            raise ValueError("dQ needs a finite --b to bound its samples")
         Q = _load_function(args.Q, args.r0, math.inf, Tail.unknown(), args.hint)
         d = d_from_Q(Q, args.r0, cfg, grid)
         report = check_corollary_bounds(Q, d.fn, args.r0, "dQ", args.pairs, args.seed,
                                         cfg, sample_hi=args.b)
     else:  # Qd
-        _require(args, prop, d=args.d, r0=args.r0)
-        if math.isinf(args.b):
-            raise ValueError("Qd needs a finite --b to bound its samples")
         d = _load_function(args.d, args.r0, math.inf, Tail.unknown(), args.hint)
         Q = Q_from_d(d, args.r0, grid)
         report = check_corollary_bounds(Q.fn, d, args.r0, "Qd", args.pairs, args.seed,
                                         cfg, sample_hi=args.b)
-    text = report.to_kv() if args.format == "report" else report.to_line() + "\n"
-    _emit(text, args.output)
-    return _verdict_exit(report.verdict)
+    return _emit_report(report, args)
 
 
 def _cmd_decay(args) -> int:
-    _require(args, "decay", a=args.a)
-    f = _load_function(args.f, args.a, args.b, _parse_tail(args.tail, Tail.unknown()),
-                       args.hint)
-    sched = _parse_schedule(args.schedule)
-    report = estimate_decay(f, sched)
-    text = report.to_kv() if args.format == "report" else report.to_line() + "\n"
-    _emit(text, args.output)
-    return _verdict_exit(report.verdict)
+    f = _source(args, "decay", Tail.unknown())
+    return _emit_report(estimate_decay(f, _parse_schedule(args.schedule)), args)
 
 
 def _cmd_table(args) -> int:
-    _require(args, "table", a=args.a)
-    f = _load_function(args.f, args.a, args.b, _parse_tail(args.tail, Tail.unknown()),
-                       args.hint)
+    f = _source(args, "table", Tail.unknown())
     xs = _parse_range(args.table)
     _emit(_table_text(f, xs), args.output)
     return EXIT_OK

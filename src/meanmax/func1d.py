@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    MeanmaxError,
     NonFiniteValueError,
     UnboundedSupError,
     UncertifiableTailError,
@@ -202,10 +203,15 @@ def batch_eval(fun: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
         return np.fromiter(map(fun, xs.tolist()), dtype=float, count=len(xs))
 
 
-def _sample(f: Function1D, xs) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
+def sample(fun: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
+    """fun at every x of the float array xs, in one batch_eval, all finite.
+
+    Raises NonFiniteValueError when fun raises OverflowError, ValueError or
+    ZeroDivisionError, or at the first non-finite value, naming its x.
+    Sampling and quadrature read their sources through it.
+    """
     try:
-        ys = batch_eval(f.eval, xs)
+        ys = batch_eval(fun, xs)
     except (OverflowError, ValueError, ZeroDivisionError) as exc:
         raise NonFiniteValueError(f"evaluation failed while sampling: {exc}") from exc
     bad = ~np.isfinite(ys)
@@ -213,6 +219,26 @@ def _sample(f: Function1D, xs) -> np.ndarray:
         k = int(np.argmax(bad))
         raise NonFiniteValueError(f"non-finite value {ys[k]} at x={xs[k]}")
     return ys
+
+
+def probe(fun: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
+    """fun at every x of the float array xs, NaN wherever it raises or is not finite.
+
+    One batch_eval call; when that raises ArithmeticError, ValueError or
+    MeanmaxError, each point is read on its own.  The hypothesis checks read
+    their sources through it, so a failure is a note or a point left unchecked.
+    """
+    try:
+        ys = batch_eval(fun, xs)
+    except (ArithmeticError, ValueError, MeanmaxError):
+        ys = np.full(len(xs), np.nan)
+        with np.errstate(all="ignore"):
+            for k, x in enumerate(xs.tolist()):
+                try:
+                    ys[k] = fun(x)
+                except (ArithmeticError, ValueError, MeanmaxError):
+                    pass
+    return np.where(np.isfinite(ys), ys, np.nan)
 
 
 def _golden_max(f: Function1D, lo: np.ndarray, hi: np.ndarray):
@@ -228,7 +254,7 @@ def _golden_max(f: Function1D, lo: np.ndarray, hi: np.ndarray):
     tol = 1e-13 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     c = hi - (hi - lo) * _INV_PHI
     d = lo + (hi - lo) * _INV_PHI
-    fc, fd = np.split(_sample(f, np.concatenate([c, d])), 2)
+    fc, fd = np.split(sample(f.eval, np.concatenate([c, d])), 2)
     for k in range(GOLDEN_ITERS + 1):
         done = (hi - lo <= tol) | (k == GOLDEN_ITERS)
         if done.any():
@@ -244,7 +270,7 @@ def _golden_max(f: Function1D, lo: np.ndarray, hi: np.ndarray):
         kept, f_kept = np.where(up, d, c), np.where(up, fd, fc)
         step = (hi - lo) * _INV_PHI
         x = np.where(up, lo + step, hi - step)
-        fx = _sample(f, x)
+        fx = sample(f.eval, x)
         c, fc = np.where(up, kept, x), np.where(up, f_kept, fx)
         d, fd = np.where(up, x, kept), np.where(up, fx, f_kept)
     return best_x, best_y
@@ -259,7 +285,7 @@ def _refined_samples(f: Function1D, lo: float, hi: float, grid: GridSpec):
     (xs, ys), sorted by position.
     """
     xs = build_nodes(lo, hi, grid.node_count)
-    ys = _sample(f, xs)
+    ys = sample(f.eval, xs)
     prev = np.concatenate([ys[:1], ys[:-1]])
     succ = np.concatenate([ys[1:], ys[-1:]])
     peaks = np.flatnonzero((ys >= prev) & (ys >= succ) & ((ys > prev) | (ys > succ)))
@@ -397,17 +423,11 @@ class Envelope:
         outside = ~((q >= dom.a) & (q < dom.b))
         if outside.any():
             raise DomainError(f"x={q[outside].flat[0]} outside [{dom.a}, {dom.b})")
-        try:
-            fx = batch_eval(self.source.eval, q.ravel()).reshape(q.shape)
-        except (OverflowError, ValueError, ZeroDivisionError) as exc:
-            raise NonFiniteValueError(f"evaluation failed while querying: {exc}") from exc
+        fx = sample(self.source.eval, q.ravel()).reshape(q.shape)
         xs, table = self.xs, self.table
         j = np.searchsorted(xs, q)
         below, above = table[np.maximum(j - 1, 0)], table[np.minimum(j, len(xs) - 1)]
         exact = xs[np.minimum(j, len(xs) - 1)] == q
-        bad = ~np.isfinite(fx) & ~exact
-        if bad.any():
-            raise NonFiniteValueError(f"non-finite source value at x={q[bad].flat[0]}")
         inside = j < len(xs)
         if self.side == RIGHT:
             floor = 0.0 if self.source.tail.kind == "vanishing" else -math.inf
@@ -473,7 +493,7 @@ def classify_monotonicity(f: Function1D, grid: GridSpec | None = None) -> str:
     dom = f.domain
     xs = build_nodes(dom.a, window_end(dom, dom.a), grid.node_count)
     try:
-        ys = _sample(f, xs)
+        ys = sample(f.eval, xs)
     except (NonFiniteValueError, DomainError):
         return NEITHER
     diffs = np.diff(ys)

@@ -25,15 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateIntervalError,
-    MeanmaxError,
-    MissingDerivativeError,
-    NonFiniteValueError,
-    QuadratureError,
-)
+from .errors import DegenerateIntervalError, MissingDerivativeError, QuadratureError
 from .func1d import (GEOMETRIC_RATIO, Domain, Function1D, batch_eval, build_nodes, evaluate,
-                     window_end)
+                     probe, sample, window_end)
 
 # Geometric pieces a segment of segment_integrals wider than GEOMETRIC_RATIO
 # on positive x starts from.
@@ -108,7 +102,7 @@ class Measure1D:
         if not lo < hi:
             return
         xs = build_nodes(lo, hi, 257)
-        ms = _values_where_defined(self.m, xs)
+        ms = probe(self.m, xs)
         if np.isnan(ms[0]):
             raise DegenerateIntervalError(f"measure is not finite at the left end x={lo}")
         ok = np.isfinite(ms)
@@ -119,25 +113,12 @@ class Measure1D:
                 f"measure is not strictly increasing near x={xs[ok][k]}"
             )
         if self.m_prime is not None:
-            dms = _values_where_defined(self.m_prime, xs[1:-1])
+            dms = probe(self.m_prime, xs[1:-1])
             if np.any(dms <= 0):
                 k = int(np.nanargmin(dms))
                 raise DegenerateIntervalError(
                     f"measure derivative nonpositive at x={xs[1 + k]}"
                 )
-
-
-def _values_where_defined(fun: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
-    """fun at each x, NaN where it raises or is not finite."""
-    out = np.full(len(xs), np.nan)
-    with np.errstate(all="ignore"):
-        for k, x in enumerate(xs):
-            try:
-                out[k] = fun(float(x))
-            except (ArithmeticError, ValueError, MeanmaxError):
-                pass
-    out[~np.isfinite(out)] = np.nan
-    return out
 
 
 def log_measure(a: float, b: float = math.inf) -> Measure1D:
@@ -162,8 +143,8 @@ class QuadratureConfig:
     rtol: float = 1e-9
 
     def __post_init__(self):
-        if self.atol <= 0 or self.rtol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.atol < math.inf and 0 < self.rtol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
 
     def scaled(self, factor: float) -> "QuadratureConfig":
         return QuadratureConfig(atol=self.atol * factor, rtol=self.rtol * factor)
@@ -174,17 +155,6 @@ class MeanValue:
     value: float | np.ndarray  # an array for an array call, one entry per interval
     est_error: float | np.ndarray  # the sum of the accepted pieces' error estimates
     panels_used: int  # the number of accepted pieces of the call, all intervals together
-
-
-def _eval_many(fun: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
-    try:
-        ys = batch_eval(fun, xs)
-    except (OverflowError, ValueError, ZeroDivisionError) as exc:
-        raise NonFiniteValueError(f"integrand evaluation failed: {exc}") from exc
-    if not np.all(np.isfinite(ys)):
-        k = int(np.argmax(~np.isfinite(ys)))
-        raise NonFiniteValueError(f"non-finite integrand value at x={xs[k]}")
-    return ys
 
 
 def check_interval(g: Function1D, m: Measure1D, r: float | np.ndarray,
@@ -328,11 +298,11 @@ def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig):
                 f"integrand point budget of {POINT_BUDGET} exceeded "
                 f"({len(lo)} pieces unresolved, first at x={lo[0]})"
             )
-        return _eval_many(fun, xs)
+        return sample(fun, xs)
 
     n = len(lo)
     cuts, at = np.unique(np.concatenate([lo, hi]), return_inverse=True)
-    ms = _eval_many(m.m, cuts)[at]
+    ms = sample(m.m, cuts)[at]
     m_lo, m_hi = ms[:n], ms[n:]
     head = cuts if kronrod else np.concatenate([cuts, 0.5 * (lo + hi)])
     ys = integrand(np.concatenate([head, _level_points(lo, hi, kronrod)]))
@@ -343,7 +313,7 @@ def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig):
     for level in range(LOCAL_HALVINGS + 1):
         n = len(lo)
         mid = 0.5 * (lo + hi)
-        m_mid = _eval_many(m.m, mid)
+        m_mid = sample(m.m, mid)
         if level:
             ys = integrand(_level_points(lo, hi, kronrod))
         if kronrod:

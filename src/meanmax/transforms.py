@@ -37,6 +37,7 @@ from .func1d import (
     batch_eval,
     envelope_function,
     evaluate,
+    probe,
 )
 from .stieltjes import (
     Measure1D,
@@ -57,17 +58,15 @@ class WeightN:
 
     def spot_check(self) -> list[str]:
         """Problems seen at 64 probe points toward b, as notes; n(a) <= 0 raises."""
-        issues = []
         a = self.domain.a
         na = self.n(a)
         if not na > 0:
             raise ValueError(f"weight must be positive at the left endpoint, got n({a})={na}")
-        xs = _geometric_probe(self.domain, 64)
-        vals = [self.n(float(x)) for x in xs]
-        if any(not math.isfinite(v) for v in vals):
-            issues.append("weight produced non-finite values")
-            return issues
-        if any(b < c for b, c in zip(vals[1:], vals[:-1])):
+        vals = probe(self.n, _geometric_probe(self.domain, 64))
+        if np.isnan(vals).any():
+            return ["weight produced non-finite values"]
+        issues = []
+        if np.any(vals[1:] < vals[:-1]):
             issues.append("weight is not increasing on probe points")
         if self.domain.unbounded and vals[-1] < 10.0 * max(na, 1.0):
             issues.append("weight does not appear to tend to +inf")
@@ -102,21 +101,17 @@ def _geometric_probe(domain: Domain, steps: int) -> np.ndarray:
 def _decays_to_zero(fun: Callable[[float], float], domain: Domain):
     """Heuristic check that fun -> 0 toward b: tail nonincreasing, final value halved.
 
-    Probes 24 points.  Slow but genuine decay (1/ln x) passes; constants and
-    growth fail.  Returns (ok, samples, max_abs).
+    Reads fun at those of 24 _geometric_probe points that lie in the domain.
+    Slow but genuine decay (1/ln x) passes; constants and growth fail.
+    Returns (ok, samples, max_abs); where fun first fails, (False, the samples
+    before it, inf).
     """
     xs = _geometric_probe(domain, 24)
-    vals = []
-    for x in xs:
-        if not domain.contains(float(x)):
-            break
-        try:
-            v = float(fun(float(x)))
-        except (OverflowError, ValueError, ZeroDivisionError):
-            return False, vals, math.inf
-        if not math.isfinite(v):
-            return False, vals, math.inf
-        vals.append(v)
+    vals = probe(fun, xs[(xs >= domain.a) & (xs < domain.b)])
+    failed = np.isnan(vals)
+    if failed.any():
+        return False, vals[: np.argmax(failed)].tolist(), math.inf
+    vals = vals.tolist()
     if len(vals) < 3:
         return False, vals, max((abs(v) for v in vals), default=math.inf)
     tail = vals[len(vals) // 2 :]

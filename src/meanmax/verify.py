@@ -59,7 +59,8 @@ def slack_budget(rhs: float) -> float:
     return 1e-8 * (1.0 + abs(rhs))
 
 
-def _fmt(x: float) -> str:
+def format_number(x: float) -> str:
+    """x to 10 significant digits, as the reports and the CLI print numbers."""
     return f"{x:.10g}"
 
 
@@ -74,10 +75,10 @@ class VerifyReport:
     details: dict = field(default_factory=dict)
 
     def to_line(self) -> str:
-        parts = [self.property_id, self.verdict, f"worst_slack={_fmt(self.worst_slack)}",
+        parts = [self.property_id, self.verdict, f"worst_slack={format_number(self.worst_slack)}",
                  f"samples={self.samples_used}"]
         if self.witness is not None:
-            parts.append("witness=" + ",".join(_fmt(v) for v in self.witness))
+            parts.append("witness=" + ",".join(format_number(v) for v in self.witness))
         if self.note:
             parts.append(f"note={self.note!r}")
         return " ".join(parts)
@@ -86,19 +87,19 @@ class VerifyReport:
         lines = [
             f"property: {self.property_id}",
             f"verdict: {self.verdict}",
-            f"worst_slack: {_fmt(self.worst_slack)}",
+            f"worst_slack: {format_number(self.worst_slack)}",
             f"samples_used: {self.samples_used}",
         ]
         if self.witness is not None:
-            lines.append("witness: " + " ".join(_fmt(v) for v in self.witness))
+            lines.append("witness: " + " ".join(format_number(v) for v in self.witness))
         if self.note:
             lines.append(f"note: {self.note}")
         for key in sorted(self.details):
             val = self.details[key]
             if isinstance(val, (list, tuple, np.ndarray)):
-                rendered = " ".join(_fmt(float(v)) for v in val)
+                rendered = " ".join(format_number(float(v)) for v in val)
             elif isinstance(val, float):
-                rendered = _fmt(val)
+                rendered = format_number(val)
             else:
                 rendered = str(val)
             lines.append(f"{key}: {rendered}")
@@ -115,10 +116,14 @@ class DecaySchedule:
     threshold: float
 
     def __post_init__(self):
-        if self.ratio <= 1:
-            raise ValueError("ratio must exceed 1")
+        if not math.isfinite(self.start):
+            raise ValueError(f"schedule start must be finite, got {self.start}")
+        if not 1 < self.ratio < math.inf:
+            raise ValueError(f"ratio must be finite and exceed 1, got {self.ratio}")
         if self.steps < 3:
             raise ValueError("need at least 3 steps")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
 
     def points(self) -> list[float]:
         return [self.start * self.ratio**k for k in range(self.steps)]

@@ -449,6 +449,16 @@ class TestUsageErrors:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "budget" in lines[0]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["mean", "--f", "1/x", "--a", "1", "--r", "1", "--R", "10", "--tol", "nan"],
+         "tolerances must be finite and positive"),
+        (["decay", "--f", "1/x", "--a", "1", "--schedule", "2:2:8:nan"],
+         "threshold must be finite, got nan"),
+    ], ids=["tol", "threshold"])
+    def test_nan_setting(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0

@@ -22,7 +22,9 @@ from meanmax.func1d import (
     envelope_function,
     evaluate,
     left_maximization,
+    probe,
     right_maximization,
+    sample,
 )
 
 from oracles import (
@@ -115,6 +117,55 @@ class TestBatchEval:
         with pytest.raises(RuntimeError, match="no value"):
             batch_eval(fails, self.XS)
         assert len(seen) == 1 and seen[0] is self.XS
+
+
+def calls_of(fun, sizes):
+    """fun, appending the size of each call's argument."""
+    def wrapped(x):
+        sizes.append(np.size(x))
+        return fun(x)
+    return wrapped
+
+
+def domain_error_at_3(x):
+    if x == 3.0:
+        raise DomainError("x=3.0 outside the source")
+    return math.exp(x)
+
+
+class TestSampleAndProbe:
+    XS = np.array([1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("read", [sample, probe], ids=["sample", "probe"])
+    def test_numpy_source_is_one_call(self, read):
+        sizes = []
+        ys = read(calls_of(np.exp, sizes), self.XS)
+        assert sizes == [4]
+        assert np.array_equal(ys, np.exp(self.XS))
+
+    @pytest.mark.parametrize("read", [sample, probe], ids=["sample", "probe"])
+    def test_scalar_only_source(self, read):
+        assert read(math.exp, self.XS).tolist() == [math.exp(x) for x in self.XS.tolist()]
+
+    def test_sample_raises_at_the_first_failure(self):
+        with pytest.raises(NonFiniteValueError, match="evaluation failed while sampling"):
+            sample(lambda x: math.log(x - 2.0), self.XS)
+        with pytest.raises(NonFiniteValueError, match="non-finite value inf at x=3.0"):
+            sample(lambda x: 1.0 / (3.0 - x) ** 2, self.XS)
+
+    def test_sample_passes_library_errors_on(self):
+        with pytest.raises(DomainError, match="x=3.0"):
+            sample(domain_error_at_3, self.XS)
+
+    @pytest.mark.parametrize("source", [
+        lambda x: 1.0 / (3.0 - x) ** 2,  # numpy: inf at 3
+        lambda x: math.exp(x) / (3.0 - x) ** 2,  # math: ZeroDivisionError at 3
+        domain_error_at_3,  # MeanmaxError at 3
+    ], ids=["numpy-inf", "math-raises", "meanmax-error"])
+    def test_probe_reads_nan_only_where_the_source_fails(self, source):
+        ys = probe(source, self.XS)
+        assert np.isnan(ys).tolist() == [False, False, True, False]
+        assert ys[3] == pytest.approx(source(4.0), rel=1e-15)
 
 
 class TestRightMaximization:

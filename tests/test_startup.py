@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, since this process has long since
 loaded every module.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -109,3 +110,21 @@ def test_public_names_are_read_at_each_lookup():
                         "'integral_mean' in vars(meanmax))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "True", "False"]
+
+
+def test_the_library_imports_numpy_alone():
+    # Every import of src/meanmax, function-level ones included, is of the
+    # standard library, numpy or meanmax itself.
+    outside = []
+    for path in sorted((ROOT / "src" / "meanmax").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in {*sys.stdlib_module_names, "numpy",
+                                                      "meanmax"}]
+    assert outside == []

@@ -445,6 +445,20 @@ class TestMeasureValidation:
         with pytest.raises(DegenerateIntervalError):
             bad.validate()
 
+    def test_numpy_measure_is_read_in_one_call(self):
+        m_points, dm_points = [], []
+        m = Measure1D(m=counted(np.log, m_points), m_prime=counted(lambda x: 1.0 / x, dm_points),
+                      domain=Domain(1.0, 50.0))
+        m.validate()
+        assert m_points == [257] and dm_points == [255]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["atol", "rtol"])
+def test_config_needs_finite_tolerances(field, bad):
+    with pytest.raises(ValueError, match="finite and positive"):
+        QuadratureConfig(**{field: bad})

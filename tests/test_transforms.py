@@ -5,12 +5,13 @@ import threading
 import numpy as np
 import pytest
 
-from meanmax.errors import UnboundedSupError
+from meanmax.errors import MeanmaxError, UnboundedSupError
 from meanmax.func1d import RIGHT, Domain, Function1D, GridSpec, Tail, envelope_function
 from meanmax.stieltjes import Measure1D, identity_measure, integral_mean, log_measure
 from meanmax.transforms import (
     Q_from_d,
     WeightN,
+    _decays_to_zero,
     d_from_Q,
     decreasing_majorant_mean,
     weighted_double_envelope,
@@ -290,6 +291,54 @@ class TestWeightedDoubleEnvelope:
         f = fn(lambda x: np.exp(-x), 0.0, 10.0)
         with pytest.raises(ValueError):
             weighted_double_envelope(f, WeightN(n=lambda x: x, domain=f.domain))
+
+
+class TestWeightSpotCheck:
+    UNBOUNDED = Domain(1.0, math.inf)
+
+    def test_positive_at_the_left_end(self):
+        with pytest.raises(ValueError, match=r"positive at the left endpoint, got n\(1.0\)=0.0"):
+            WeightN(n=lambda x: x - 1.0, domain=self.UNBOUNDED).spot_check()
+
+    def test_increasing_weight_has_no_notes(self):
+        assert WeightN(n=lambda x: x, domain=self.UNBOUNDED).spot_check() == []
+
+    def test_not_increasing(self):
+        notes = WeightN(n=lambda x: 2.0 + np.sin(x), domain=self.UNBOUNDED).spot_check()
+        assert "weight is not increasing on probe points" in notes
+
+    def test_not_tending_to_infinity(self):
+        weight = WeightN(n=lambda x: 2.0 - 1.0 / x, domain=self.UNBOUNDED)
+        assert weight.spot_check() == ["weight does not appear to tend to +inf"]
+
+    @pytest.mark.parametrize("exp", [math.exp, np.exp], ids=["math", "numpy"])
+    def test_overflow_is_a_note(self, exp):
+        weight = WeightN(n=exp, domain=Domain(0.0, math.inf))
+        assert weight.spot_check() == ["weight produced non-finite values"]
+
+    def test_double_envelope_of_an_overflowing_weight_raises_a_library_error(self):
+        f = fn(lambda x: np.exp(-x), 0.0, math.inf, tail=Tail.vanishing())
+        with pytest.raises(MeanmaxError):
+            weighted_double_envelope(f, WeightN(n=math.exp, domain=f.domain))
+
+
+class TestDecayProbe:
+    # The probe points toward inf are 4^k; the source fails at 256 = 4^4.
+    @pytest.mark.parametrize("source", [
+        lambda x: 1.0 / (x * (x - 256.0) ** 2),
+        lambda x: 1.0 / (x * math.pow(x - 256.0, 2)),
+    ], ids=["numpy-inf", "math-raises"])
+    def test_stops_at_the_first_failure(self, source):
+        ok, samples, max_abs = _decays_to_zero(source, Domain(1.0, math.inf))
+        assert (ok, max_abs) == (False, math.inf)
+        assert samples == pytest.approx([source(x) for x in (1.0, 4.0, 16.0, 64.0)], rel=1e-15)
+
+    def test_reads_only_points_inside_the_domain(self):
+        # Toward b = 2^53 + 2^10 the points b - 2^(10 - k) round to b from k = 10 on.
+        seen = []
+        b = 2.0**53 + 2.0**10
+        _decays_to_zero(lambda x: seen.append(np.atleast_1d(x)) or 1.0 / x, Domain(2.0**53, b))
+        assert np.concatenate(seen).tolist() == [b - 2.0**j for j in range(9, 0, -1)]
 
 
 class TestDFromQ:

@@ -289,6 +289,21 @@ class TestEstimateDecay:
             DecaySchedule(start=1, ratio=2.0, steps=2, threshold=0.1)
 
 
+@pytest.mark.parametrize("field, bad, message", [
+    ("start", math.nan, "start must be finite"),
+    ("start", -math.inf, "start must be finite"),
+    ("ratio", math.nan, "ratio must be finite and exceed 1"),
+    ("ratio", math.inf, "ratio must be finite and exceed 1"),
+    ("threshold", math.nan, "threshold must be finite"),
+    ("threshold", math.inf, "threshold must be finite"),
+])
+def test_schedule_needs_finite_values(field, bad, message):
+    values = dict(start=2.0, ratio=2.0, steps=8, threshold=0.1)
+    values[field] = bad
+    with pytest.raises(ValueError, match=message):
+        DecaySchedule(**values)
+
+
 class TestFiniteDifference:
     def test_linear_exact(self):
         f = fn(lambda x: -x, 0.0, 10.0)
