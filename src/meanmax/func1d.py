@@ -3,9 +3,13 @@
 The right maximization of f at r is sup f over [r, b); the left maximization is
 sup f over [a, r].  The right one is a decreasing function of r, the left one an
 increasing function, both dominate f pointwise, and both preserve the global
-supremum.  Suprema are estimated by dense sampling plus golden-section
-refinement of every local maximum of the samples, to within
-eps_sup = 1e-9 * max(1, |grid max|) (``GridSpec.effective_eps``).
+supremum.  Suprema are estimated by dense sampling plus refinement of every
+local maximum of the samples, to within eps_sup = 1e-9 * max(1, |grid max|)
+(``GridSpec.effective_eps``).  The refinement takes safeguarded parabolic
+steps on all maxima at once and stops each one when its parabola predicts,
+and one more point confirms, a gain of at most one rounding unit of f,
+2^-52 * max(1, |f|), far below eps_sup.  On a monotone side the one peak is
+the end node, and its refinement usually stops after one call of three points.
 """
 
 from __future__ import annotations
@@ -49,9 +53,12 @@ DEFAULT_HORIZON_FACTOR = 1e6
 GEOMETRIC_RATIO = 100.0
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEP = 1.0 - _INV_PHI
 
-# Golden-section steps per bracket at most: they shrink it by 0.618^60, about 3e-13.
-GOLDEN_ITERS = 60
+# Refinement steps per bracket at most.  A parabolic step is taken only while
+# the bracket halves every two steps, else a golden-section one; a kinked
+# maximum, whose parabolas keep predicting a gain, can run to this cap.
+REFINE_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -241,48 +248,101 @@ def probe(fun: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(ys), ys, np.nan)
 
 
-def _golden_max(f: Function1D, lo: np.ndarray, hi: np.ndarray):
-    """Golden-section maximization on every bracket [lo[i], hi[i]] at once.
+def _refine_peaks(f: Function1D, xs: np.ndarray, ys: np.ndarray, peaks: np.ndarray):
+    """Safeguarded parabolic maximization (Brent 1973, ch. 5) near every peak at once.
 
-    Each iteration evaluates the new point of every bracket still wider than
-    1e-13 * max(1, |x|) in one call.  Returns each bracket's best point and
-    value: the better of its two inner points, since the point a step drops
-    is never better than the one it keeps.
+    An interior peak starts from its node and the node's two neighbours.  A
+    peak at a window end first reads the two golden-section points of its end
+    gap and one point 2^-20 of the gap in from the end node, which tells a
+    maximum at the node from one just inside the gap, and starts from the
+    best of the five points.  Each step reads one point per live bracket, all
+    in one call: the vertex of the parabola through the best three points
+    when that is a maximum strictly inside the bracket, at least tol =
+    1e-13 * max(1, |x|) from the best point x, and the bracket has at least
+    halved over the last two steps; otherwise a golden-section step into the
+    larger side.  A bracket stops when its parabola predicts a gain within
+    the bracket of at most one rounding unit of f, thr = 2^-52 * max(1,
+    |f(x)|), when it is no wider than tol, or after REFINE_STEPS steps.  A
+    gain predicted by a vertex inside the bracket counts only once confirmed:
+    the step after it reads the point sqrt(thr / |A|) from x toward the
+    vertex (A the parabola's curvature), where f differs from f(x) by more
+    than rounding, and the parabola through that point must predict no gain
+    either.  Far from x, a parabola can put its vertex on x by chance.
+    Returns each bracket's best point and value.
     """
-    best_x, best_y = np.empty(len(lo)), np.empty(len(lo))
-    idx = np.arange(len(lo))
-    tol = 1e-13 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    c = hi - (hi - lo) * _INV_PHI
-    d = lo + (hi - lo) * _INV_PHI
-    fc, fd = np.split(sample(f.eval, np.concatenate([c, d])), 2)
-    for k in range(GOLDEN_ITERS + 1):
-        done = (hi - lo <= tol) | (k == GOLDEN_ITERS)
+    n, last = len(peaks), len(xs) - 1
+    # Row i: the points of bracket i in increasing order, the best in column best.
+    cols = np.column_stack([np.maximum(peaks - 1, 0), peaks, np.minimum(peaks + 1, last)])
+    px, py = xs[cols[:, [0, 1, 2, 2, 2]]], ys[cols[:, [0, 1, 2, 2, 2]]]
+    best = np.ones(n, dtype=int)
+    end = (peaks == 0) | (peaks == last)
+    if end.any():
+        lo, hi = xs[cols[end, 0]], xs[cols[end, 2]]
+        c, d, near = hi - (hi - lo) * _INV_PHI, lo + (hi - lo) * _INV_PHI, (hi - lo) * 2.0**-20
+        inner = np.where((peaks[end] == 0)[:, None], np.column_stack([lo + near, c, d]),
+                         np.column_stack([c, d, hi - near]))
+        px[end, 1:4], py[end, 1:4] = inner, sample(f.eval, inner.ravel()).reshape(inner.shape)
+        best[end] = np.argmax(py[end], axis=1)
+    rows = np.arange(n)
+    lo, hi = px[rows, np.maximum(best - 1, 0)], px[rows, np.minimum(best + 1, 4)]
+    # From here on a row holds the best point and two others, the best first:
+    # at first the two beside it, or the next two at an end of the row.
+    pick = np.column_stack([best, np.where(best == 0, 2, best - 1),
+                            np.where(best == 4, 2, best + 1)])
+    px, py = px[rows[:, None], pick], py[rows[:, None], pick]
+    out_x, out_y, idx = np.empty(n), np.empty(n), rows
+    wide = wider = np.full(n, np.inf)  # the bracket's width one and two steps ago
+    calm = np.zeros(n, dtype=bool)  # the last parabola predicted no gain
+    for step in range(REFINE_STEPS + 1):
+        x, fx = px[:, 0], py[:, 0]
+        with np.errstate(all="ignore"):
+            # P(t) = fx + B (t - x) + A (t - x)^2 through the three points
+            dw, dv = px[:, 1] - x, px[:, 2] - x
+            sw, sv = (py[:, 1] - fx) / dw, (py[:, 2] - fx) / dv
+            A = (sw - sv) / (dw - dv)
+            B = sw - A * dw
+            u = x - B / (2.0 * A)
+            gain = np.fmax.reduce([(B + A * t) * t
+                                   for t in (lo - x, hi - x, np.clip(u, lo, hi) - x)])
+        tol = 1e-13 * np.maximum(1.0, np.abs(x))
+        thr = 2.0**-52 * np.maximum(1.0, np.abs(fx))
+        small, inside = gain <= thr, (A < 0) & (u > lo) & (u < hi)
+        done = (small & (calm | ~inside)) | (hi - lo <= tol) | (step == REFINE_STEPS)
+        confirm = small & inside  # for a live row: the confirming step
+        with np.errstate(all="ignore"):
+            u = np.where(confirm, x + np.where(u < x, -1.0, 1.0) * np.sqrt(thr / -A), u)
+        parabolic = (inside & (u > lo) & (u < hi) & (np.abs(u - x) >= tol)
+                     & (confirm | (hi - lo <= 0.5 * wider)))
+        golden = x + _GOLDEN_STEP * np.where(x >= 0.5 * (lo + hi), lo - x, hi - x)
+        u = np.where(parabolic, u, golden)
         if done.any():
-            better = fc[done] >= fd[done]
-            best_x[idx[done]] = np.where(better, c[done], d[done])
-            best_y[idx[done]] = np.where(better, fc[done], fd[done])
+            out_x[idx[done]], out_y[idx[done]] = x[done], fx[done]
             live = ~done
             if not live.any():
                 break
-            idx, lo, hi, c, d, fc, fd, tol = (v[live] for v in (idx, lo, hi, c, d, fc, fd, tol))
-        up = fc < fd  # the maximum lies right of c: keep [c, hi]
-        lo, hi = np.where(up, c, lo), np.where(up, hi, d)
-        kept, f_kept = np.where(up, d, c), np.where(up, fd, fc)
-        step = (hi - lo) * _INV_PHI
-        x = np.where(up, lo + step, hi - step)
-        fx = sample(f.eval, x)
-        c, fc = np.where(up, kept, x), np.where(up, f_kept, fx)
-        d, fd = np.where(up, x, kept), np.where(up, fx, f_kept)
-    return best_x, best_y
+            idx, px, py, lo, hi, u, wide, wider, small = (
+                a[live] for a in (idx, px, py, lo, hi, u, wide, wider, small))
+            x, fx = px[:, 0], py[:, 0]
+        fu = sample(f.eval, u)
+        wide, wider, calm = hi - lo, wide, small
+        # The maximum lies on u's side of x when f(u) beats f(x), else on x's side of u.
+        up, right = fu > fx, u > x
+        lo = np.where(right != up, lo, np.where(up, x, u))
+        hi = np.where(right == up, hi, np.where(up, x, u))
+        # Keep the best three of the four points; a tie keeps the older point.
+        px, py = np.column_stack([px, u]), np.column_stack([py, fu])
+        keep = np.argsort(-py, axis=1, kind="stable")[:, :3]
+        px, py = px[rows[: len(u), None], keep], py[rows[: len(u), None], keep]
+    return out_x, out_y
 
 
 def _refined_samples(f: Function1D, lo: float, hi: float, grid: GridSpec):
     """Base-grid samples on [lo, hi] plus the best point of every local maximum.
 
     A node no lower than either neighbour and strictly above one of them is a
-    peak, so a plateau is bracketed at its ends and a constant not at all.
-    Golden section runs on the gap pair around every peak at once.  Returns
-    (xs, ys), sorted by position.
+    peak, so a plateau is refined at its ends and a constant not at all.
+    _refine_peaks refines every peak at once; a best point that is not the
+    peak node itself joins the samples.  Returns (xs, ys), sorted by position.
     """
     xs = build_nodes(lo, hi, grid.node_count)
     ys = sample(f.eval, xs)
@@ -290,9 +350,9 @@ def _refined_samples(f: Function1D, lo: float, hi: float, grid: GridSpec):
     succ = np.concatenate([ys[1:], ys[-1:]])
     peaks = np.flatnonzero((ys >= prev) & (ys >= succ) & ((ys > prev) | (ys > succ)))
     if len(peaks):
-        bx, by = _golden_max(f, xs[np.maximum(peaks - 1, 0)],
-                             xs[np.minimum(peaks + 1, len(xs) - 1)])
-        xs, ys = np.concatenate([xs, bx]), np.concatenate([ys, by])
+        bx, by = _refine_peaks(f, xs, ys, peaks)
+        new = bx != xs[peaks]
+        xs, ys = np.concatenate([xs, bx[new]]), np.concatenate([ys, by[new]])
         order = np.argsort(xs, kind="stable")
         xs, ys = xs[order], ys[order]
     return xs, ys
@@ -400,12 +460,13 @@ class Envelope:
     """Monotone envelope table of a function, one side at a time.
 
     xs holds every sample of the build in increasing order: the base-grid
-    nodes and the best golden-section point of each local maximum of the
-    node samples.  table holds their exact suffix maximum (right side) or
-    prefix maximum (left side), so it is exactly monotone.  A query between
-    two samples re-evaluates the source and clamps the result between their
-    table values, which is continuous at every sample and exact wherever the
-    source is monotone between the two.
+    nodes and the refined best point of each local maximum of the node
+    samples.  table holds their exact suffix maximum (right side) or prefix
+    maximum (left side), so it is exactly monotone.  A query at a sample
+    reads its table value alone.  A query between two samples re-evaluates
+    the source and clamps the result between their table values, which is
+    continuous at every sample and exact wherever the source is monotone
+    between the two.
     """
 
     source: Function1D
@@ -423,11 +484,13 @@ class Envelope:
         outside = ~((q >= dom.a) & (q < dom.b))
         if outside.any():
             raise DomainError(f"x={q[outside].flat[0]} outside [{dom.a}, {dom.b})")
-        fx = sample(self.source.eval, q.ravel()).reshape(q.shape)
         xs, table = self.xs, self.table
         j = np.searchsorted(xs, q)
         below, above = table[np.maximum(j - 1, 0)], table[np.minimum(j, len(xs) - 1)]
         exact = xs[np.minimum(j, len(xs) - 1)] == q
+        fx = np.zeros(q.shape)  # a table sample's value is its table entry
+        if not exact.all():
+            fx[~exact] = sample(self.source.eval, q[~exact])
         inside = j < len(xs)
         if self.side == RIGHT:
             floor = 0.0 if self.source.tail.kind == "vanishing" else -math.inf

@@ -57,7 +57,8 @@ class WeightN:
     domain: Domain
 
     def spot_check(self) -> list[str]:
-        """Problems seen at 64 probe points toward b, as notes; n(a) <= 0 raises."""
+        """Problems seen at the _geometric_probe points of 64 steps toward b, as notes;
+        n(a) <= 0 raises."""
         a = self.domain.a
         na = self.n(a)
         if not na > 0:
@@ -90,24 +91,25 @@ class TransformResult:
 
 
 def _geometric_probe(domain: Domain, steps: int) -> np.ndarray:
-    """Probe points marching toward the right endpoint (geometrically for b = inf)."""
+    """Those of steps probe points marching toward the right endpoint (geometrically
+    for b = inf) that lie in the domain: near a finite b they round to b itself."""
     start = max(domain.a, 1.0)
     if domain.unbounded:
-        return start * 4.0 ** np.arange(steps, dtype=float)
-    gap = domain.b - domain.a
-    return domain.b - gap * 0.5 ** np.arange(1, steps + 1, dtype=float)
+        xs = start * 4.0 ** np.arange(steps, dtype=float)
+    else:
+        xs = domain.b - (domain.b - domain.a) * 0.5 ** np.arange(1, steps + 1, dtype=float)
+    return xs[(xs >= domain.a) & (xs < domain.b)]
 
 
 def _decays_to_zero(fun: Callable[[float], float], domain: Domain):
     """Heuristic check that fun -> 0 toward b: tail nonincreasing, final value halved.
 
-    Reads fun at those of 24 _geometric_probe points that lie in the domain.
+    Reads fun at the _geometric_probe points of 24 steps.
     Slow but genuine decay (1/ln x) passes; constants and growth fail.
     Returns (ok, samples, max_abs); where fun first fails, (False, the samples
     before it, inf).
     """
-    xs = _geometric_probe(domain, 24)
-    vals = probe(fun, xs[(xs >= domain.a) & (xs < domain.b)])
+    vals = probe(fun, _geometric_probe(domain, 24))
     failed = np.isnan(vals)
     if failed.any():
         return False, vals[: np.argmax(failed)].tolist(), math.inf

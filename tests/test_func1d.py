@@ -336,6 +336,74 @@ class TestEnvelope:
             assert abs(right_maximization(f_exp, r, grid) - want) <= 2e-9
 
 
+class TestMaximaRefinement:
+    def test_wave_refinement_takes_few_calls(self):
+        # The tail scan reads one point per call before the node grid; every
+        # call after the grid's is a refinement step, shared by all 26 peaks.
+        sizes = []
+        grid = GridSpec()
+        f = make(calls_of(wave, sizes), 0.0, math.inf, tail=Tail.vanishing())
+        envelope_function(f, "right", grid)
+        assert len(sizes) - 1 - sizes.index(grid.node_count) <= 12
+
+    @pytest.mark.parametrize("side,hint,steps", [
+        ("right", "decreasing", [3]),
+        # Near x = 20, 1 - exp(-x) is flat to rounding: the point 2^-20 of the
+        # end gap inside ties with the end node, and one more step settles it.
+        ("left", "increasing", [3, 1]),
+    ])
+    def test_a_monotone_side_takes_few_refinement_points(self, side, hint, steps):
+        # exp(-x) has its one peak at the window's left end, 1 - exp(-x) at its
+        # right end, and refinement finds nothing above it.
+        fun = (lambda x: np.exp(-x)) if hint == "decreasing" else (lambda x: 1 - np.exp(-x))
+        sizes = []
+        grid = GridSpec()
+        env = envelope_function(make(calls_of(fun, sizes), 0.0, 20.0, hint=hint), side, grid)
+        assert sizes == [grid.node_count] + steps
+        assert np.array_equal(env.table, fun(env.xs))
+        assert env.table.max() == fun(0.0 if hint == "decreasing" else env.xs[-1])
+
+    @pytest.mark.parametrize("fun,x_max", [
+        # a hump that the end gap's golden-section points see
+        (lambda x: np.exp(-x) + 0.6 * np.exp(-(((x - 0.035) / 0.01) ** 2)), None),
+        # a maximum 3e-4 inside the gap, 1.7e-7 above the end node: a parabola
+        # through the golden-section points puts its vertex left of 0
+        (lambda x: (x + 0.0997) * np.exp(-10 * (x + 0.0997)), 0.0003),
+    ], ids=["hump", "beside-the-end"])
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_maximum_inside_the_first_gap_of_an_end_peak(self, fun, x_max, side):
+        grid = GridSpec(node_count=129)  # the first gap is [0, 0.078125]
+        env = envelope_function(make(fun, 0.0, 10.0), side, grid)
+        assert fun(0.0) > fun(10.0 / 128)  # the left end node is a peak
+        top = fun(x_max) if x_max else grid_sup(fun, 0.0, 10.0 / 128, 2_000_001)
+        assert abs(float(env.table.max()) - top) <= env.eps_sup
+        assert fun(0.0) < top - 100 * env.eps_sup
+
+    def test_a_vertex_that_lands_on_the_best_point_is_checked(self):
+        # The parabola through a best point 6.1e-5 from the maximum at 6.59734
+        # and two far points puts its vertex within 4e-8 of the best point:
+        # it predicts no gain, by chance.
+        fun = _damped([
+            (-0.31748691716373934, 1.38480951807973, 3.2590691761612733, 3.1909497746156026),
+            (0.09402634234866536, 0.12618681506758805, 2.9206870181171882, 1.0986473236331924),
+            (-1.984270072697432, 1.2188386306891104, 1.447906917173969, 2.840957594771738),
+        ])
+        env = envelope_function(make(fun, 0.0, 10.0), "right", GridSpec(node_count=129))
+        top = grid_sup(fun, 6.5970, 6.5977, 10**6)
+        assert abs(env.value_at(6.5965) - top) <= 4 * 2.0**-52
+
+    def test_wave_maxima_within_a_rounding_unit(self):
+        # Every refined maximum below the sampling end is within one rounding
+        # unit of the closed form, on eps_sup's scale max(1, |f|).
+        env = envelope_function(make(wave, 0.0, math.inf, tail=Tail.vanishing()), "right")
+        maxima = np.array([wave_maximum(k) for k in range(24)])
+        maxima = maxima[maxima < env.sampling_end]
+        assert len(maxima) == 24
+        nearest = env.xs[np.abs(env.xs[:, None] - maxima).argmin(axis=0)]
+        want = wave(maxima)
+        assert np.all(np.abs(wave(nearest) - want) <= 2.0**-52 * np.maximum(1.0, want))
+
+
 class TestClassify:
     def test_decreasing(self):
         assert classify_monotonicity(make(lambda x: -x, 0.0, 10.0)) == "decreasing"

@@ -287,6 +287,21 @@ class TestWeightedDoubleEnvelope:
             assert rhs == pytest.approx(want, rel=1e-8)
             assert lhs <= rhs + 1e-8 * (1 + abs(rhs))
 
+    def test_core_build_reads_f_only_off_the_right_table(self):
+        # The core envelope's nodes are the right envelope's own samples, so
+        # its source n * right-max reads f only at its few refinement points.
+        points = 0
+
+        def exp(x):
+            nonlocal points
+            points += np.size(x)
+            return np.exp(-0.8 * x)
+
+        f = fn(exp, 0.0, 50.0, tail=Tail.vanishing())
+        grid = GridSpec()
+        weighted_double_envelope(f, WeightN(n=lambda x: 1.0 + x, domain=f.domain), grid)
+        assert points <= grid.node_count + 10
+
     def test_weight_must_be_positive(self):
         f = fn(lambda x: np.exp(-x), 0.0, 10.0)
         with pytest.raises(ValueError):
@@ -310,6 +325,11 @@ class TestWeightSpotCheck:
     def test_not_tending_to_infinity(self):
         weight = WeightN(n=lambda x: 2.0 - 1.0 / x, domain=self.UNBOUNDED)
         assert weight.spot_check() == ["weight does not appear to tend to +inf"]
+
+    def test_probe_points_stay_inside_a_bounded_domain(self):
+        # 11 of the 64 points b - b * 2^-k round to b = 10, where n is infinite.
+        weight = WeightN(n=lambda x: 1.0 / (10.0 - x), domain=Domain(0.0, 10.0))
+        assert weight.spot_check() == []
 
     @pytest.mark.parametrize("exp", [math.exp, np.exp], ids=["math", "numpy"])
     def test_overflow_is_a_note(self, exp):
