@@ -207,8 +207,8 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _table_text(fn: Function1D, xs: np.ndarray) -> str:
-    rows = [f"{format_number(float(x))},{format_number(evaluate(fn, float(x)))}" for x in xs]
-    return "\n".join(rows) + "\n"
+    ys = evaluate(fn, xs).tolist()
+    return "".join(f"{format_number(x)},{format_number(y)}\n" for x, y in zip(xs.tolist(), ys))
 
 
 def _require(name: str, **needed):

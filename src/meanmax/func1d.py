@@ -44,6 +44,9 @@ OVERFLOW_GUARD = 1e300
 # Large enough to certify power-law tails like x^(-1/2) at eps ~ 1e-9.
 TAIL_SCAN_CAP = 1e20
 
+# The warning, and the transforms' note, when a vanishing-tail scan hits TAIL_SCAN_CAP.
+TAIL_CAP_NOTE = "vanishing-tail cutoff scan hit its cap; tail taken on trust"
+
 # Sampling horizon (relative to max(lo, a, 1)) for unbounded domains when no
 # vanishing-tail cutoff applies; see window_end.
 DEFAULT_HORIZON_FACTOR = 1e6
@@ -96,8 +99,8 @@ class Tail:
     def __post_init__(self):
         if self.kind not in ("vanishing", "bounded", "unknown"):
             raise ValueError(f"unknown tail kind {self.kind!r}")
-        if self.kind == "bounded" and self.bound is None:
-            raise ValueError("bounded tail needs a bound value")
+        if self.kind == "bounded" and (self.bound is None or math.isnan(self.bound)):
+            raise ValueError(f"bounded tail needs a bound value, got {self.bound}")
 
     @classmethod
     def vanishing(cls) -> "Tail":
@@ -126,7 +129,7 @@ class Function1D:
         if self.monotonicity not in (INCREASING, DECREASING, NONE):
             raise ValueError(f"bad monotonicity hint {self.monotonicity!r}")
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
         return evaluate(self, x)
 
 
@@ -148,8 +151,26 @@ class GridSpec:
         return 1e-9 * max(1.0, abs(grid_max))
 
 
-def evaluate(f: Function1D, x: float) -> float:
-    """Evaluate f at x, enforcing the domain and finiteness contracts."""
+def in_domain(domain: Domain, x, name: str = "x") -> np.ndarray:
+    """x (a number or numpy array) as a float array; DomainError names its first point outside."""
+    q = np.asarray(x, dtype=float)
+    outside = ~((q >= domain.a) & (q < domain.b))
+    if outside.any():
+        raise DomainError(f"{name}={q[outside].flat[0]} outside [{domain.a}, {domain.b})")
+    return q
+
+
+def evaluate(f: Function1D, x):
+    """f at x, a number or a numpy array, enforcing the domain and finiteness contracts.
+
+    An array gets one in_domain check and one sample call, reshaped to x.  A
+    number keeps its own path, one direct f.eval call: a one-point sample
+    costs over ten times as much, and single points are what the suprema
+    of a monotone source and the vanishing-tail scan read.
+    """
+    if isinstance(x, np.ndarray):
+        q = in_domain(f.domain, x)
+        return sample(f.eval, q.ravel()).reshape(q.shape)
     if not f.domain.contains(x):
         raise DomainError(f"x={x} outside [{f.domain.a}, {f.domain.b})")
     try:
@@ -419,17 +440,12 @@ def _sup_on(f: Function1D, lo: float, hi: float, grid: GridSpec) -> float:
 def right_maximization(f: Function1D, r: float, grid: GridSpec | None = None) -> float:
     """sup of f over [r, b), within eps_sup for functions the grid resolves."""
     grid = grid or GridSpec()
-    if not f.domain.contains(r):
-        raise DomainError(f"r={r} outside [{f.domain.a}, {f.domain.b})")
+    in_domain(f.domain, r, "r")
     if f.monotonicity == DECREASING:
         return evaluate(f, r)
     hi, certified = _right_sampling_end(f, r)
     if not certified:
-        warnings.warn(
-            "vanishing-tail scan hit its cap; supremum beyond the horizon "
-            "is taken on trust",
-            RuntimeWarning,
-        )
+        warnings.warn(TAIL_CAP_NOTE, RuntimeWarning)
     s = _sup_on(f, r, hi, grid)
     if f.domain.unbounded and f.tail.kind == "bounded":
         eps = grid.effective_eps(s)
@@ -444,8 +460,7 @@ def right_maximization(f: Function1D, r: float, grid: GridSpec | None = None) ->
 def left_maximization(f: Function1D, r: float, grid: GridSpec | None = None) -> float:
     """sup of f over the closed interval [a, r]."""
     grid = grid or GridSpec()
-    if not f.domain.contains(r):
-        raise DomainError(f"r={r} outside [{f.domain.a}, {f.domain.b})")
+    in_domain(f.domain, r, "r")
     if not f.locally_bounded:
         raise UnboundedSupError("left maximization needs a locally bounded function")
     if f.monotonicity == INCREASING:
@@ -479,11 +494,7 @@ class Envelope:
 
     def value_at(self, x):
         """The envelope at x (a number, or an array of them)."""
-        q = np.asarray(x, dtype=float)
-        dom = self.source.domain
-        outside = ~((q >= dom.a) & (q < dom.b))
-        if outside.any():
-            raise DomainError(f"x={q[outside].flat[0]} outside [{dom.a}, {dom.b})")
+        q = in_domain(self.source.domain, x)
         xs, table = self.xs, self.table
         j = np.searchsorted(xs, q)
         below, above = table[np.maximum(j - 1, 0)], table[np.minimum(j, len(xs) - 1)]
@@ -513,7 +524,7 @@ class Envelope:
             locally_bounded=True,
         )
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
         return self.value_at(x)
 
 

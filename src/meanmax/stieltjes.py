@@ -164,8 +164,7 @@ def check_interval(g: Function1D, m: Measure1D, r: float | np.ndarray,
     r and R may be numbers or numpy arrays; the first bad pair raises what a
     call on that pair alone raises.
     """
-    arrays = isinstance(r, np.ndarray) or isinstance(R, np.ndarray)
-    for lo, hi in np.broadcast(r, R) if arrays else ((r, R),):
+    for lo, hi in np.broadcast(r, R):
         if not lo < hi:
             raise DegenerateIntervalError(f"need r < R, got r={lo}, R={hi}")
         if lo < g.domain.a or hi >= g.domain.b:
@@ -241,18 +240,17 @@ def segment_integrals(
     sums when m has no derivative.  Segments wider than GEOMETRIC_RATIO on
     positive x start from BASE_PANELS geometric pieces.  g is read once at
     each cut, m once at each cut and midpoint.  A piece of weight dm is
-    accepted within max(atol * dm / span, rtol * |value|) / 4, span
-    defaulting to the total weight of the segments.  So the pieces of any run of segments of total
-    weight at most span, plus the pieces of one more such run, stay within
-    max(atol, rtol * |I|) of their integral I when g keeps its sign.  More
-    than POINT_BUDGET points of g raise QuadratureError.
+    accepted within max(atol * dm / span, rtol * |value|) / 4, span (an
+    array, one weight per segment) defaulting to the total weight of the
+    segments.  So the pieces of any run of segments of total weight at most
+    span, plus the pieces of one more such run, stay within max(atol, rtol *
+    |I|) of their integral I when g keeps its sign.  More than POINT_BUDGET
+    points of g raise QuadratureError.
     """
     cfg = cfg or QuadratureConfig()
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     origin = np.arange(len(lo))
-    if span is not None:
-        span = np.full(len(lo), span) if np.ndim(span) == 0 else np.asarray(span, dtype=float)
     wide = (lo > 0) & (hi > GEOMETRIC_RATIO * lo)
     if wide.any():
         cuts = np.geomspace(lo[wide], hi[wide], BASE_PANELS + 1, axis=1)
@@ -262,7 +260,8 @@ def segment_integrals(
         origin = np.concatenate([origin[~wide], np.repeat(origin[wide], BASE_PANELS)])
     if not len(lo):
         return Pieces(lo, hi, lo, lo, origin)
-    done = _refine(g, m, lo, hi, origin, None if span is None else span[origin], cfg)
+    span = None if span is None else np.asarray(span, dtype=float)[origin]
+    done = _refine(g, m, lo, hi, origin, span, cfg)
     lo, hi, value, error, origin = (np.concatenate(parts) for parts in zip(*done))
     order = np.argsort(lo, kind="stable")
     return Pieces(lo[order], hi[order], value[order], error[order], origin[order])

@@ -29,6 +29,7 @@ from .func1d import (
     LEFT,
     NONE,
     RIGHT,
+    TAIL_CAP_NOTE,
     Domain,
     Envelope,
     Function1D,
@@ -37,6 +38,7 @@ from .func1d import (
     batch_eval,
     envelope_function,
     evaluate,
+    in_domain,
     probe,
 )
 from .stieltjes import (
@@ -86,7 +88,7 @@ class TransformResult:
     log: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
         return evaluate(self.fn, x)
 
 
@@ -121,10 +123,6 @@ def _decays_to_zero(fun: Callable[[float], float], domain: Domain):
     nonincreasing = all(b <= c + slack for b, c in zip(tail[1:], tail[:-1]))
     small_enough = abs(vals[-1]) <= max(0.5 * abs(vals[0]), 1e-12)
     return nonincreasing and small_enough, vals, max(abs(v) for v in vals)
-
-
-# The note a transform adds when its envelope's vanishing-tail scan hits TAIL_SCAN_CAP.
-TAIL_CAP_NOTE = "vanishing-tail cutoff scan hit its cap; tail taken on trust"
 
 
 def _f0m_warnings(f: Function1D, m: Measure1D | None) -> list[str]:
@@ -218,10 +216,7 @@ def decreasing_majorant_mean(
         return out
 
     def D(R):
-        Rs = np.asarray(R, dtype=float)
-        outside = ~((Rs >= a) & (Rs < f.domain.b))
-        if outside.any():
-            raise DomainError(f"R={Rs[outside].flat[0]} outside [{a}, {f.domain.b})")
+        Rs = in_domain(f.domain, R, "R")
         out = np.full(Rs.shape, at_a)
         q = Rs > a
         if q.any():
@@ -281,16 +276,14 @@ def weighted_double_envelope(
     ne = n.n
 
     def h(R):
-        nv = ne(R)
-        if np.ndim(nv) == 0:
-            nv = float(nv)
-            if not (math.isfinite(nv) and nv > 0):
-                raise DomainError(f"weight must be positive and finite, got n({R})={nv}")
-        else:
-            nv = np.asarray(nv, dtype=float)
-            if np.any(~np.isfinite(nv)) or np.any(nv <= 0):
-                raise DomainError("weight must be positive and finite on the queried points")
-        return core_env.value_at(R) / nv
+        nv = np.asarray(ne(R), dtype=float)
+        ok = np.isfinite(nv) & (nv > 0)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise DomainError(
+                f"weight must be positive and finite, got n({np.ravel(R)[k]})={nv.flat[k]}")
+        out = core_env.value_at(R) / nv
+        return float(out) if out.ndim == 0 else out
 
     fn = Function1D(
         eval=h,

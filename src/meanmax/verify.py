@@ -151,7 +151,7 @@ def invert_measure(m: Measure1D, lo: float, hi: float, us) -> np.ndarray:
 
 
 def _sample_pairs(m: Measure1D, lo: float, hi: float, count: int, seed: int):
-    """Seeded (r, R) pairs with r < R, drawn uniform in m-coordinates.
+    """The arrays (rs, Rs) of seeded pairs r < R, drawn uniform in m-coordinates.
 
     A draw whose two ends lie closer than 1e-4 of the span in m is dropped.
     m must be finite at lo and hi, or no u between them can be drawn.
@@ -172,8 +172,8 @@ def _sample_pairs(m: Measure1D, lo: float, hi: float, count: int, seed: int):
         if u2 - u1 < 1e-4 * span:
             continue
         us += [u1, u2]
-    xs = invert_measure(m, lo, hi, us).tolist()
-    return list(zip(xs[::2], xs[1::2]))
+    xs = invert_measure(m, lo, hi, us)
+    return xs[::2], xs[1::2]
 
 
 def _pair_claim(property_id: str, hypothesis_failures, m: Measure1D, lo: float,
@@ -187,8 +187,10 @@ def _pair_claim(property_id: str, hypothesis_failures, m: Measure1D, lo: float,
     takes the arrays of every pair's r and R and returns the arrays (LHS, RHS)
     by the adaptive route, in one array call of the quadrature; a violation is
     reported only when oracle_sides(r, R), the brute-force midpoint route,
-    confirms it at the worst pair.
+    confirms it at the worst pair.  pair_count below 1 raises ValueError.
     """
+    if pair_count < 1:
+        raise ValueError(f"{property_id}: need at least 1 pair, got {pair_count}")
     if hypothesis_failures:
         return VerifyReport(property_id, INCONCLUSIVE, 0.0, 0,
                             note="hypothesis failure: " + "; ".join(hypothesis_failures))
@@ -198,13 +200,11 @@ def _pair_claim(property_id: str, hypothesis_failures, m: Measure1D, lo: float,
                             note="unbounded domain: pass sample_hi to bound the sampled pairs")
     if math.isfinite(dom_b):
         hi = min(hi, dom_b - (dom_b - lo) * 1e-9)
-    pairs = _sample_pairs(m, lo, hi, pair_count, seed)
-    if not pairs:
-        return VerifyReport(property_id, INCONCLUSIVE, 0.0, 0, note="no samples")
-    lhs, rhs = sides(*(np.array(v) for v in zip(*pairs)))
+    rs, Rs = _sample_pairs(m, lo, hi, pair_count, seed)
+    lhs, rhs = sides(rs, Rs)
     gaps = lhs - rhs
     k = int(np.argmax(gaps))
-    worst, witness = float(gaps[k]), pairs[k]
+    worst, witness = float(gaps[k]), (float(rs[k]), float(Rs[k]))
     verdict = HOLDS
     note = None
     if np.any(gaps > slack_budget(rhs)):
@@ -215,7 +215,7 @@ def _pair_claim(property_id: str, hypothesis_failures, m: Measure1D, lo: float,
             verdict = INCONCLUSIVE
             note = ("adaptive route signalled a violation the brute-force oracle "
                     "does not confirm")
-    return VerifyReport(property_id, verdict, worst, len(pairs), witness=witness, note=note)
+    return VerifyReport(property_id, verdict, worst, len(rs), witness=witness, note=note)
 
 
 def check_mean_monotonicity(
@@ -363,8 +363,7 @@ def check_pointwise_mean_bound(
     h = wde.fn
 
     def sides(rs, Rs):
-        lhs = np.array([evaluate(f, R) for R in Rs.tolist()])
-        return lhs, integral_mean(h, m, rs, Rs, cfg).value
+        return evaluate(f, Rs), integral_mean(h, m, rs, Rs, cfg).value
 
     def oracle_sides(r, R):
         return evaluate(f, R), midpoint_stieltjes_oracle(h.eval, m.m, r, R) / (m.m(R) - m.m(r))
@@ -401,14 +400,13 @@ def check_corollary_bounds(
     )
 
     def bound(r, R):
-        return evaluate(d, R) * math.log(R / r)
+        return evaluate(d, R) * np.log(R / r)
 
     def ordered(integral, bounds):
         return (integral, bounds) if direction == "dQ" else (bounds, integral)
 
     def sides(rs, Rs):
-        return ordered(stieltjes_integral(density, lebesgue, rs, Rs, cfg).value,
-                       np.array([bound(r, R) for r, R in zip(rs.tolist(), Rs.tolist())]))
+        return ordered(stieltjes_integral(density, lebesgue, rs, Rs, cfg).value, bound(rs, Rs))
 
     def oracle_sides(r, R):
         return ordered(midpoint_stieltjes_oracle(density.eval, lebesgue.m, r, R), bound(r, R))
@@ -420,20 +418,17 @@ def check_corollary_bounds(
 def estimate_decay(g: Function1D, sched: DecaySchedule) -> VerifyReport:
     """Eventually-nonincreasing samples along the schedule, ending below the threshold."""
     points = sched.points()
-    seq = [evaluate(g, x) for x in points]
-    scale = max(1.0, max(abs(v) for v in seq))
-    slack = 1e-12 * scale
-    k_star = int(np.argmax(seq))
-    diffs = [b - a for a, b in zip(seq[k_star:-1], seq[k_star + 1 :])]
+    seq = evaluate(g, np.array(points))
+    slack = 1e-12 * max(1.0, float(np.max(np.abs(seq))))
     # A sequence still rising at its final step is not eventually nonincreasing.
-    diffs.append(seq[-1] - seq[-2])
-    worst = max([seq[-1] - sched.threshold] + diffs)
-    ok = all(dv <= slack for dv in diffs) and seq[-1] < sched.threshold
+    diffs = np.append(np.diff(seq[int(np.argmax(seq)):]), seq[-1] - seq[-2])
+    worst = float(max(seq[-1] - sched.threshold, diffs.max()))
+    ok = bool(np.all(diffs <= slack) and seq[-1] < sched.threshold)
     witness = None if ok else (points[-1],)
     return VerifyReport(
         "decay", HOLDS if ok else VIOLATED, worst, len(seq),
         witness=witness,
-        details={"points": points, "sequence": seq},
+        details={"points": points, "sequence": seq.tolist()},
     )
 
 

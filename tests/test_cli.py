@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from meanmax import cli
 from meanmax.cli import load_csv_function, run_command
 from meanmax.errors import CsvFormatError
 
@@ -311,6 +312,81 @@ class TestFrozenPairOutputs:
         code, out, _ = run(capsys, "verify", *argv, "--pairs", "40", "--format", "line")
         assert code == 0
         assert out == want + "\n"
+
+
+class TestFrozenTableOutputs:
+    # Frozen stdout of a table, a transform and a decay report, each read at
+    # all its points in one array call: a refactor keeps it byte-identical.
+    WAVE = "exp(-x)*(1+0.5*sin(5*x))"
+    CASES = [
+        (["table", "--f", WAVE, "--a", "0", "--table", "0:3:uniform:7"],
+         "0,1\n0.5,0.7880265119\n1,0.191495178\n1.5,0.3277782027\n2,0.09852265767\n"
+         "2.5,0.0793629822\n3,0.06597503095\n"),
+        (["transform", "--kind", "majorant", "--f", WAVE, "--m", "x", "--a", "0",
+          "--table", "0:20:uniform:6"],
+         "0,1.163369746\n4,0.2900446167\n8,0.147610434\n12,0.09843626124\n"
+         "16,0.07382759133\n20,0.05906207927\n"),
+        (["decay", "--f", WAVE, "--a", "0", "--schedule", "1:2:8:1e-3"],
+         "property: decay\nverdict: holds\nworst_slack: -1.260470721e-28\nsamples_used: 8\n"
+         "points: 1 2 4 8 16 32 64 128\n"
+         "sequence: 0.191495178 0.09852265767 0.02667622666 0.0004604414374 "
+         "5.661145806e-08 1.405358445e-14 1.260470721e-28 1.576954048e-56\n"),
+    ]
+
+    @pytest.mark.parametrize("argv,want", CASES, ids=["table", "transform", "decay"])
+    def test_stdout(self, capsys, argv, want):
+        assert run(capsys, *argv) == (0, want, "")
+
+    def test_table_reads_the_transform_once(self, capsys, monkeypatch):
+        sizes = []
+        build = cli.decreasing_majorant_mean
+
+        def counted(*args):
+            res = build(*args)
+            D = res.fn.eval
+            res.fn.eval = lambda R: sizes.append(np.size(R)) or D(R)
+            return res
+
+        monkeypatch.setattr(cli, "decreasing_majorant_mean", counted)
+        code, out, _ = run(capsys, "transform", "--kind", "majorant", "--f", self.WAVE,
+                           "--m", "x", "--a", "0", "--table", "0:20:uniform:200")
+        assert code == 0 and len(out.splitlines()) == 200
+        assert sizes == [200]
+
+
+class TestPairCount:
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_below_one_is_a_usage_error(self, capsys, pairs):
+        code, out, err = run(capsys, "verify", "--property", "F1", "--f", "exp(-x)", "--m", "x",
+                             "--a", "0", "--b", "50", "--pairs", pairs, "--format", "line")
+        assert (code, out) == (2, "")
+        assert err == f"error: F1: need at least 1 pair, got {pairs}\n"
+
+
+class TestTailSpec:
+    # -exp(-x) on [0, inf) has no maximum: its right envelope is sup 0, which
+    # a vanishing tail reads where the scan cuts the window (|f| < 0.5e-9) and
+    # a bounded one at the 1e6 horizon.
+    ARGV = ["envelope", "--f=-exp(-x)", "--a", "0", "--side", "right",
+            "--table", "0:30:uniform:4"]
+
+    @pytest.mark.parametrize("spec,want", [
+        ("vanishing", "0,-1.266416555e-14\n10,-1.266416555e-14\n20,-1.266416555e-14\n"
+                      "30,-1.266416555e-14\n"),
+        ("bounded:0.5", "0,-0\n10,-0\n20,-0\n30,-0\n"),
+        ("bounded:inf", "0,-0\n10,-0\n20,-0\n30,-0\n"),
+    ])
+    def test_accepted(self, capsys, spec, want):
+        assert run(capsys, *self.ARGV, "--tail", spec) == (0, want, "")
+
+    @pytest.mark.parametrize("spec,code,message", [
+        ("unknown", 3, "supremum over an unbounded domain needs a vanishing or bounded tail "
+                       "declaration (or a decreasing-monotonicity hint)"),
+        ("bounded:nan", 2, "bounded tail needs a bound value, got nan"),
+        ("bogus", 2, "bad tail spec 'bogus'; use vanishing | unknown | bounded:<v>"),
+    ])
+    def test_refused(self, capsys, spec, code, message):
+        assert run(capsys, *self.ARGV, "--tail", spec) == (code, "", f"error: {message}\n")
 
 
 class TestMeasureNotFiniteAtLeftEnd:

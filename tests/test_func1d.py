@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meanmax.errors import (
@@ -12,6 +13,7 @@ from meanmax.errors import (
     UncertifiableTailError,
 )
 from meanmax.func1d import (
+    TAIL_CAP_NOTE,
     Domain,
     Function1D,
     GridSpec,
@@ -61,6 +63,8 @@ def f_exp():
 
 
 class TestEvaluate:
+    XS = np.array([[0.5, 1.0, 2.0], [3.0, 4.5, 6.0]])
+
     def test_direct(self):
         f = make(lambda x: np.exp(-x), 0.0, math.inf)
         assert evaluate(f, 1.0) == pytest.approx(0.3678794412, abs=1e-10)
@@ -78,6 +82,29 @@ class TestEvaluate:
         f = make(lambda x: 1 / (x - 5.0), 0.0, 10.0)
         with pytest.raises(NonFiniteValueError):
             evaluate(f, 5.0)
+
+    def test_array_in_one_call_shaped_like_x(self):
+        sizes = []
+        f = make(lambda x: sizes.append(np.size(x)) or np.exp(-x), 0.0, math.inf)
+        got = evaluate(f, self.XS)
+        assert sizes == [6]
+        assert got.shape == (2, 3)
+        assert np.array_equal(got, [[evaluate(f, x) for x in row] for row in self.XS.tolist()])
+
+    def test_scalar_only_source_read_pointwise(self):
+        f = make(math.exp, 0.0, math.inf)
+        assert evaluate(f, self.XS).tolist() == [[math.exp(x) for x in row]
+                                                 for row in self.XS.tolist()]
+
+    def test_array_names_the_first_point_outside(self):
+        f = make(lambda x: 1 / x, 1.0, 4.0)
+        with pytest.raises(DomainError, match=r"^x=0\.5 outside \[1\.0, 4\.0\)$"):
+            evaluate(f, self.XS)
+
+    def test_array_names_the_non_finite_x(self):
+        f = make(lambda x: 1 / (x - 4.5), 0.0, 10.0)
+        with pytest.raises(NonFiniteValueError, match=r"^non-finite value inf at x=4\.5$"):
+            evaluate(f, self.XS)
 
 
 class TestBatchEval:
@@ -194,6 +221,16 @@ class TestRightMaximization:
         f = make(lambda x: np.exp(-x), 0.0, math.inf, tail=Tail.bounded_by(5.0))
         with pytest.warns(RuntimeWarning, match="tail bound"):
             got = right_maximization(f, 0.0)
+        assert got == pytest.approx(1.0, abs=1e-9)
+
+    def test_tail_scan_cap_warns_once(self):
+        # 1/ln x never drops below 0.5e-9 before TAIL_SCAN_CAP
+        f = make(lambda x: 1 / np.log(x), math.e, math.inf, tail=Tail.vanishing())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = right_maximization(f, math.e)
+        assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning,
+                                                                   TAIL_CAP_NOTE)]
         assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_result_at_least_f_r(self, f_sin):
@@ -473,7 +510,10 @@ def _damped(coeffs):
     return fun
 
 
+# 2 e^(-0.1x) sin(6x + p) peaks 2e-5 inside [0, 10], within one dense_maxima step
+# of 0, where it lies 1.4e-8 above f(0).
 @given(damped_oscillations(), st.sampled_from(["right", "left"]))
+@example([(2.0, 0.1, 6.0, math.atan(60.0) - 6.0 * 2e-5)], "left")
 @settings(max_examples=25, deadline=None)
 def test_envelope_invariants_random(coeffs, side):
     fun = _damped(coeffs)
@@ -492,13 +532,18 @@ def test_envelope_invariants_random(coeffs, side):
     troughs, _ = dense_maxima(lambda x: -fun(x), 0.0, 10.0)
     if np.any(np.diff(np.sort(np.concatenate([xk, troughs]))) <= 2 * 10.0 / 128):
         return
+    # dense_maxima sees interior grid maxima only: a maximum within one grid
+    # step of 0 or 10 is read from the end gap itself.
+    step = 10.0 / 200_000
     for q in np.concatenate([xk - 1e-3, xk + 1e-3]):
         if not 0.0 <= q < 10.0:
             continue
         if side == "right":
-            want = max(fun(q), fun(10.0), mk[xk >= q].max(initial=-math.inf))
+            end = grid_sup(fun, 10.0 - step, 10.0, 4001)
+            want = max(fun(q), end, mk[xk >= q].max(initial=-math.inf))
         else:
-            want = max(fun(q), fun(0.0), mk[xk <= q].max(initial=-math.inf))
+            end = grid_sup(fun, 0.0, step, 4001)
+            want = max(fun(q), end, mk[xk <= q].max(initial=-math.inf))
         assert abs(env.value_at(q) - want) <= env.eps_sup
 
 

@@ -1,12 +1,16 @@
 import math
+import re
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from meanmax.errors import MeanmaxError, UnboundedSupError
-from meanmax.func1d import RIGHT, Domain, Function1D, GridSpec, Tail, envelope_function
+from meanmax.cli import TabulatedFunction
+from meanmax.errors import DomainError, MeanmaxError, UnboundedSupError
+from meanmax.exprparse import compile_expression, parse_expression
+from meanmax.func1d import (RIGHT, Domain, Function1D, GridSpec, Tail, envelope_function,
+                            evaluate)
 from meanmax.stieltjes import Measure1D, identity_measure, integral_mean, log_measure
 from meanmax.transforms import (
     Q_from_d,
@@ -465,3 +469,46 @@ class TestDuality:
         ratios = [q2.fn(X) / X for X in (10.0, 1e2, 1e3, 1e4)]
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] < 0.5 * ratios[0]
+
+
+class TestEvaluateArrays:
+    # evaluate on an array equals the number path entry by entry, for every
+    # kind of source the CLI tabulates.
+    XS = np.concatenate([np.linspace(3.0, 6.0, 31), np.geomspace(6.5, 45.0, 50)])
+    WAVE = Function1D(eval=wave, domain=Domain(0.0, math.inf), tail=Tail.vanishing())
+    SOURCES = {
+        "expression": lambda: Function1D(
+            eval=compile_expression(parse_expression("exp(-x)*(1+0.5*sin(5*x))")),
+            domain=Domain(0.0, math.inf)),
+        "csv": lambda: TabulatedFunction(np.geomspace(1.0, 50.0, 40),
+                                         np.geomspace(1.0, 50.0, 40) ** -0.9).as_function1d(),
+        "envelope": lambda: envelope_function(TestEvaluateArrays.WAVE, RIGHT).as_function(),
+        "h": lambda: weighted_double_envelope(
+            TestEvaluateArrays.WAVE,
+            WeightN(n=lambda x: 1.0 + x, domain=TestEvaluateArrays.WAVE.domain)).fn,
+        "Q_from_d": lambda: Q_from_d(fn(lambda x: 1 / np.log(x), math.e, math.inf,
+                                        hint="decreasing"), math.e).fn,
+    }
+
+    @pytest.mark.parametrize("name", SOURCES)
+    def test_equals_the_number_path(self, name):
+        g = self.SOURCES[name]()
+        assert np.array_equal(evaluate(g, self.XS), [evaluate(g, x) for x in self.XS.tolist()])
+
+    def test_majorant_mean(self):
+        D = decreasing_majorant_mean(self.WAVE, identity_measure(0.0)).fn
+        got = evaluate(D, self.XS)
+        assert np.array_equal(got, D.eval(self.XS))
+        # D's pieces sum their Kronrod nodes with BLAS (ys @ weights), whose
+        # row sums can move by a rounding unit with the rows in one call.
+        np.testing.assert_allclose(got, [evaluate(D, x) for x in self.XS.tolist()],
+                                   rtol=2.0**-50, atol=0)
+
+    def test_weight_check_names_the_first_bad_point(self):
+        f = fn(lambda x: np.exp(-x), 0.0, 10.0, tail=Tail.vanishing())
+        weight = WeightN(n=lambda x: 1.0 - 0.5 * x, domain=f.domain)
+        h = weighted_double_envelope(f, weight).fn
+        want = re.escape("weight must be positive and finite, got n(3.0)=-0.5")
+        for R in (3.0, np.array([1.0, 3.0, 4.0])):
+            with pytest.raises(DomainError, match=f"^{want}$"):
+                h.eval(R)

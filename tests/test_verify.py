@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from meanmax import verify
 from meanmax.errors import DegenerateIntervalError
 from meanmax.func1d import Domain, Function1D, Tail
 from meanmax.stieltjes import Measure1D, identity_measure, log_measure
@@ -215,6 +216,15 @@ class TestCorollaryBounds:
         r, R = report.witness
         assert 1.0 <= r < R <= 100.0
 
+    def test_one_density_query_for_all_pairs(self):
+        Q = fn(np.sqrt, 1.0, math.inf)
+        D = d_from_Q(Q, 1.0).fn
+        sizes = []
+        d = fn(lambda x: sizes.append(np.size(x)) or D.eval(x), 1.0, math.inf)
+        report = check_corollary_bounds(Q, d, 1.0, "dQ", 200, 11, sample_hi=1e4)
+        assert report.verdict == HOLDS
+        assert sizes == [200]
+
     def test_direction_validation(self):
         Q = fn(lambda x: np.sqrt(x), 1.0, math.inf)
         with pytest.raises(ValueError):
@@ -250,6 +260,62 @@ class TestPairChecks:
                 else:
                     n = WeightN(n=lambda x: 1.0 + x, domain=f.domain)
                     check_pointwise_mean_bound(f, n, m, 10, 1)
+
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_pair_count_below_one_raises(self, pairs):
+        f = exp_on(0.0, 50.0)
+        m = identity_measure(0.0, 50.0)
+        m.diverges = True
+        Q = fn(np.sqrt, 1.0, math.inf)
+        for claim in (lambda: check_majorant_inequality(f, m, pairs, 1),
+                      lambda: check_pointwise_mean_bound(
+                          f, WeightN(n=lambda x: 1.0 + x, domain=f.domain), m, pairs, 1),
+                      lambda: check_corollary_bounds(Q, Q, 1.0, "dQ", pairs, 1,
+                                                     sample_hi=10.0)):
+            with pytest.raises(ValueError, match=f"need at least 1 pair, got {pairs}"):
+                claim()
+
+    def test_f1_violation_the_oracle_does_not_confirm(self, monkeypatch):
+        # D under-reports by half, so the adaptive route sees violations; the
+        # oracle integrates the right envelope itself and does not.
+        build = verify.decreasing_majorant_mean
+
+        def halved(*args):
+            res = build(*args)
+            D = res.fn.eval
+            res.fn.eval = lambda R: 0.5 * D(R)
+            return res
+
+        monkeypatch.setattr(verify, "decreasing_majorant_mean", halved)
+        f = exp_on(0.0, 50.0)
+        m = identity_measure(0.0, 50.0)
+        m.diverges = True
+        report = check_majorant_inequality(f, m, 40, 3)
+        assert report.verdict == INCONCLUSIVE
+        assert report.worst_slack > slack_budget(0.0)
+        assert report.note == ("adaptive route signalled a violation the brute-force oracle "
+                               "does not confirm")
+
+    def test_anma_violation_the_oracle_confirms(self, monkeypatch):
+        # h is halved, and the oracle integrates the same h.
+        build = verify.weighted_double_envelope
+
+        def halved(*args):
+            res = build(*args)
+            h = res.fn.eval
+            res.fn.eval = lambda R: 0.5 * h(R)
+            return res
+
+        monkeypatch.setattr(verify, "weighted_double_envelope", halved)
+        f = exp_on(0.0, 5.0)
+        m = identity_measure(0.0, 5.0)
+        m.diverges = True
+        report = check_pointwise_mean_bound(f, WeightN(n=lambda x: 1.0 + x, domain=f.domain),
+                                            m, 40, 3)
+        assert report.verdict == VIOLATED
+        assert report.note is None
+        r, R = report.witness
+        assert 0.0 <= r < R < 5.0
 
     def test_invert_measure(self):
         us = np.linspace(0.0, math.log(1e4), 9)
