@@ -409,51 +409,46 @@ def _vanishing_cutoff(f: Function1D, start: float, threshold: float) -> tuple[fl
     return TAIL_SCAN_CAP, False
 
 
-def _right_sampling_end(f: Function1D, lo: float) -> tuple[float, bool]:
-    """Upper sampling endpoint for suprema over [lo, b); bool flags a certified tail.
+def _right_sampling_end(f: Function1D, lo: float) -> tuple[float, list[str]]:
+    """Upper sampling endpoint for suprema over [lo, b), and the notes on its tail.
 
     An unbounded vanishing tail is cut where |f| stays below 0.5e-9, half the
-    least eps_sup; any other window ends at window_end.
+    least eps_sup; a scan that hits TAIL_SCAN_CAP notes TAIL_CAP_NOTE.  Any
+    other window ends at window_end.
     """
     dom = f.domain
     if dom.unbounded and f.monotonicity != DECREASING:
         if f.tail.kind == "vanishing":
             cutoff, certified = _vanishing_cutoff(f, max(lo, dom.a, 1.0), 0.5e-9)
-            return max(cutoff, 2.0 * max(lo, 1.0), lo + 1.0), certified
+            return max(cutoff, 2.0 * max(lo, 1.0), lo + 1.0), [] if certified else [TAIL_CAP_NOTE]
         if f.tail.kind != "bounded":
             raise UncertifiableTailError(
                 "supremum over an unbounded domain needs a vanishing or bounded tail "
                 "declaration (or a decreasing-monotonicity hint)"
             )
-    return window_end(dom, lo), True
-
-
-def _sup_on(f: Function1D, lo: float, hi: float, grid: GridSpec) -> float:
-    if hi <= lo:
-        return evaluate(f, lo)
-    s = float(_refined_samples(f, lo, hi, grid)[1].max())
-    if s > OVERFLOW_GUARD:
-        raise NonFiniteValueError(f"supremum estimate {s} exceeds the overflow guard")
-    return s
+    return window_end(dom, lo), []
 
 
 def right_maximization(f: Function1D, r: float, grid: GridSpec | None = None) -> float:
-    """sup of f over [r, b), within eps_sup for functions the grid resolves."""
+    """sup of f over [r, b), within eps_sup for functions the grid resolves.
+
+    Each tail note of the window is raised as a RuntimeWarning, as is a
+    declared tail bound that the sampled maximum falls short of.
+    """
     grid = grid or GridSpec()
     in_domain(f.domain, r, "r")
     if f.monotonicity == DECREASING:
         return evaluate(f, r)
-    hi, certified = _right_sampling_end(f, r)
-    if not certified:
-        warnings.warn(TAIL_CAP_NOTE, RuntimeWarning)
-    s = _sup_on(f, r, hi, grid)
-    if f.domain.unbounded and f.tail.kind == "bounded":
-        eps = grid.effective_eps(s)
-        if s < f.tail.bound - eps:
-            warnings.warn(
-                f"tail bound {f.tail.bound} not attained by the sampled maximum {s}",
-                RuntimeWarning,
-            )
+    hi, notes = _right_sampling_end(f, r)
+    for note in notes:
+        warnings.warn(note, RuntimeWarning)
+    env = _supremum_table(f, RIGHT, r, hi, grid, notes)
+    s = float(env.table[0])
+    if f.domain.unbounded and f.tail.kind == "bounded" and s < f.tail.bound - env.eps_sup:
+        warnings.warn(
+            f"tail bound {f.tail.bound} not attained by the sampled maximum {s}",
+            RuntimeWarning,
+        )
     return s
 
 
@@ -463,11 +458,11 @@ def left_maximization(f: Function1D, r: float, grid: GridSpec | None = None) -> 
     in_domain(f.domain, r, "r")
     if not f.locally_bounded:
         raise UnboundedSupError("left maximization needs a locally bounded function")
-    if f.monotonicity == INCREASING:
+    if f.monotonicity == INCREASING or r == f.domain.a:
         return evaluate(f, r)
     if f.monotonicity == DECREASING:
         return evaluate(f, f.domain.a)
-    return _sup_on(f, f.domain.a, r, grid)
+    return float(_supremum_table(f, LEFT, f.domain.a, r, grid, []).table[-1])
 
 
 @dataclass
@@ -490,7 +485,7 @@ class Envelope:
     table: np.ndarray
     eps_sup: float
     sampling_end: float
-    tail_certified: bool
+    notes: list[str]
 
     def value_at(self, x):
         """The envelope at x (a number, or an array of them)."""
@@ -528,6 +523,22 @@ class Envelope:
         return self.value_at(x)
 
 
+def _supremum_table(f: Function1D, side: str, lo: float, hi: float, grid: GridSpec,
+                    notes: list[str]) -> Envelope:
+    """The side's envelope table of f sampled on [lo, hi], carrying notes.
+
+    Every supremum goes through here: envelope_function builds from a, and
+    the scalar maximizations read one end of a build from r.
+    """
+    xs, ys = _refined_samples(f, lo, hi, grid)
+    table = np.maximum.accumulate(ys[::-1])[::-1] if side == RIGHT else np.maximum.accumulate(ys)
+    top = float(table[0] if side == RIGHT else table[-1])
+    if top > OVERFLOW_GUARD:
+        raise NonFiniteValueError("envelope values exceed the overflow guard")
+    return Envelope(source=f, side=side, xs=xs, table=table, eps_sup=grid.effective_eps(top),
+                    sampling_end=hi, notes=notes)
+
+
 def envelope_function(f: Function1D, side: str, grid: GridSpec | None = None) -> Envelope:
     """Build the full right or left maximization of f as an Envelope table."""
     grid = grid or GridSpec()
@@ -535,25 +546,9 @@ def envelope_function(f: Function1D, side: str, grid: GridSpec | None = None) ->
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     if side == LEFT and not f.locally_bounded:
         raise UnboundedSupError("left maximization needs a locally bounded function")
-    dom = f.domain
-    if side == RIGHT:
-        hi, certified = _right_sampling_end(f, dom.a)
-    else:
-        hi, certified = window_end(dom, dom.a), True
-    xs, ys = _refined_samples(f, dom.a, hi, grid)
-    table = np.maximum.accumulate(ys[::-1])[::-1] if side == RIGHT else np.maximum.accumulate(ys)
-    top = float(np.max(table))
-    if top > OVERFLOW_GUARD:
-        raise NonFiniteValueError("envelope values exceed the overflow guard")
-    return Envelope(
-        source=f,
-        side=side,
-        xs=xs,
-        table=table,
-        eps_sup=grid.effective_eps(top),
-        sampling_end=hi,
-        tail_certified=certified,
-    )
+    a = f.domain.a
+    hi, notes = _right_sampling_end(f, a) if side == RIGHT else (window_end(f.domain, a), [])
+    return _supremum_table(f, side, a, hi, grid, notes)
 
 
 def classify_monotonicity(f: Function1D, grid: GridSpec | None = None) -> str:

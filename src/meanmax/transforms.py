@@ -11,7 +11,9 @@ Three transforms live here:
 
 Hypothesis violations that leave a construction numerically well-defined are
 reported as warnings on the result, not raised, so counterexample behavior can
-be explored.
+be explored.  A result's warnings are the transform's own hypothesis notes
+followed by the notes of the right envelope it builds (func1d.Envelope.notes),
+such as func1d.TAIL_CAP_NOTE when the vanishing-tail scan hit its cap.
 """
 
 from __future__ import annotations
@@ -25,13 +27,10 @@ import numpy as np
 from .errors import DomainError, UnboundedSupError
 from .func1d import (
     DECREASING,
-    INCREASING,
     LEFT,
     NONE,
     RIGHT,
-    TAIL_CAP_NOTE,
     Domain,
-    Envelope,
     Function1D,
     GridSpec,
     Tail,
@@ -134,26 +133,10 @@ def _f0m_warnings(f: Function1D, m: Measure1D | None) -> list[str]:
     return notes
 
 
-def decreasing_majorant_mean(
-    f: Function1D,
-    m: Measure1D,
-    cfg: QuadratureConfig | None = None,
-    grid: GridSpec | None = None,
-) -> TransformResult:
-    """D(R) = mean over [a, R] of the right maximization of f; D(a) extends by the sup at a.
-
-    D decreases in R and dominates every mean of f over [r, R] with r >= a.
-    The first query builds the cumulative integral of the envelope against m
-    over the runs of the envelope table (see segment_integrals); every query
-    is then a table lookup plus one partial piece.  D accepts
-    arrays of R.
-    """
-    cfg = cfg or QuadratureConfig()
-    grid = grid or GridSpec()
-    notes = _f0m_warnings(f, m)
+def _majorant_mean(f: Function1D, m: Measure1D, cfg: QuadratureConfig, grid: GridSpec):
+    """D of decreasing_majorant_mean and d_from_Q, the right envelope it
+    integrates, and its log entries: (D, env, log)."""
     env = envelope_function(f, RIGHT, grid)
-    if not env.tail_certified:
-        notes.append(TAIL_CAP_NOTE)
     a = f.domain.a
     at_a = env.value_at(a)
     xs, T = env.xs, env.table
@@ -224,41 +207,53 @@ def decreasing_majorant_mean(
             out[q] = integral(Rs[q]) / measure_weight(m, a, Rs[q])
         return float(out) if out.ndim == 0 else out
 
-    fn = Function1D(
-        eval=D,
-        domain=f.domain,
-        tail=Tail.vanishing() if not notes else Tail.unknown(),
-        monotonicity=DECREASING,
-        locally_bounded=True,
-    )
-    return TransformResult(
-        fn=fn,
-        log={
-            "envelope_nodes": len(env.xs),
-            "envelope_sampling_end": env.sampling_end,
-            "eps_sup": env.eps_sup,
-            "value_at_a": at_a,
-        },
-        warnings=notes,
-    )
+    log = {
+        "envelope_nodes": len(env.xs),
+        "envelope_sampling_end": env.sampling_end,
+        "eps_sup": env.eps_sup,
+        "value_at_a": at_a,
+    }
+    return D, env, log
 
 
-def _double_envelope_parts(
-    f: Function1D, n: WeightN, grid: GridSpec
-) -> tuple[Envelope, Envelope, list[str]]:
-    notes = _f0m_warnings(f, None)
-    notes.extend(n.spot_check())
+def decreasing_majorant_mean(
+    f: Function1D,
+    m: Measure1D,
+    cfg: QuadratureConfig | None = None,
+    grid: GridSpec | None = None,
+) -> TransformResult:
+    """D(R) = mean over [a, R] of the right maximization of f; D(a) extends by the sup at a.
+
+    D decreases in R and dominates every mean of f over [r, R] with r >= a.
+    The first query builds the cumulative integral of the envelope against m
+    over the runs of the envelope table (see segment_integrals); every query
+    is then a table lookup plus one partial piece.  D accepts
+    arrays of R.
+    """
+    D, env, log = _majorant_mean(f, m, cfg or QuadratureConfig(), grid or GridSpec())
+    notes = _f0m_warnings(f, m) + env.notes
+    tail = Tail.vanishing() if not notes else Tail.unknown()
+    fn = Function1D(eval=D, domain=f.domain, tail=tail, monotonicity=DECREASING)
+    return TransformResult(fn=fn, log=log, warnings=notes)
+
+
+def _double_envelope(f: Function1D, n: Callable[[float], float], grid: GridSpec):
+    """The right envelope of f, the left one of n times it, and their log entries:
+    (right_env, core_env, log)."""
     right_env = envelope_function(f, RIGHT, grid)
-    if not right_env.tail_certified:
-        notes.append(TAIL_CAP_NOTE)
-    ne = n.n
 
     def weighted(x: float) -> float:
-        return ne(x) * right_env.value_at(x)
+        return n(x) * right_env.value_at(x)
 
-    core_source = Function1D(eval=weighted, domain=f.domain, locally_bounded=True)
+    core_source = Function1D(eval=weighted, domain=f.domain)
     core_env = envelope_function(core_source, LEFT, grid)
-    return right_env, core_env, notes
+    log = {
+        "right_envelope_nodes": len(right_env.xs),
+        "right_sampling_end": right_env.sampling_end,
+        "core_envelope_nodes": len(core_env.xs),
+        "core_sampling_end": core_env.sampling_end,
+    }
+    return right_env, core_env, log
 
 
 def weighted_double_envelope(
@@ -271,9 +266,10 @@ def weighted_double_envelope(
     n * h is increasing; h tends to 0 at the right endpoint under the standing
     hypotheses, and the mean of h over any [r, R] dominates f(R).
     """
-    grid = grid or GridSpec()
-    right_env, core_env, notes = _double_envelope_parts(f, n, grid)
+    notes = _f0m_warnings(f, None) + n.spot_check()
     ne = n.n
+    right_env, core_env, log = _double_envelope(f, ne, grid or GridSpec())
+    notes += right_env.notes
 
     def h(R):
         nv = np.asarray(ne(R), dtype=float)
@@ -285,23 +281,9 @@ def weighted_double_envelope(
         out = core_env.value_at(R) / nv
         return float(out) if out.ndim == 0 else out
 
-    fn = Function1D(
-        eval=h,
-        domain=f.domain,
-        tail=Tail.vanishing() if not notes else Tail.unknown(),
-        monotonicity=NONE,
-        locally_bounded=True,
-    )
-    return TransformResult(
-        fn=fn,
-        log={
-            "right_envelope_nodes": len(right_env.xs),
-            "right_sampling_end": right_env.sampling_end,
-            "core_envelope_nodes": len(core_env.xs),
-            "core_sampling_end": core_env.sampling_end,
-        },
-        warnings=notes,
-    )
+    tail = Tail.vanishing() if not notes else Tail.unknown()
+    return TransformResult(fn=Function1D(eval=h, domain=f.domain, tail=tail), log=log,
+                           warnings=notes)
 
 
 def _duality_source(src: Function1D, name: str, r0: float, fun, decay_note: str,
@@ -325,14 +307,8 @@ def _duality_source(src: Function1D, name: str, r0: float, fun, decay_note: str,
         notes.append(decay_note)
     if any(v < -1e-12 * max(1.0, max_abs) for v in probe):
         notes.append(f"{name} takes negative values on probe points")
-    f = Function1D(
-        eval=fun,
-        domain=dom,
-        tail=Tail.vanishing() if ok else Tail.bounded_by(max_abs),
-        monotonicity=monotonicity,
-        locally_bounded=True,
-    )
-    return f, ok, probe, notes
+    tail = Tail.vanishing() if ok else Tail.bounded_by(max_abs)
+    return Function1D(eval=fun, domain=dom, tail=tail, monotonicity=monotonicity), ok, probe, notes
 
 
 def d_from_Q(
@@ -351,19 +327,12 @@ def d_from_Q(
     f, ok, probe, notes = _duality_source(
         Q, "Q", r0, lambda x: qe(x) / x,
         "Q(x)/x does not tend to 0 on probe points (growth-scale hypothesis)", NONE)
-    inner = decreasing_majorant_mean(f, log_measure(r0, f.domain.b), cfg or QuadratureConfig(),
-                                     grid or GridSpec())
-    notes.extend(w for w in inner.warnings if w == TAIL_CAP_NOTE)
-    fn = Function1D(
-        eval=inner.fn.eval,
-        domain=f.domain,
-        tail=Tail.vanishing() if ok else Tail.unknown(),
-        monotonicity=DECREASING,
-        locally_bounded=True,
-    )
-    log = dict(inner.log)
-    log["growth_ratio_probe"] = probe[-3:]
-    return TransformResult(fn=fn, log=log, warnings=notes)
+    D, env, log = _majorant_mean(f, log_measure(r0, f.domain.b), cfg or QuadratureConfig(),
+                                 grid or GridSpec())
+    tail = Tail.vanishing() if ok else Tail.unknown()
+    fn = Function1D(eval=D, domain=f.domain, tail=tail, monotonicity=DECREASING)
+    return TransformResult(fn=fn, log={**log, "growth_ratio_probe": probe[-3:]},
+                           warnings=notes + env.notes)
 
 
 def Q_from_d(
@@ -379,24 +348,6 @@ def Q_from_d(
     f, _, probe, notes = _duality_source(
         d, "d", r0, d.eval, "d does not tend to 0 on probe points (density hypothesis)",
         d.monotonicity, bounded=True)
-    weight = WeightN(n=lambda x: x, domain=f.domain)
-    right_env, core_env, part_notes = _double_envelope_parts(f, weight, grid or GridSpec())
-    notes.extend(w for w in part_notes if w == TAIL_CAP_NOTE)
-    fn = Function1D(
-        eval=core_env.value_at,
-        domain=f.domain,
-        tail=Tail.unknown(),
-        monotonicity=INCREASING,
-        locally_bounded=True,
-    )
-    return TransformResult(
-        fn=fn,
-        log={
-            "right_envelope_nodes": len(right_env.xs),
-            "right_sampling_end": right_env.sampling_end,
-            "core_envelope_nodes": len(core_env.xs),
-            "core_sampling_end": core_env.sampling_end,
-            "density_probe": probe[-3:],
-        },
-        warnings=notes,
-    )
+    right_env, core_env, log = _double_envelope(f, lambda x: x, grid or GridSpec())
+    return TransformResult(fn=core_env.as_function(), log={**log, "density_probe": probe[-3:]},
+                           warnings=notes + right_env.notes)

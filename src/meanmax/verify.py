@@ -187,7 +187,8 @@ def _pair_claim(property_id: str, hypothesis_failures, m: Measure1D, lo: float,
     takes the arrays of every pair's r and R and returns the arrays (LHS, RHS)
     by the adaptive route, in one array call of the quadrature; a violation is
     reported only when oracle_sides(r, R), the brute-force midpoint route,
-    confirms it at the worst pair.  pair_count below 1 raises ValueError.
+    confirms it at the worst pair.  pair_count below 1, or hi <= lo, raises
+    ValueError.
     """
     if pair_count < 1:
         raise ValueError(f"{property_id}: need at least 1 pair, got {pair_count}")
@@ -200,6 +201,8 @@ def _pair_claim(property_id: str, hypothesis_failures, m: Measure1D, lo: float,
                             note="unbounded domain: pass sample_hi to bound the sampled pairs")
     if math.isfinite(dom_b):
         hi = min(hi, dom_b - (dom_b - lo) * 1e-9)
+    if not hi > lo:
+        raise ValueError(f"{property_id}: empty sample window [{lo}, {hi}]")
     rs, Rs = _sample_pairs(m, lo, hi, pair_count, seed)
     lhs, rhs = sides(rs, Rs)
     gaps = lhs - rhs
@@ -443,6 +446,8 @@ def finite_difference_check(
 
     The finite-difference sides run at sharply tightened quadrature tolerances
     so the spec'd step h = 1e-5 (R - r) is not drowned by quadrature noise.
+    Within h of a domain end the step shrinks to fit, and that side's noise
+    floor grows with it; noise_floor reports the larger of the two floors.
     """
     cfg = cfg or QuadratureConfig()
     if not (f.domain.a < r < R < f.domain.b):
@@ -455,20 +460,21 @@ def finite_difference_check(
 
     analytic_r = mean_partial_r(f, m, r, R, cfg)
     analytic_R = mean_partial_R(f, m, r, R, cfg)
-    lo_r = max(r - h, f.domain.a + (r - f.domain.a) * 1e-9)
-    hi_R = R + h
-    if hi_R >= f.domain.b:
-        hi_R = R + (f.domain.b - R) * 0.5
-    fd_r = (A(r + h, R) - A(lo_r, R)) / (r + h - lo_r)
-    fd_R = (A(r, hi_R) - A(r, R - h)) / (hi_R - (R - h))
+    # Near a domain end both sides of a stencil shrink alike, so it stays
+    # centred on r or R.
+    hr = min(h, (r - f.domain.a) * (1 - 1e-9))
+    hR = min(h, (f.domain.b - R) / 2)
+    fd_r = (A(r + hr, R) - A(r - hr, R)) / ((r + hr) - (r - hr))
+    fd_R = (A(r, R + hR) - A(r, R - hR)) / ((R + hR) - (R - hR))
     # Cancellation in the difference quotient leaves irreducible noise of
-    # order (eps * |A| + atol) / h; below it the two routes cannot be told apart.
+    # order (eps * |A| + atol) / step; below it the two routes cannot be told apart.
     scale = abs(integral_mean(f, m, r, R, cfg).value)
-    noise = 10.0 * (2.0 * 2.3e-16 * scale + 4.0 * fd_cfg.atol) / (2.0 * h)
+    noise_r, noise_R = (10.0 * (2.0 * 2.3e-16 * scale + 4.0 * fd_cfg.atol) / (2.0 * step)
+                        for step in (hr, hR))
     rel_r = abs(analytic_r - fd_r) / max(abs(analytic_r), abs(fd_r), 1e-9)
     rel_R = abs(analytic_R - fd_R) / max(abs(analytic_R), abs(fd_R), 1e-9)
-    ok_r = rel_r <= PARTIALS_REL_TOL or abs(analytic_r - fd_r) <= noise
-    ok_R = rel_R <= PARTIALS_REL_TOL or abs(analytic_R - fd_R) <= noise
+    ok_r = rel_r <= PARTIALS_REL_TOL or abs(analytic_r - fd_r) <= noise_r
+    ok_R = rel_R <= PARTIALS_REL_TOL or abs(analytic_R - fd_R) <= noise_R
     worst = max(rel_r if not ok_r else min(rel_r, PARTIALS_REL_TOL),
                 rel_R if not ok_R else min(rel_R, PARTIALS_REL_TOL)) - PARTIALS_REL_TOL
     return VerifyReport(
@@ -476,5 +482,5 @@ def finite_difference_check(
         witness=None if ok_r and ok_R else (r, R),
         details={"rel_error_r": rel_r, "rel_error_R": rel_R,
                  "analytic_r": analytic_r, "analytic_R": analytic_R,
-                 "noise_floor": noise},
+                 "noise_floor": max(noise_r, noise_R)},
     )

@@ -263,6 +263,26 @@ class TestVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("r, R", [("2", "49.9999"), ("1.00001", "10")],
+                             ids=["R-near-b", "r-near-a"])
+    def test_partials_near_a_domain_end(self, capsys, r, R):
+        code, out, _ = run(
+            capsys, "verify", "--property", "partials", "--f", "1/x", "--m", "ln(x)",
+            "--a", "1", "--b", "50", "--r", r, "--R", R,
+        )
+        assert code == 0
+        assert "verdict: holds" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dQ", "--Q", "sqrt(x)", "--r0", "1", "--b", "0.5"], "dQ: empty sample window [1.0, 0.5]"),
+        (["dQ", "--Q", "sqrt(x)", "--r0", "1", "--b", "1"], "dQ: empty sample window [1.0, 1.0]"),
+        (["Qd", "--d", "1/sqrt(x)", "--r0", "2", "--b", "1"],
+         "Qd: empty sample window [2.0, 1.0]"),
+    ], ids=["below-r0", "at-r0", "Qd"])
+    def test_empty_sample_window_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", "--property", *argv, "--pairs", "5")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_anma(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--property", "AnmA", "--f", "exp(-x)", "--n", "x",

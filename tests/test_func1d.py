@@ -233,6 +233,22 @@ class TestRightMaximization:
                                                                    TAIL_CAP_NOTE)]
         assert got == pytest.approx(1.0, abs=1e-9)
 
+    def test_unattained_bound_warns_once(self):
+        f = make(lambda x: np.exp(-x), 0.0, math.inf, tail=Tail.bounded_by(5.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = right_maximization(f, 0.0)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, "tail bound 5.0 not attained by the sampled maximum 1.0")]
+        assert got == 1.0
+
+    def test_overflow_guard(self):
+        f = make(np.exp, 0.0, 695.0)  # e^695 = 6.8e301 is finite, past the guard
+        for sup in (right_maximization, left_maximization):
+            with pytest.raises(NonFiniteValueError,
+                               match="^envelope values exceed the overflow guard$"):
+                sup(f, 694.0)
+
     def test_result_at_least_f_r(self, f_sin):
         for r in (0.5, 2.5, 4.0):
             assert right_maximization(f_sin, r) >= math.sin(r) - 1e-12
@@ -259,6 +275,21 @@ class TestLeftMaximization:
     def test_at_left_endpoint(self, f_exp):
         assert left_maximization(f_exp, 0.0) == 1.0
 
+    def test_increasing_hint_reads_f_at_r(self):
+        # The hint is trusted: sin is not increasing on [0, 3], and sup is 1.
+        f = make(np.sin, 0.0, 5.0, hint="increasing")
+        assert left_maximization(f, 3.0) == math.sin(3.0)
+
+    def test_decreasing_hint_reads_f_at_a(self):
+        f = make(np.sin, 0.5, 5.0, hint="decreasing")
+        assert left_maximization(f, 3.0) == math.sin(0.5)
+
+    def test_at_left_endpoint_reads_one_point(self):
+        seen = []
+        f = make(lambda x: seen.append(np.size(x)) or np.sin(x), 0.5, 5.0)
+        assert left_maximization(f, 0.5) == math.sin(0.5)
+        assert seen == [1]
+
     def test_unbounded_flag(self):
         f = make(lambda x: 1 / (1 - x), 0.0, 1.0, locally_bounded=False)
         with pytest.raises(UnboundedSupError):
@@ -274,6 +305,12 @@ class TestLeftMaximization:
 
 
 class TestEnvelope:
+    def test_notes(self, f_exp):
+        inv_log = make(lambda x: 1 / np.log(x), math.e, math.inf, tail=Tail.vanishing())
+        assert envelope_function(inv_log, "right").notes == [TAIL_CAP_NOTE]
+        assert envelope_function(inv_log, "left").notes == []
+        assert envelope_function(f_exp, "right").notes == []
+
     def test_right_of_decreasing_is_f(self, f_exp):
         env = envelope_function(f_exp, "right")
         fs = np.exp(-env.xs)

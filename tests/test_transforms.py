@@ -9,8 +9,8 @@ import pytest
 from meanmax.cli import TabulatedFunction
 from meanmax.errors import DomainError, MeanmaxError, UnboundedSupError
 from meanmax.exprparse import compile_expression, parse_expression
-from meanmax.func1d import (RIGHT, Domain, Function1D, GridSpec, Tail, envelope_function,
-                            evaluate)
+from meanmax.func1d import (RIGHT, TAIL_CAP_NOTE, Domain, Function1D, GridSpec, Tail,
+                            envelope_function, evaluate)
 from meanmax.stieltjes import Measure1D, identity_measure, integral_mean, log_measure
 from meanmax.transforms import (
     Q_from_d,
@@ -457,6 +457,39 @@ class TestQFromD:
         assert bound == pytest.approx(0.5, abs=1e-12)
         assert integral == pytest.approx(math.log(2), rel=1e-4)
         assert bound <= integral
+
+
+class TestNotes:
+    # 1/ln x never drops below the cutoff threshold before the scan's cap, so
+    # every transform of it carries the cap note once, and nothing else.
+    INV_LOG = staticmethod(lambda x: 1 / np.log(x))
+
+    def test_majorant_mean(self):
+        f = fn(self.INV_LOG, math.e, math.inf, tail=Tail.vanishing())
+        res = decreasing_majorant_mean(f, identity_measure(math.e))
+        assert res.warnings == [TAIL_CAP_NOTE]
+        assert res.fn.tail.kind == "unknown"
+
+    def test_double_envelope(self):
+        f = fn(self.INV_LOG, math.e, math.inf, tail=Tail.vanishing())
+        res = weighted_double_envelope(f, WeightN(n=lambda x: x, domain=f.domain))
+        assert res.warnings == [TAIL_CAP_NOTE]
+
+    def test_d_from_Q(self):
+        res = d_from_Q(fn(lambda x: x / np.log(x), 2.0, math.inf), 3.0)
+        assert res.warnings == [TAIL_CAP_NOTE]
+
+    def test_Q_from_d(self):
+        res = Q_from_d(fn(self.INV_LOG, math.e, math.inf), math.e)
+        assert res.warnings == [TAIL_CAP_NOTE]
+
+    def test_d_from_Q_of_a_negative_Q(self):
+        res = d_from_Q(fn(lambda x: np.sqrt(x) - 2.0, 1.0, math.inf), 1.0)
+        assert res.warnings == ["Q takes negative values on probe points"]
+
+    def test_d_from_Q_r0_outside_the_domain(self):
+        with pytest.raises(DomainError, match="r0=0.5 outside the domain of Q"):
+            d_from_Q(fn(np.sqrt, 1.0, math.inf), 0.5)
 
 
 class TestDuality:

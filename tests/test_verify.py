@@ -76,6 +76,12 @@ class TestSupIdentity:
         report = check_sup_identity(f, m, 5.0, list(np.linspace(0.0, 4.5, 10)))
         assert report.verdict == HOLDS
 
+    def test_increasing_f_inconclusive(self):
+        f = fn(lambda x: x, 0.0, 10.0)
+        report = check_sup_identity(f, identity_measure(0.0, 10.0), 5.0, [0.0, 1.0, 2.0])
+        assert report.verdict == INCONCLUSIVE
+        assert report.note == "precondition failed: f does not classify as decreasing"
+
     def test_inverse_log_value(self):
         f = fn(lambda x: 1 / x, 1.0, 20.0)
         m = log_measure(1.0, 20.0)
@@ -275,6 +281,17 @@ class TestPairChecks:
             with pytest.raises(ValueError, match=f"need at least 1 pair, got {pairs}"):
                 claim()
 
+    def test_empty_sample_window_raises(self):
+        f = exp_on(0.0, 50.0)
+        m = identity_measure(0.0, 50.0)
+        m.diverges = True
+        with pytest.raises(ValueError, match=r"^F1: empty sample window \[0.0, 0.0\]$"):
+            check_majorant_inequality(f, m, 5, 1, sample_hi=0.0)
+        Q = fn(np.sqrt, 1.0, math.inf)
+        d = d_from_Q(Q, 1.0).fn
+        with pytest.raises(ValueError, match=r"^dQ: empty sample window \[1.0, 0.5\]$"):
+            check_corollary_bounds(Q, d, 1.0, "dQ", 5, 1, sample_hi=0.5)
+
     def test_f1_violation_the_oracle_does_not_confirm(self, monkeypatch):
         # D under-reports by half, so the adaptive route sees violations; the
         # oracle integrates the right envelope itself and does not.
@@ -388,6 +405,17 @@ class TestFiniteDifference:
         report = finite_difference_check(f, log_measure(0.5), 1.0, math.e)
         assert report.verdict == HOLDS
         assert report.details["analytic_r"] == pytest.approx(-math.exp(-1), rel=1e-7)
+
+    @pytest.mark.parametrize("r, R", [(2.0, 49.9999), (1.00001, 10.0)],
+                             ids=["R-near-b", "r-near-a"])
+    def test_near_a_domain_end(self, r, R):
+        # A stencil clipped on one side only estimated the slope at its
+        # midpoint: rel_error_R 6.3e-6 and rel_error_r 7.1e-5.
+        f = fn(lambda x: 1 / x, 1.0, 50.0)
+        report = finite_difference_check(f, log_measure(1.0, 50.0), r, R)
+        assert report.verdict == HOLDS
+        assert report.details["rel_error_r"] < 1e-6
+        assert report.details["rel_error_R"] < 1e-6
 
     def test_rejects_endpoints(self):
         f = fn(lambda x: -x, 0.0, 10.0)
