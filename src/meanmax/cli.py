@@ -26,10 +26,13 @@ import numpy as np
 # this module's shape.  perfbench/tracing.py reads sys.modules["meanmax.<mod>"]
 # for func1d, stieltjes, transforms, verify and exprparse after importing only
 # this module, so the imports below must load all five.  The cli-session
-# replay in perfbench/workloads.py calls run_command, subclasses
-# TabulatedFunction and swaps compile_expression and load_csv_function here to
-# count source evaluations, so the handlers look these up as module globals at
-# call time.
+# replay in perfbench/workloads.py calls run_command and swaps
+# compile_expression and load_csv_function here to count source evaluations,
+# so the handlers look these up as module globals at call time.  Its
+# load_csv_function returns a TabulatedFunction subclass built from xs= and
+# ys= alone whose __call__ counts points, so the inherited as_function1d must
+# read the table through __call__ and take its breaks from xs
+# (tests/test_cli.py, TestBenchmarkContract).
 from .cliargs import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, parse_args
 from .errors import CsvFormatError, ExpressionSyntaxError, MeanmaxError, NonDifferentiableError
 from .exprparse import compile_expression, derive_expression, parse_expression
@@ -93,6 +96,7 @@ class TabulatedFunction:
             domain=self.domain,
             tail=tail or Tail.unknown(),
             monotonicity=hint,
+            breaks=self.xs,
         )
 
 
@@ -154,10 +158,7 @@ def _load_measure(source: str, a: float, b: float, force_diverges: bool,
     """The --m measure, spot-checked for strict increase on [lo, hi], where it is read."""
     if source.endswith(".csv"):
         tab = load_csv_function(source)
-        measure = Measure1D(
-            m=tab, domain=tab.domain, m_prime=None,
-            diverges=force_diverges,
-        )
+        measure = Measure1D(m=tab, domain=tab.domain, diverges=force_diverges, breaks=tab.xs)
     else:
         ast = parse_expression(source)
         try:

@@ -117,13 +117,18 @@ class Tail:
 
 @dataclass
 class Function1D:
-    """A real-valued function on [a, b) with declared tail and monotonicity metadata."""
+    """A real-valued function on [a, b) with declared tail and monotonicity metadata.
+
+    breaks, when given, is a sorted array of the points where the function
+    may fail to be smooth, such as the rows of a table; quadrature cuts there.
+    """
 
     eval: Callable[[float], float]
     domain: Domain
     tail: Tail = field(default_factory=Tail.unknown)
     monotonicity: str = NONE
     locally_bounded: bool = True
+    breaks: np.ndarray | None = None
 
     def __post_init__(self):
         if self.monotonicity not in (INCREASING, DECREASING, NONE):
@@ -438,7 +443,7 @@ def right_maximization(f: Function1D, r: float, grid: GridSpec | None = None) ->
     grid = grid or GridSpec()
     in_domain(f.domain, r, "r")
     if f.monotonicity == DECREASING:
-        return evaluate(f, r)
+        return _guarded(evaluate(f, r))
     hi, notes = _right_sampling_end(f, r)
     for note in notes:
         warnings.warn(note, RuntimeWarning)
@@ -459,9 +464,9 @@ def left_maximization(f: Function1D, r: float, grid: GridSpec | None = None) -> 
     if not f.locally_bounded:
         raise UnboundedSupError("left maximization needs a locally bounded function")
     if f.monotonicity == INCREASING or r == f.domain.a:
-        return evaluate(f, r)
+        return _guarded(evaluate(f, r))
     if f.monotonicity == DECREASING:
-        return evaluate(f, f.domain.a)
+        return _guarded(evaluate(f, f.domain.a))
     return float(_supremum_table(f, LEFT, f.domain.a, r, grid, []).table[-1])
 
 
@@ -508,6 +513,25 @@ class Envelope:
         out = np.where(exact, above, out)
         return float(out) if out.ndim == 0 else out
 
+    def kinks(self, end: float = math.inf) -> np.ndarray:
+        """The samples below end where the envelope may fail to be smooth, in order.
+
+        A run of gaps where the table is flat is one constant.  A run where it
+        is not is the envelope following f, smooth across its samples, except
+        that every gap of it next to a flat gap may hold a kink where the
+        envelope leaves f for the plateau.  So the kinks are the first and
+        last sample, the ends of every run, and both ends of every such gap.
+        """
+        n = max(int(np.searchsorted(self.xs, end)), 1)
+        table = self.table[:n]
+        steep = table[:-1] != table[1:]
+        beside_flat = np.zeros(n + 1, dtype=bool)
+        beside_flat[1:-1] = ~steep
+        kinked = steep & (beside_flat[:-2] | beside_flat[2:])
+        keep = np.ones(n, dtype=bool)
+        keep[1:-1] = (steep[:-1] != steep[1:]) | kinked[:-1] | kinked[1:]
+        return self.xs[:n][keep]
+
     def as_function(self) -> Function1D:
         hint = DECREASING if self.side == RIGHT else INCREASING
         tail = self.source.tail if self.side == RIGHT else Tail.unknown()
@@ -517,10 +541,18 @@ class Envelope:
             tail=tail,
             monotonicity=hint,
             locally_bounded=True,
+            breaks=self.kinks(),
         )
 
     def __call__(self, x):
         return self.value_at(x)
+
+
+def _guarded(top: float) -> float:
+    """A supremum, raised as NonFiniteValueError past OVERFLOW_GUARD."""
+    if top > OVERFLOW_GUARD:
+        raise NonFiniteValueError("envelope values exceed the overflow guard")
+    return top
 
 
 def _supremum_table(f: Function1D, side: str, lo: float, hi: float, grid: GridSpec,
@@ -532,9 +564,7 @@ def _supremum_table(f: Function1D, side: str, lo: float, hi: float, grid: GridSp
     """
     xs, ys = _refined_samples(f, lo, hi, grid)
     table = np.maximum.accumulate(ys[::-1])[::-1] if side == RIGHT else np.maximum.accumulate(ys)
-    top = float(table[0] if side == RIGHT else table[-1])
-    if top > OVERFLOW_GUARD:
-        raise NonFiniteValueError("envelope values exceed the overflow guard")
+    top = _guarded(float(table[0] if side == RIGHT else table[-1]))
     return Envelope(source=f, side=side, xs=xs, table=table, eps_sup=grid.effective_eps(top),
                     sampling_end=hi, notes=notes)
 

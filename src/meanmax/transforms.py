@@ -160,20 +160,9 @@ def _majorant_mean(f: Function1D, m: Measure1D, cfg: QuadratureConfig, grid: Gri
                 np.concatenate([np.flatnonzero(exact), rest[done.origin]]))
 
     def build():
-        # Over the samples the measure is defined at, a run of gaps where the
-        # table is not flat is the envelope following f, smooth across its
-        # samples: cut only at the ends of each run, and around every gap of
-        # it next to a flat gap, where the envelope leaves f for a plateau at
-        # a kink inside the gap.  A run of flat gaps is one constant.
-        # Queries past the last cut integrate from it.
-        n = max(int(np.searchsorted(xs, m.domain.b)), 1)
-        steep = np.isnan(flat[: n - 1])
-        beside_flat = np.zeros(n + 1, dtype=bool)
-        beside_flat[1:-1] = ~steep
-        kinked = steep & (beside_flat[:-2] | beside_flat[2:])
-        keep = np.ones(n, dtype=bool)
-        keep[1:-1] = (steep[:-1] != steep[1:]) | kinked[:-1] | kinked[1:]
-        cuts = xs[:n][keep]
+        # Cut at the envelope's kinks among the samples the measure is
+        # defined at.  Queries past the last cut integrate from it.
+        cuts = env.kinks(m.domain.b)
         span = m.m(cuts[-1]) - m.m(a)
         hi, value, _ = pieces(cuts[:-1], cuts[1:], span)
         order = np.argsort(hi)

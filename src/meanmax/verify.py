@@ -400,6 +400,7 @@ def check_corollary_bounds(
         eval=lambda x: qe(x) / (x * x),
         domain=Q.domain,
         locally_bounded=True,
+        breaks=Q.breaks,
     )
 
     def bound(r, R):

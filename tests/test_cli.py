@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from meanmax import cli
+from meanmax import cli, stieltjes
 from meanmax.cli import load_csv_function, run_command
 from meanmax.errors import CsvFormatError
+from meanmax.stieltjes import segment_integrals
 
 from oracles import table_log_integral
 
@@ -92,6 +93,37 @@ class TestMean:
         assert code == 0
         assert float(out.strip()) == pytest.approx(0.5, rel=1e-6)
 
+    def test_csv_measure_of_257_rows(self, capsys, tmp_path, monkeypatch):
+        # Linear between its rows, a CSV measure gives each gap G7/K15 on f
+        # times the gap's slope; midpoint sums read 396,461 points here.
+        xs = np.geomspace(1.0, 50.0, 257)
+        xs[-1] = 50.0
+        p = tmp_path / "ln.csv"
+        p.write_text("".join(f"{x!r},{y!r}\n" for x, y in zip(xs.tolist(), np.log(xs).tolist())))
+        points = []
+        compile_orig = cli.compile_expression
+
+        def compile_counted(node):
+            fun = compile_orig(node)
+            return lambda x: points.append(np.size(x)) or fun(x)
+
+        monkeypatch.setattr(cli, "compile_expression", compile_counted)
+        code, out, _ = run(capsys, "mean", "--f", "x^(-1.25)", "--m", str(p),
+                           "--a", "1", "--b", "50", "--r", "1", "--R", "45")
+        assert (code, out) == (0, "0.2083502146\n")
+        assert sum(points) <= 5000
+
+    @pytest.mark.parametrize("argv", [
+        ["mean", "--f", "1/x", "--r", "1", "--R", "40"],
+        ["verify", "--property", "monotonicity", "--f", "1/x", "--steps", "5"],
+    ], ids=["mean", "monotonicity"])
+    def test_csv_measure_that_dips_between_close_rows(self, capsys, tmp_path, argv):
+        p = tmp_path / "bad.csv"
+        p.write_text("1,0\n7,1\n7.0000001,0.99\n50,5\n")
+        code, out, err = run(capsys, *argv, "--m", str(p), "--a", "1", "--b", "50")
+        assert (code, out) == (3, "")
+        assert err == "error: measure is not strictly increasing near x=7.0\n"
+
     def test_rejects_measure_not_increasing(self, capsys):
         # x + 2 sin x decreases where cos x < -1/2
         code, out, err = run(
@@ -147,6 +179,60 @@ class TestMean:
         printed_digit = 0.5 * 10.0 ** (math.floor(math.log10(integral / dm)) - 9)
         tol = max(1e-10, 1e-9 * integral) / dm + printed_digit
         assert abs(float(out) - integral / dm) <= tol
+
+
+    def test_csv_source_partials(self, capsys, tmp_path):
+        xs = np.geomspace(1.0, 50.0, 40)
+        xs[-1] = 50.0
+        ys = xs**-0.9
+        p = tmp_path / "kinked.csv"
+        p.write_text("".join(f"{x!r},{y!r}\n" for x, y in zip(xs.tolist(), ys.tolist())))
+        r, R = 2.0, 10.0
+        code, out, _ = run(capsys, "mean", "--f", str(p), "--m", "ln(x)", "--a", "1",
+                           "--b", "50", "--r", str(r), "--R", str(R), "--partials")
+        assert code == 0
+        got = dict(line.split(",") for line in out.splitlines())
+        integral, L = table_log_integral(xs, ys, r, R), math.log(R / r)
+        f_r, f_R = np.interp([r, R], xs, ys)
+        want = {"mean": integral / L, "partial_r": (integral - f_r * L) / (r * L * L),
+                "partial_R": (f_R * L - integral) / (R * L * L)}
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert float(got[key]) == pytest.approx(value, rel=1e-8), key
+
+
+class TestBenchmarkContract:
+    # perfbench's cli-session replay builds a TabulatedFunction subclass from
+    # xs= and ys= alone, returns it from cli.load_csv_function, and counts the
+    # points its __call__ reads: it must see every point of the source.
+    def test_counting_table_subclass_sees_every_point(self, capsys, tmp_path, monkeypatch):
+        xs = np.geomspace(1.0, 50.0, 40)
+        p = tmp_path / "t.csv"
+        p.write_text("".join(f"{x!r},{x ** -0.9!r}\n" for x in xs.tolist()))
+        seen = []
+
+        class CountedTable(cli.TabulatedFunction):
+            def __call__(self, x):
+                seen.append(np.size(x))
+                return super().__call__(x)
+
+        load_orig = cli.load_csv_function
+
+        def load_counted(path):
+            tab = load_orig(path)
+            return CountedTable(xs=tab.xs, ys=tab.ys)
+
+        read = []  # every point quadrature reads of the source, whatever its eval
+
+        def recorded(g, *args, **kwargs):
+            return segment_integrals(lambda x: read.append(np.size(x)) or g(x), *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_csv_function", load_counted)
+        monkeypatch.setattr(stieltjes, "segment_integrals", recorded)
+        code, out, _ = run(capsys, "mean", "--f", str(p), "--m", "ln(x)", "--a", "1",
+                           "--b", "50", "--r", "1.5", "--R", "20")
+        assert code == 0 and float(out) > 0
+        assert sum(read) > 0 and seen == read
 
 
 class TestTransform:

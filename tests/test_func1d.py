@@ -249,6 +249,19 @@ class TestRightMaximization:
                                match="^envelope values exceed the overflow guard$"):
                 sup(f, 694.0)
 
+    # The shortcut suprema read one point of f and pass the same guard.
+    @pytest.mark.parametrize("sup,hint,r", [
+        (right_maximization, "decreasing", 0.1),
+        (left_maximization, "increasing", 0.1),
+        (left_maximization, "decreasing", 0.1),
+        (left_maximization, "none", 0.0),
+    ], ids=["right-decreasing", "left-increasing", "left-decreasing", "left-at-a"])
+    def test_overflow_guard_on_shortcuts(self, sup, hint, r):
+        f = make(lambda x: 1e305 * np.exp(-x), 0.0, 50.0, hint=hint)
+        with pytest.raises(NonFiniteValueError,
+                           match="^envelope values exceed the overflow guard$"):
+            sup(f, r)
+
     def test_result_at_least_f_r(self, f_sin):
         for r in (0.5, 2.5, 4.0):
             assert right_maximization(f_sin, r) >= math.sin(r) - 1e-12
@@ -322,6 +335,26 @@ class TestEnvelope:
             assert env.value_at(r) == pytest.approx(math.sin(min(r, math.pi / 2)), abs=1e-8)
         for r in (2.0, 4.0, 6.0):
             assert env.value_at(r) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_kinks_bound_runs_of_one_kind(self, side):
+        f = make(wave, 0.0, math.inf, tail=Tail.vanishing())
+        env = envelope_function(f, side)
+        kinks = env.kinks()
+        assert np.array_equal(env.as_function().breaks, kinks)
+        assert kinks[0] == env.xs[0] and kinks[-1] == env.xs[-1]
+        # Between two kinks the table is flat throughout or steep throughout.
+        steep = env.table[:-1] != env.table[1:]
+        at = np.searchsorted(env.xs, kinks)
+        assert all(len(set(steep[i:j])) == 1 for i, j in zip(at[:-1], at[1:]))
+        assert len(kinks) < len(env.xs) / 10
+        below = env.kinks(20.0)
+        assert np.array_equal(below[:-1], kinks[kinks < below[-1]])
+        assert below[-1] == env.xs[env.xs < 20.0][-1]
+
+    def test_kinks_of_a_decreasing_function_are_its_ends(self, f_exp):
+        env = envelope_function(f_exp, "right")
+        assert env.kinks().tolist() == [env.xs[0], env.xs[-1]]
 
     def test_right_of_constant(self):
         f = make(lambda x: 7.0 + 0 * x, 0.0, 5.0)

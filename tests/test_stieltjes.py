@@ -14,6 +14,7 @@ from meanmax.errors import (
 from meanmax.func1d import GEOMETRIC_RATIO, Domain, Function1D
 from meanmax.stieltjes import (
     BASE_PANELS,
+    BREAK_PIECES,
     END_WEIGHT,
     GAUSS_WEIGHTS,
     INNER_WEIGHTS,
@@ -132,6 +133,10 @@ TABLE_YS = TABLE_XS**-0.9
 KINKED = fn(lambda x: np.interp(x, TABLE_XS, TABLE_YS), 1.0, 50.0)
 TABULATED_LN = Measure1D(m=lambda x: np.interp(x, TABLE_XS, np.log(TABLE_XS)),
                          domain=Domain(1.0, 50.0))
+# The same table and measure, declaring their nodes as breaks, as the CLI's
+# CSV sources and measures do.
+TABLE = Function1D(eval=KINKED.eval, domain=KINKED.domain, breaks=TABLE_XS)
+TABLE_LN = Measure1D(m=TABULATED_LN.m, domain=TABULATED_LN.domain, breaks=TABLE_XS)
 
 
 class TestKronrodRule:
@@ -209,6 +214,77 @@ class TestKinkedTable:
         assert abs(got - want) <= max(1e-10, 1e-9 * abs(want))
 
 
+class TestBreaks:
+    # Cut at its rows, every gap of a table is smooth and G7/K15 accepts it
+    # at the first level: its ends once, then 15 points a gap.
+    @pytest.mark.parametrize("r,R", [(1.5, 20.0), (3.0, 45.0), (TABLE_XS[5], TABLE_XS[30])],
+                             ids=["1.5-20", "3-45", "rows"])
+    def test_table_source_cut_at_its_rows(self, r, R):
+        points, bisected = [], []
+        m = log_measure(1.0, 50.0)
+        got = stieltjes_integral(Function1D(eval=counted(TABLE.eval, points),
+                                            domain=TABLE.domain, breaks=TABLE_XS), m, r, R)
+        stieltjes_integral(fn(counted(KINKED.eval, bisected), 1.0, 50.0), m, r, R)
+        want = table_log_integral(TABLE_XS, TABLE_YS, r, R)
+        assert abs(got.value - want) <= max(1e-10, 1e-9 * abs(want))
+        gaps = int(np.sum((TABLE_XS > r) & (TABLE_XS < R))) + 1
+        assert got.panels_used == gaps and sum(points) == gaps + 1 + 15 * gaps
+        assert sum(points) < sum(bisected) / 10
+
+    def test_table_measure_takes_kronrod_times_the_slope(self):
+        # x^-1.25 against ln x tabulated on 257 geometric rows: on each gap the
+        # measure's slope times the integral of x^-1.25 dx.
+        xs = np.geomspace(1.0, 50.0, 257)
+        xs[-1] = 50.0
+        ms = np.log(xs)
+        m = Measure1D(m=lambda x: np.interp(x, xs, ms), domain=Domain(1.0, 50.0), breaks=xs)
+        r, R = 1.0, 45.0
+        lo, hi = np.clip(xs[:-1], r, R), np.clip(xs[1:], r, R)
+        slope = np.diff(ms) / np.diff(xs)
+        want = math.fsum(slope * (lo**-0.25 - hi**-0.25) / 0.25) / (np.interp(R, xs, ms) - ms[0])
+        points = []
+        got = integral_mean(fn(counted(lambda x: x**-1.25, points), 1.0, 50.0), m, r, R)
+        assert abs(got.value - want) <= 1e-12 * want
+        assert sum(points) <= 5000
+
+    def test_dense_table_ignores_its_rows(self):
+        # Cut at each of 20,000 rows, a table costs 16 points a row, where its
+        # mild kinks need far fewer, and past 2^17 rows more than POINT_BUDGET:
+        # past BREAK_PIECES pieces a call refines as if no row were declared.
+        xs = np.geomspace(1.0, 50.0, 20_000)
+        assert np.sum((xs > 1.5) & (xs < 45.0)) > BREAK_PIECES
+        dom, ln = Domain(1.0, 50.0), log_measure(1.0, 50.0)
+        source = lambda x: np.interp(x, xs, xs**-0.9)  # noqa: E731
+        weight = lambda x: np.interp(x, xs, np.log(xs))  # noqa: E731
+        power = fn(lambda x: x**-1.25, 1.0, 50.0)
+        for (g, m), (g0, m0) in [
+            ((Function1D(eval=source, domain=dom, breaks=xs), ln), (fn(source, 1.0, 50.0), ln)),
+            ((power, Measure1D(m=weight, domain=dom, breaks=xs)),
+             (power, Measure1D(m=weight, domain=dom))),
+        ]:
+            got, want = stieltjes_integral(g, m, 1.5, 45.0), stieltjes_integral(g0, m0, 1.5, 45.0)
+            assert (got.value, got.panels_used) == (want.value, want.panels_used)
+
+    def test_table_measure_partials_still_need_a_derivative(self):
+        with pytest.raises(MissingDerivativeError):
+            mean_partial_r(KINKED, TABLE_LN, 2.0, 10.0)
+
+    def test_partials_cut_at_the_source_rows(self):
+        r, R = 2.0, 10.0
+        m, L = log_measure(1.0, 50.0), math.log(R / r)
+        integral = table_log_integral(TABLE_XS, TABLE_YS, r, R)
+        f_r, f_R = np.interp([r, R], TABLE_XS, TABLE_YS)
+        points = []
+        source = Function1D(eval=counted(TABLE.eval, points), domain=TABLE.domain,
+                            breaks=TABLE_XS)
+        got = mean_partial_r(source, m, r, R)
+        assert got == pytest.approx((integral - f_r * L) / (r * L * L), rel=1e-8)
+        gaps = int(np.sum((TABLE_XS > r) & (TABLE_XS < R))) + 1
+        assert sum(points) == 1 + gaps + 1 + 15 * gaps  # f(r), then one level
+        assert mean_partial_R(source, m, r, R) == pytest.approx(
+            (f_R * L - integral) / (R * L * L), rel=1e-8)
+
+
 class TestEndPeak:
     # The mass of exp(-1000 x) lies within 0.005 of x = 0, nearer the end of
     # [0, 10] than any Kronrod node, where both K15 and G7 read ~0.
@@ -237,6 +313,19 @@ class TestSegmentIntegrals:
         pieces = segment_integrals(lambda x: 1 / x, log_measure(1.0), [1.0], [1e25])
         assert pieces.value.sum() == pytest.approx(1 - 1e-25, rel=1e-9)
 
+    def test_cut_at_breaks_strictly_inside(self):
+        # Overlapping and nested segments, a break on an end, breaks of g and
+        # of the measure: no piece straddles one.
+        lo, hi = np.array([0.0, 0.5, 2.5, 1.0]), np.array([1.0, 3.0, 2.75, 4.0])
+        knots = np.array([0.5, 2.0, 3.5])
+        m = Measure1D(m=lambda x: x, m_prime=lambda x: 1.0 + 0 * x, domain=Domain(0.0, 5.0),
+                      breaks=np.array([1.5, 2.0]))
+        pieces = segment_integrals(lambda x: x**2, m, lo, hi, breaks=knots)
+        assert self.per_segment(pieces, 4) == pytest.approx((hi**3 - lo**3) / 3, rel=1e-12)
+        cuts = np.array([0.5, 1.5, 2.0, 3.5])
+        assert not ((cuts > pieces.lo[:, None]) & (cuts < pieces.hi[:, None])).any()
+        assert np.all(pieces.lo[1:] >= pieces.lo[:-1])
+
 
 def tabulated_ln_of_inverse(r, R):
     """integral_r^R dm / x for m = TABULATED_LN: slope * ln(hi / lo) on each table gap."""
@@ -253,11 +342,17 @@ ARRAY_CASES = [
      lambda r, R: math.exp(-r) - math.exp(-R)),
     (fn(lambda x: 1 / x, 1.0, 50.0), TABULATED_LN, [1.0, 1.5, 3.0, 7.0, 2.0],
      [45.0, 20.0, 4.5, 49.0, 2.2], tabulated_ln_of_inverse),
+    (TABLE, log_measure(1.0, 50.0), [1.0, 1.5, 3.0, TABLE_XS[9], 2.0],
+     [45.0, 20.0, 4.5, 49.0, TABLE_XS[9]],
+     lambda r, R: table_log_integral(TABLE_XS, TABLE_YS, r, R)),
+    (fn(lambda x: 1 / x, 1.0, 50.0), TABLE_LN, [1.0, 1.5, 3.0, 7.0, TABLE_XS[3]],
+     [45.0, 20.0, 4.5, 49.0, TABLE_XS[20]], tabulated_ln_of_inverse),
 ]
+ARRAY_IDS = ["ln", "identity", "table", "table-source", "table-measure"]
 
 
 class TestArrayIntervals:
-    @pytest.mark.parametrize("g,m,rs,Rs,closed", ARRAY_CASES, ids=["ln", "identity", "table"])
+    @pytest.mark.parametrize("g,m,rs,Rs,closed", ARRAY_CASES, ids=ARRAY_IDS)
     def test_each_interval_within_tolerance(self, g, m, rs, Rs, closed):
         got = stieltjes_integral(g, m, np.array(rs), np.array(Rs))
         assert got.value.shape == got.est_error.shape == (len(rs),)
@@ -268,13 +363,15 @@ class TestArrayIntervals:
             one = stieltjes_integral(g, m, r, R).value
             assert abs(value - one) <= 2 * tol
 
-    @pytest.mark.parametrize("g,m,rs,Rs,closed", ARRAY_CASES, ids=["ln", "identity", "table"])
+    @pytest.mark.parametrize("g,m,rs,Rs,closed", ARRAY_CASES, ids=ARRAY_IDS)
     def test_means_within_tolerance(self, g, m, rs, Rs, closed):
         got = integral_mean(g, m, np.array(rs), np.array(Rs)).value
         for r, R, value in zip(rs, Rs, got):
             dm = m.m(R) - m.m(r)
             want = closed(r, R) / dm
-            assert abs(value - want) <= max(1e-10, 1e-9 * abs(closed(r, R))) / dm
+            tol = max(1e-10, 1e-9 * abs(closed(r, R))) / dm
+            assert abs(value - want) <= tol
+            assert abs(value - integral_mean(g, m, r, R).value) <= 2 * tol
 
     @pytest.mark.parametrize("g,m,rs,Rs,closed", ARRAY_CASES[:2], ids=["ln", "identity"])
     def test_one_refinement_for_all_intervals(self, g, m, rs, Rs, closed):
@@ -437,6 +534,17 @@ class TestMeasureValidation:
         m.validate(1.0, 2.0)
         with pytest.raises(DegenerateIntervalError, match="not strictly increasing"):
             m.validate(1.0, 12.0)
+
+    def test_checks_every_row_of_a_table(self):
+        # The measure falls between two rows 1e-7 apart, where no node lands.
+        xs, ms = np.array([1.0, 7.0, 7.0000001, 50.0]), np.array([0.0, 1.0, 0.99, 5.0])
+        m = Measure1D(m=lambda x: np.interp(x, xs, ms), domain=Domain(1.0, 50.0))
+        m.validate(1.0, 40.0)
+        m.breaks = xs
+        with pytest.raises(DegenerateIntervalError,
+                           match=r"^measure is not strictly increasing near x=7\.0$"):
+            m.validate(1.0, 40.0)
+        m.validate(7.5, 40.0)  # rows outside [lo, hi] are not read
 
     def test_rejects_nonpositive_derivative(self):
         bad = Measure1D(

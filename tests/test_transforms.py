@@ -180,6 +180,31 @@ class TestMajorantTable:
         res = decreasing_majorant_mean(f, m)
         self.check_against_reference(res, f, m, [1.2, 3.3, 17.0, 49.0], panels=1000)
 
+    def test_tabulated_measure_with_rows(self):
+        # D's segments and partial pieces are cut at the rows, and each piece
+        # takes G7/K15 times its slope.
+        xs = np.geomspace(1.0, 50.0, 257)
+        m = Measure1D(m=lambda x: np.interp(x, xs, np.log(xs)), domain=Domain(1.0, 50.0),
+                      diverges=True, breaks=xs)
+        f = fn(wave, 1.0, 50.0, tail=Tail.vanishing())
+        res = decreasing_majorant_mean(f, m)
+        self.check_against_reference(res, f, m, [1.2, 3.3, xs[100], 17.0, 49.0], panels=1000)
+
+    def test_frozen_values(self):
+        # Bit for bit what D returned before the envelope's cut rule moved
+        # into Envelope.kinks.
+        wave_D = decreasing_majorant_mean(fn(wave, 0.0, math.inf, tail=Tail.vanishing()),
+                                          identity_measure(0.0)).fn
+        inv_D = decreasing_majorant_mean(fn(lambda x: 1 / x, 1.0, math.inf,
+                                            tail=Tail.vanishing()), log_measure(1.0)).fn
+        for D, Rs, want in [
+            (wave_D, (0.3, 1.0, 7.1, 40.0), ("0x1.28358ee045f37p+0", "0x1.85288801e33f3p-1",
+                                             "0x1.54786df6d38abp-3", "0x1.e3d6286cf1396p-6")),
+            (inv_D, (1.5, 10.0, 123.4, 1e4), ("0x1.a4ea7145f210ap-1", "0x1.903eec63c9af4p-2",
+                                              "0x1.a5da57788bf8fp-3", "0x1.bcac4ed231394p-4")),
+        ]:
+            assert [D(R).hex() for R in Rs] == list(want)
+
     def test_array_queries_match_scalar_ones(self):
         f = fn(wave, 0.0, math.inf, tail=Tail.vanishing())
         res = decreasing_majorant_mean(f, identity_measure(0.0))
