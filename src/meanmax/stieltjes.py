@@ -46,12 +46,13 @@ LOCAL_HALVINGS = 52
 # midpoint sum against an opaque tabulated measure over [1, 45].
 POINT_BUDGET = 2**21
 
-# A call cuts at the breaks only while that leaves at most this many pieces.
-# Each costs 16 points at the first level, so past 2^17 the cuts alone would
-# exceed POINT_BUDGET, and the kinks of a dense table are too mild to need
-# them: a CSV of x^-0.9 on 20,000 geometric rows over [1, 50] integrates
-# against ln x on [1.5, 45] in 18,107 points bisected and 278,225 cut.
-BREAK_PIECES = 2**13
+# A piece cut at a break reads 16 points at its first level of G7/K15: its 15
+# Kronrod nodes and the cut.
+CUT_POINTS = 16
+
+# m at the middle of a table's gap lies on the chord up to this fraction of
+# |m|, some thousands of rounding units: validate() raises past it.
+CHORD_RTOL = 4096 * np.finfo(float).eps
 
 # The 15-point Kronrod rule on [-1, 1] and the 7-point Gauss rule at its odd
 # nodes, as published with QUADPACK's qk15: the non-negative nodes from 1 down
@@ -91,8 +92,9 @@ class Measure1D:
     diverges declares that m(x) -> +inf as x -> b, which several transform
     hypotheses require.  breaks, when given, is a sorted array of the points
     where m may fail to be smooth; quadrature cuts there.  A measure with
-    breaks and no m_prime is a table: it must be linear on each piece of its
-    domain that the breaks cut.  Monotonicity is the caller's responsibility
+    some breaks and no m_prime is a table: it must be linear on each piece of
+    its domain that the breaks cut, and validate() checks that it is.
+    Monotonicity is the caller's responsibility
     and is only spot-checked by validate().
     """
 
@@ -102,14 +104,21 @@ class Measure1D:
     diverges: bool = False
     breaks: np.ndarray | None = None
 
+    @property
+    def table(self) -> bool:
+        """Whether m is a table: some breaks, no derivative, linear between the breaks."""
+        return self.m_prime is None and self.breaks is not None and len(self.breaks) > 0
+
     def validate(self, lo: float | None = None, hi: float | None = None) -> None:
         """Spot-check strict increase of m, and positivity of m', on 257 nodes of [lo, hi].
 
         The breaks inside [lo, hi] join the nodes, so a table's rows are all
-        compared.  lo defaults to a and hi to window_end(domain, a), which also
-        caps a given hi unless the domain is unbounded.  m must be finite at
-        lo.  Any other sample where m or m' cannot be computed (an overflow, a
-        pole) is left unchecked: only the values that exist are compared.
+        compared, and m at the middle of each gap between them (and lo and hi)
+        must lie on the gap's chord when m is a table.  lo defaults to a and
+        hi to window_end(domain, a), which also caps a given hi unless the
+        domain is unbounded.  m must be finite at lo.  Any other sample where
+        m or m' cannot be computed (an overflow, a pole) is left unchecked:
+        only the values that exist are compared.
         """
         dom = self.domain
         lo = dom.a if lo is None else max(lo, dom.a)
@@ -117,9 +126,9 @@ class Measure1D:
         hi = end if hi is None else (hi if dom.unbounded else min(hi, end))
         if not lo < hi:
             return
-        xs = build_nodes(lo, hi, 257)
-        if self.breaks is not None:
-            xs = np.union1d(xs, self.breaks[(self.breaks > lo) & (self.breaks < hi)])
+        inner = np.empty(0) if self.breaks is None else self.breaks[
+            (self.breaks > lo) & (self.breaks < hi)]
+        xs = np.union1d(build_nodes(lo, hi, 257), inner)
         ms = probe(self.m, xs)
         if np.isnan(ms[0]):
             raise DegenerateIntervalError(f"measure is not finite at the left end x={lo}")
@@ -130,6 +139,18 @@ class Measure1D:
             raise DegenerateIntervalError(
                 f"measure is not strictly increasing near x={xs[ok][k]}"
             )
+        if self.table:
+            edges = np.concatenate([[lo], inner, [hi]])
+            m_lo, m_hi = ms[np.searchsorted(xs, edges[:-1])], ms[np.searchsorted(xs, edges[1:])]
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            chord = m_lo + (m_hi - m_lo) * ((mid - edges[:-1]) / np.diff(edges))
+            bent = np.abs(probe(self.m, mid) - chord) > CHORD_RTOL * np.maximum(
+                np.abs(m_lo), np.abs(m_hi))
+            if np.any(bent):
+                raise DegenerateIntervalError(
+                    f"measure with breaks and no derivative is not linear between its "
+                    f"breaks near x={mid[np.argmax(bent)]}"
+                )
         if self.m_prime is not None:
             dms = probe(self.m_prime, xs[1:-1])
             if np.any(dms <= 0):
@@ -254,13 +275,13 @@ def segment_integrals(
     """integral of g dm over each segment [lo[i], hi[i]], refined locally.
 
     A segment is first cut at every point of breaks (g's, sorted) and of
-    m.breaks strictly inside it, unless that makes more than BREAK_PIECES
-    pieces: then the breaks are ignored.  Each level makes one call to g for
+    m.breaks strictly inside it, unless the added pieces' CUT_POINTS each
+    would pass POINT_BUDGET: then the breaks are ignored.  Each level makes one call to g for
     the pieces of all segments, and only the pieces whose error exceeds their
     tolerance are halved, at most LOCAL_HALVINGS times.  A piece gets G7/K15
     on g*m', G7/K15 on g times the piece's slope (m(hi) - m(lo)) / (hi - lo)
-    when m is a table (breaks and no derivative) cut at its breaks, or
-    midpoint Stieltjes sums otherwise.  Segments wider than GEOMETRIC_RATIO on
+    when m is a table (Measure1D.table) cut at its breaks, or midpoint
+    Stieltjes sums otherwise.  Segments wider than GEOMETRIC_RATIO on
     positive x start from BASE_PANELS geometric pieces.  g is read once at
     each cut, m once at each cut and midpoint.  A piece of weight dm is
     accepted within max(atol * dm / span, rtol * |value|) / 4, span (an
@@ -278,8 +299,8 @@ def segment_integrals(
     table = False
     if knots:
         cut = _cut(lo, hi, np.unique(np.concatenate(knots)))
-        if len(cut[0]) <= BREAK_PIECES:
-            (lo, hi, origin), table = cut, m.breaks is not None and m.m_prime is None
+        if CUT_POINTS * (len(cut[0]) - len(lo)) <= POINT_BUDGET:
+            (lo, hi, origin), table = cut, m.table
     wide = (lo > 0) & (hi > GEOMETRIC_RATIO * lo)
     if wide.any():
         cuts = np.geomspace(lo[wide], hi[wide], BASE_PANELS + 1, axis=1)

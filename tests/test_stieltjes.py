@@ -14,7 +14,7 @@ from meanmax.errors import (
 from meanmax.func1d import GEOMETRIC_RATIO, Domain, Function1D
 from meanmax.stieltjes import (
     BASE_PANELS,
-    BREAK_PIECES,
+    CUT_POINTS,
     END_WEIGHT,
     GAUSS_WEIGHTS,
     INNER_WEIGHTS,
@@ -231,10 +231,13 @@ class TestBreaks:
         assert got.panels_used == gaps and sum(points) == gaps + 1 + 15 * gaps
         assert sum(points) < sum(bisected) / 10
 
-    def test_table_measure_takes_kronrod_times_the_slope(self):
-        # x^-1.25 against ln x tabulated on 257 geometric rows: on each gap the
-        # measure's slope times the integral of x^-1.25 dx.
-        xs = np.geomspace(1.0, 50.0, 257)
+    @pytest.mark.parametrize("rows", [257, 10_000])
+    def test_table_measure_takes_kronrod_times_the_slope(self, rows):
+        # x^-1.25 against ln x tabulated on geometric rows: on each gap the
+        # measure's slope times the integral of x^-1.25 dx.  Every gap is
+        # accepted at the first level, 16 points a gap: 4,001 points for 257
+        # rows, where midpoint sums read 396,461.
+        xs = np.geomspace(1.0, 50.0, rows)
         xs[-1] = 50.0
         ms = np.log(xs)
         m = Measure1D(m=lambda x: np.interp(x, xs, ms), domain=Domain(1.0, 50.0), breaks=xs)
@@ -245,14 +248,35 @@ class TestBreaks:
         points = []
         got = integral_mean(fn(counted(lambda x: x**-1.25, points), 1.0, 50.0), m, r, R)
         assert abs(got.value - want) <= 1e-12 * want
-        assert sum(points) <= 5000
+        gaps = int(np.sum((xs > r) & (xs < R))) + 1
+        assert sum(points) == CUT_POINTS * gaps + 1
+        assert rows > 257 or sum(points) <= 5000
 
-    def test_dense_table_ignores_its_rows(self):
-        # Cut at each of 20,000 rows, a table costs 16 points a row, where its
-        # mild kinks need far fewer, and past 2^17 rows more than POINT_BUDGET:
-        # past BREAK_PIECES pieces a call refines as if no row were declared.
-        xs = np.geomspace(1.0, 50.0, 20_000)
-        assert np.sum((xs > 1.5) & (xs < 45.0)) > BREAK_PIECES
+    def test_many_segments_keep_the_table_path(self):
+        # 9,000 intervals, one segment each, on the 40-row table measure: the
+        # rows add one cut each, however many segments the call holds, so
+        # every piece takes G7/K15 times its slope and meets the closed form,
+        # up to the rounding of m(hi) - m(lo) on a narrow piece.
+        grid = np.geomspace(1.0, 49.0, 9001)
+        r, R = grid[:-1], grid[1:]
+        points = []
+        got = stieltjes_integral(fn(counted(lambda x: 1 / x, points), 1.0, 50.0),
+                                 TABLE_LN, r, R)
+        slope = np.diff(np.log(TABLE_XS)) / np.diff(TABLE_XS)
+        k = np.searchsorted(TABLE_XS, r, side="right") - 1
+        row = np.minimum(TABLE_XS[k + 1], R)
+        tail = np.log(R / row) * slope[np.minimum(k + 1, len(slope) - 1)]
+        want = slope[k] * np.log(row / r) + tail
+        assert np.all(np.abs(got.value - want) <= 1e-11 * want)
+        assert got.panels_used == len(r) + int(np.sum((TABLE_XS > 1.0) & (TABLE_XS < 49.0)))
+        assert sum(points) == got.panels_used + 1 + 15 * got.panels_used
+
+    def test_cuts_past_the_budget_are_dropped(self):
+        # Cut at each of 160,001 rows, a table would spend more than
+        # POINT_BUDGET on the cuts alone: the call refines as if no row were
+        # declared.
+        xs = np.geomspace(1.0, 50.0, 160_001)
+        assert CUT_POINTS * np.sum((xs > 1.5) & (xs < 45.0)) > POINT_BUDGET
         dom, ln = Domain(1.0, 50.0), log_measure(1.0, 50.0)
         source = lambda x: np.interp(x, xs, xs**-0.9)  # noqa: E731
         weight = lambda x: np.interp(x, xs, np.log(xs))  # noqa: E731
@@ -264,6 +288,15 @@ class TestBreaks:
         ]:
             got, want = stieltjes_integral(g, m, 1.5, 45.0), stieltjes_integral(g0, m0, 1.5, 45.0)
             assert (got.value, got.panels_used) == (want.value, want.panels_used)
+
+    def test_empty_breaks_declare_no_table(self):
+        # ln x with an empty breaks array is not known to be linear anywhere:
+        # cut at the source's breaks, it keeps midpoint sums.
+        m = Measure1D(m=np.log, domain=Domain(1.0, 50.0), breaks=np.array([]))
+        assert not m.table and TABLE_LN.table
+        g = Function1D(eval=lambda x: 1 / x, domain=Domain(1.0, 50.0), breaks=TABLE_XS)
+        want = 1 / 1.5 - 1 / 20.0
+        assert stieltjes_integral(g, m, 1.5, 20.0).value == pytest.approx(want, rel=1e-9)
 
     def test_table_measure_partials_still_need_a_derivative(self):
         with pytest.raises(MissingDerivativeError):
@@ -545,6 +578,18 @@ class TestMeasureValidation:
                            match=r"^measure is not strictly increasing near x=7\.0$"):
             m.validate(1.0, 40.0)
         m.validate(7.5, 40.0)  # rows outside [lo, hi] are not read
+
+    def test_rejects_a_table_bent_between_its_breaks(self):
+        # ln x with breaks and no derivative claims to be linear between them.
+        xs = np.geomspace(1.0, 50.0, 257)
+        m = Measure1D(m=np.log, domain=Domain(1.0, 50.0), breaks=xs)
+        with pytest.raises(DegenerateIntervalError,
+                           match="^measure with breaks and no derivative is not linear"):
+            m.validate(1.0, 45.0)
+        m.m_prime = lambda x: 1 / x
+        m.validate(1.0, 45.0)
+        TABLE_LN.validate(1.0, 45.0)
+        TABLE_LN.validate(3.0, 3.5)  # inside one gap
 
     def test_rejects_nonpositive_derivative(self):
         bad = Measure1D(
