@@ -8,16 +8,16 @@ Every integral runs through segment_integrals, which bisects pieces of its
 segments locally until each piece's error estimate meets the piece's share of
 the tolerance; the integrals over an array of intervals share one such call.
 Segments are cut first at the breaks of f and of m, the points where either
-may fail to be smooth, as QUADPACK's QAGP cuts at user break points.
-When m carries a derivative a piece gets the 7-point Gauss /
-15-point Kronrod pair on f * m' (QUADPACK, Piessens et al. 1983); its
-error is the larger of |K15 - G7| and the gap between K15 and a rule that
-also reads the piece's ends, which no Kronrod node sees.  A table measure,
-with breaks and no derivative, is linear between its breaks, so a piece gets
-the same pair on f times the piece's exact slope.  Otherwise it gets a
-midpoint Stieltjes sum on two halves, checked against one panel and against
-the trapezoid sum.  Segments wide on positive x start from geometric pieces.
-A call that needs more than POINT_BUDGET integrand points raises
+may fail to be smooth, as QUADPACK's QAGP cuts at user break points.  Every
+piece gets the 7-point Gauss / 15-point Kronrod pair on f * m' (QUADPACK,
+Piessens et al. 1983); its error is the larger of |K15 - G7| and the gap
+between K15 and a rule that also reads the piece's ends, which no Kronrod
+node sees.  When m carries no derivative, each rule takes m' from m's own
+values: the derivative of the polynomial through m at the piece's ends and at
+the rule's nodes (barycentric differentiation, Berrut and Trefethen 2004), so
+each rule's weights sum to the piece's weight and a kink of m inside a piece
+costs both rules alike.  Segments wide on positive x start from geometric
+pieces.  A call that needs more than POINT_BUDGET integrand points raises
 QuadratureError.
 """
 
@@ -42,17 +42,14 @@ BASE_PANELS = 64
 LOCAL_HALVINGS = 52
 
 # Integrand points one call of segment_integrals may read before it gives up.
-# The largest call of the test suite and the benchmark reads about 400,000: a
-# midpoint sum against an opaque tabulated measure over [1, 45].
+# The largest call that converges in the test suite reads 155,681: x^-1.25
+# against ln x tabulated on 10,000 rows, cut at every row; in the benchmark,
+# 78,489.
 POINT_BUDGET = 2**21
 
 # A piece cut at a break reads 16 points at its first level of G7/K15: its 15
 # Kronrod nodes and the cut.
 CUT_POINTS = 16
-
-# m at the middle of a table's gap lies on the chord up to this fraction of
-# |m|, some thousands of rounding units: validate() raises past it.
-CHORD_RTOL = 4096 * np.finfo(float).eps
 
 # The 15-point Kronrod rule on [-1, 1] and the 7-point Gauss rule at its odd
 # nodes, as published with QUADPACK's qk15: the non-negative nodes from 1 down
@@ -85,17 +82,34 @@ _WE = (0.0744814467816111853799448910676960, 0.097714354443991536329556007393024
 INNER_WEIGHTS = np.concatenate([[0.0], _WE[:-1], _WE[::-1], [0.0]])
 
 
+def _diff_matrix(t: np.ndarray) -> np.ndarray:
+    """The matrix taking values at the nodes t to their interpolant's derivative there.
+
+    Barycentric (Berrut and Trefethen, SIAM Review 2004); a diagonal entry is
+    minus the rest of its row, so a constant maps to 0.
+    """
+    dt = t[:, None] - t + np.eye(len(t))
+    w = 1 / dt.prod(axis=1)
+    d = w / w[:, None] / dt - np.eye(len(t))
+    return d - np.diag(d.sum(axis=1))
+
+
+# Derivatives on [-1, 1] of the polynomial through the two ends and the 15
+# Kronrod nodes (17 points), and of the one through the ends and the 7 Gauss
+# nodes (9 points), at those points.
+KRONROD_DIFF = _diff_matrix(np.concatenate([[-1.0], KRONROD_NODES, [1.0]]))
+GAUSS_DIFF = _diff_matrix(np.concatenate([[-1.0], KRONROD_NODES[1::2], [1.0]]))
+
+
 @dataclass
 class Measure1D:
     """A strictly increasing weight m with an optional derivative.
 
     diverges declares that m(x) -> +inf as x -> b, which several transform
     hypotheses require.  breaks, when given, is a sorted array of the points
-    where m may fail to be smooth; quadrature cuts there.  A measure with
-    some breaks and no m_prime is a table: it must be linear on each piece of
-    its domain that the breaks cut, and validate() checks that it is.
-    Monotonicity is the caller's responsibility
-    and is only spot-checked by validate().
+    where m may fail to be smooth, as on Function1D; quadrature cuts there.
+    Monotonicity is the caller's responsibility and is only spot-checked by
+    validate().
     """
 
     m: Callable[[float], float]
@@ -104,21 +118,15 @@ class Measure1D:
     diverges: bool = False
     breaks: np.ndarray | None = None
 
-    @property
-    def table(self) -> bool:
-        """Whether m is a table: some breaks, no derivative, linear between the breaks."""
-        return self.m_prime is None and self.breaks is not None and len(self.breaks) > 0
-
     def validate(self, lo: float | None = None, hi: float | None = None) -> None:
         """Spot-check strict increase of m, and positivity of m', on 257 nodes of [lo, hi].
 
         The breaks inside [lo, hi] join the nodes, so a table's rows are all
-        compared, and m at the middle of each gap between them (and lo and hi)
-        must lie on the gap's chord when m is a table.  lo defaults to a and
-        hi to window_end(domain, a), which also caps a given hi unless the
-        domain is unbounded.  m must be finite at lo.  Any other sample where
-        m or m' cannot be computed (an overflow, a pole) is left unchecked:
-        only the values that exist are compared.
+        compared.  lo defaults to a and hi to window_end(domain, a), which
+        also caps a given hi unless the domain is unbounded.  m must be finite
+        at lo.  Any other sample where m or m' cannot be computed (an
+        overflow, a pole) is left unchecked: only the values that exist are
+        compared.
         """
         dom = self.domain
         lo = dom.a if lo is None else max(lo, dom.a)
@@ -139,18 +147,6 @@ class Measure1D:
             raise DegenerateIntervalError(
                 f"measure is not strictly increasing near x={xs[ok][k]}"
             )
-        if self.table:
-            edges = np.concatenate([[lo], inner, [hi]])
-            m_lo, m_hi = ms[np.searchsorted(xs, edges[:-1])], ms[np.searchsorted(xs, edges[1:])]
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            chord = m_lo + (m_hi - m_lo) * ((mid - edges[:-1]) / np.diff(edges))
-            bent = np.abs(probe(self.m, mid) - chord) > CHORD_RTOL * np.maximum(
-                np.abs(m_lo), np.abs(m_hi))
-            if np.any(bent):
-                raise DegenerateIntervalError(
-                    f"measure with breaks and no derivative is not linear between its "
-                    f"breaks near x={mid[np.argmax(bent)]}"
-                )
         if self.m_prime is not None:
             dms = probe(self.m_prime, xs[1:-1])
             if np.any(dms <= 0):
@@ -276,31 +272,31 @@ def segment_integrals(
 
     A segment is first cut at every point of breaks (g's, sorted) and of
     m.breaks strictly inside it, unless the added pieces' CUT_POINTS each
-    would pass POINT_BUDGET: then the breaks are ignored.  Each level makes one call to g for
-    the pieces of all segments, and only the pieces whose error exceeds their
-    tolerance are halved, at most LOCAL_HALVINGS times.  A piece gets G7/K15
-    on g*m', G7/K15 on g times the piece's slope (m(hi) - m(lo)) / (hi - lo)
-    when m is a table (Measure1D.table) cut at its breaks, or midpoint
-    Stieltjes sums otherwise.  Segments wider than GEOMETRIC_RATIO on
-    positive x start from BASE_PANELS geometric pieces.  g is read once at
-    each cut, m once at each cut and midpoint.  A piece of weight dm is
-    accepted within max(atol * dm / span, rtol * |value|) / 4, span (an
-    array, one weight per segment) defaulting to the total weight of the
-    segments.  So the pieces of any run of segments of total weight at most
-    span, plus the pieces of one more such run, stay within max(atol, rtol *
-    |I|) of their integral I when g keeps its sign.  More than POINT_BUDGET
-    points of g raise QuadratureError.
+    would pass POINT_BUDGET: then the breaks are ignored.  Each level makes
+    one call to g for the pieces of all segments, and only the pieces whose
+    error exceeds their tolerance are halved, at most LOCAL_HALVINGS times.
+    A piece gets G7/K15 on g*m', with m' from m's own values when m has no
+    m_prime (see _refine).  Segments wider than GEOMETRIC_RATIO on positive x
+    start from BASE_PANELS geometric pieces.  g is read once at each cut; m
+    once at each cut, then once a piece at its midpoint when m has m_prime,
+    otherwise at its 15 Kronrod nodes.  A piece of weight dm is accepted
+    within max(atol * dm / span, rtol * |value|) / 4 (or the rounding of m's
+    values, see _refine), span (an array, one weight per segment) defaulting
+    to the total weight of the segments.  So
+    the pieces of any run of segments of total weight at most span, plus the
+    pieces of one more such run, stay within max(atol, rtol * |I|) of their
+    integral I when g keeps its sign.  More than POINT_BUDGET points of g
+    raise QuadratureError.
     """
     cfg = cfg or QuadratureConfig()
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     origin = np.arange(len(lo))
     knots = [k for k in (breaks, m.breaks) if k is not None and len(k)]
-    table = False
     if knots:
         cut = _cut(lo, hi, np.unique(np.concatenate(knots)))
         if CUT_POINTS * (len(cut[0]) - len(lo)) <= POINT_BUDGET:
-            (lo, hi, origin), table = cut, m.table
+            lo, hi, origin = cut
     wide = (lo > 0) & (hi > GEOMETRIC_RATIO * lo)
     if wide.any():
         cuts = np.geomspace(lo[wide], hi[wide], BASE_PANELS + 1, axis=1)
@@ -311,7 +307,7 @@ def segment_integrals(
     if not len(lo):
         return Pieces(lo, hi, lo, lo, origin)
     span = None if span is None else np.asarray(span, dtype=float)[origin]
-    done = _refine(g, m, lo, hi, origin, span, cfg, table)
+    done = _refine(g, m, lo, hi, origin, span, cfg)
     lo, hi, value, error, origin = (np.concatenate(parts) for parts in zip(*done))
     order = np.argsort(lo, kind="stable")
     return Pieces(lo[order], hi[order], value[order], error[order], origin[order])
@@ -331,26 +327,21 @@ def _cut(lo: np.ndarray, hi: np.ndarray, knots: np.ndarray):
     return left, right, origin
 
 
-def _level_points(lo, hi, kronrod: bool) -> np.ndarray:
-    """The new points of g a level reads: 15 Kronrod nodes, or two quarter points, a piece."""
-    mid = 0.5 * (lo + hi)
-    if kronrod:
-        return (mid[:, None] + (hi - mid)[:, None] * KRONROD_NODES).ravel()
-    return np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)])
-
-
-def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig, table: bool):
+def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig):
     """Halve the pieces whose error exceeds their tolerance, level by level.
 
-    G7/K15 estimates a piece from 15 new points, on g*m' or, for a table
-    measure cut at its breaks, on g scaled by half the piece's weight.  Midpoint sums compare one
-    panel against two and, since no midpoint sees a piece's ends, also the
-    two-panel midpoint sum against the trapezoid sum on the same points.  A
-    piece's halves inherit its ends and midpoint (the middle Kronrod node), so
-    only the first level also reads g at the cuts (and midpoints).  Each level
-    reads m at the midpoint of every piece, a cut once the piece is halved.
+    G7/K15 estimates a piece from 15 new points of g*m'.  Without m_prime,
+    m is read at the piece's 15 Kronrod nodes and, less its value at the
+    centre node, differentiated in two ways: K15 and the end rule take m'
+    from the polynomial through m at the ends and all 15 nodes
+    (KRONROD_DIFF), G7 from the one through the ends and its 7 nodes
+    (GAUSS_DIFF).  Each rule then integrates its own interpolant's
+    derivative exactly, so its weights sum to m(hi) - m(lo) and a kink or
+    jump of m inside the piece costs it only O(h^2).  Such a piece is also
+    accepted when m's rounding alone could explain its error.  A piece's
+    halves inherit its ends and midpoint (the middle Kronrod node), so only
+    the first level reads g and m at the cuts.
     """
-    kronrod = m.m_prime is not None or table
     fun = (lambda x: g(x) * m.m_prime(x)) if m.m_prime is not None else g
     used = 0
 
@@ -368,43 +359,49 @@ def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig, table: bool):
     cuts, at = np.unique(np.concatenate([lo, hi]), return_inverse=True)
     ms = sample(m.m, cuts)[at]
     m_lo, m_hi = ms[:n], ms[n:]
-    head = cuts if kronrod else np.concatenate([cuts, 0.5 * (lo + hi)])
-    ys = integrand(np.concatenate([head, _level_points(lo, hi, kronrod)]))
-    y_ends = ys[: len(cuts)][at]
-    y_lo, y_hi, centre, ys = y_ends[:n], y_ends[n:], ys[len(cuts) : len(head)], ys[len(head) :]
     density = cfg.atol / span if span is not None else np.full(n, cfg.atol / np.sum(m_hi - m_lo))
     done = []
     for level in range(LOCAL_HALVINGS + 1):
         n = len(lo)
         mid = 0.5 * (lo + hi)
-        m_mid = sample(m.m, mid)
-        if level:
-            ys = integrand(_level_points(lo, hi, kronrod))
-        if kronrod:
-            # A table measure is linear on the piece, dm = slope * dx, so the
-            # rule's half-width times the slope is half the piece's weight.
-            half = hi - mid if m.m_prime is not None else 0.5 * (m_hi - m_lo)
-            ys = ys.reshape(n, -1)
+        xs = (mid[:, None] + (hi - mid)[:, None] * KRONROD_NODES).ravel()
+        ys = integrand(np.concatenate([cuts, xs]) if level == 0 else xs)
+        if level == 0:
+            y_ends = ys[: len(cuts)][at]
+            y_lo, y_hi, ys = y_ends[:n], y_ends[n:], ys[len(cuts) :]
+        ys = ys.reshape(n, -1)
+        if m.m_prime is not None:
+            m_mid = sample(m.m, mid)
+            half = hi - mid
             value = half * (ys @ KRONROD_WEIGHTS)
             gauss = half * (ys @ GAUSS_WEIGHTS)
             ends = half * (ys @ INNER_WEIGHTS + END_WEIGHT * (y_lo + y_hi))
-            err = np.maximum(np.abs(value - gauss), np.abs(value - ends))
-            centre = ys[:, 7]
+            floor = 0.0
         else:
-            y1, y3 = ys[:n], ys[n:]
-            dm_lo, dm_hi = m_mid - m_lo, m_hi - m_mid
-            value = y1 * dm_lo + y3 * dm_hi
-            trapezoid = 0.5 * ((y_lo + centre) * dm_lo + (centre + y_hi) * dm_hi)
-            err = np.maximum(np.abs(value - centre * (m_hi - m_lo)), np.abs(trapezoid - value))
-        tol = 0.25 * np.maximum(density * (m_hi - m_lo), cfg.rtol * np.abs(value))
+            mk = sample(m.m, xs).reshape(n, -1)
+            m_mid = mk[:, 7]
+            # Each rule as weights on m at the ends and the nodes, less m at
+            # the centre node.
+            rel = np.column_stack([m_lo, mk, m_hi]) - m_mid[:, None]
+            wk = (ys * KRONROD_WEIGHTS) @ KRONROD_DIFF[1:-1]
+            wg = np.zeros_like(wk)
+            wg[:, ::2] = (ys[:, 1::2] * GAUSS_WEIGHTS[1::2]) @ GAUSS_DIFF[1:-1]
+            we = (ys * INNER_WEIGHTS) @ KRONROD_DIFF[1:-1] + END_WEIGHT * (
+                y_lo[:, None] * KRONROD_DIFF[0] + y_hi[:, None] * KRONROD_DIFF[-1])
+            value, gauss, ends = (np.sum(w * rel, axis=1) for w in (wk, wg, we))
+            # What m's rounding, 2 eps |m| a value, can make of the rules' gaps.
+            floor = 2 * np.finfo(float).eps * np.maximum(np.abs(m_lo), np.abs(m_hi)) * np.maximum(
+                np.abs(wk - wg).sum(axis=1), np.abs(wk - we).sum(axis=1))
+        err = np.maximum(np.abs(value - gauss), np.abs(value - ends))
+        centre = ys[:, 7]
+        tol = np.maximum(0.25 * np.maximum(density * (m_hi - m_lo), cfg.rtol * np.abs(value)),
+                         floor)
         ok = err <= tol
         done.append((lo[ok], hi[ok], value[ok], err[ok], origin[ok]))
         if ok.all():
             return done
         s = ~ok
         y_lo, y_hi = np.concatenate([y_lo[s], centre[s]]), np.concatenate([centre[s], y_hi[s]])
-        if not kronrod:
-            centre = np.concatenate([y1[s], y3[s]])
         lo, hi = np.concatenate([lo[s], mid[s]]), np.concatenate([mid[s], hi[s]])
         m_lo, m_hi = np.concatenate([m_lo[s], m_mid[s]]), np.concatenate([m_mid[s], m_hi[s]])
         origin, density = np.tile(origin[s], 2), np.tile(density[s], 2)

@@ -94,8 +94,8 @@ class TestMean:
         assert float(out.strip()) == pytest.approx(0.5, rel=1e-6)
 
     def test_csv_measure_of_257_rows(self, capsys, tmp_path, monkeypatch):
-        # Linear between its rows, a CSV measure gives each gap G7/K15 on f
-        # times the gap's slope; midpoint sums read 396,461 points here.
+        # Cut at its rows, a CSV measure is linear on each gap, where m' from
+        # its values is the gap's slope: 4,001 points here.
         xs = np.geomspace(1.0, 50.0, 257)
         xs[-1] = 50.0
         p = tmp_path / "ln.csv"
@@ -112,6 +112,13 @@ class TestMean:
                            "--a", "1", "--b", "50", "--r", "1", "--R", "45")
         assert (code, out) == (0, "0.2083502146\n")
         assert sum(points) <= 5000
+
+    def test_measure_without_a_derivative(self, capsys):
+        # max has no derivative, so m' comes from m's values; the closed form
+        # is 0.15354998178.
+        code, out, err = run(capsys, "mean", "--f", "x^(-1.25)", "--m", "max(ln(x), 2*ln(x)-1)",
+                             "--a", "1", "--b", "50", "--r", "1", "--R", "45", "--tol", "1e-13")
+        assert (code, out, err) == (0, "0.1535499818\n", "")
 
     @pytest.mark.parametrize("argv", [
         ["mean", "--f", "1/x", "--r", "1", "--R", "40"],

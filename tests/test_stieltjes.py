@@ -16,8 +16,10 @@ from meanmax.stieltjes import (
     BASE_PANELS,
     CUT_POINTS,
     END_WEIGHT,
+    GAUSS_DIFF,
     GAUSS_WEIGHTS,
     INNER_WEIGHTS,
+    KRONROD_DIFF,
     KRONROD_NODES,
     KRONROD_WEIGHTS,
     POINT_BUDGET,
@@ -71,7 +73,7 @@ class TestStieltjesIntegral:
         got = stieltjes_integral(g, m, r, R).value
         assert got == pytest.approx(oracle, rel=1e-7)
 
-    def test_midpoint_path_matches_derivative_path(self):
+    def test_derivative_from_values_matches_the_given_one(self):
         m_plain = Measure1D(m=math.log, domain=Domain(0.5, math.inf))
         with_dm = stieltjes_integral(INV, M_LN, 1.0, 4.0).value
         without = stieltjes_integral(INV, m_plain, 1.0, 4.0).value
@@ -159,6 +161,19 @@ class TestKronrodRule:
         assert END_WEIGHT > 0 and np.all(INNER_WEIGHTS[1:-1] > 0)
         assert INNER_WEIGHTS[0] == INNER_WEIGHTS[-1] == 0.0
 
+    @pytest.mark.parametrize("diff,nodes", [(KRONROD_DIFF, KRONROD_NODES),
+                                            (GAUSS_DIFF, KRONROD_NODES[1::2])],
+                             ids=["17-point", "9-point"])
+    def test_differentiation_matrix(self, diff, nodes):
+        # On the ends of [-1, 1] and the rule's nodes: exact on every
+        # polynomial the points determine, up to rounding of the matrix's size.
+        t = np.concatenate([[-1.0], nodes, [1.0]])
+        rounding = 4 * np.finfo(float).eps * np.abs(diff).sum(axis=1).max()
+        for k in range(len(t)):
+            want = k * t ** max(k - 1, 0)
+            assert np.abs(diff @ t**k - want).max() <= rounding
+        assert np.abs(diff.sum(axis=1)).max() <= rounding
+
 
 class TestEvaluationBudget:
     def test_smooth_segment_reads_its_ends_and_15_points(self):
@@ -190,18 +205,18 @@ class TestEvaluationBudget:
         assert (points[0] == start + 1 + 15 * start and all(p % 15 == 0 for p in points[1:])
                 or set(points) == {1})
 
-    # the cuts are the ends and the midpoint of every accepted piece
-    def assert_reads_each_cut_once(self, m, r, R):
+    # Without a derivative, m is read once at each cut and at the 15 Kronrod
+    # nodes of every piece estimated, never twice at one point: the count of g.
+    @pytest.mark.parametrize("m,r,R", [
+        (Measure1D(m=np.log, domain=Domain(0.5, math.inf)), 1.0, 4.0),
+        (TABULATED_LN, 1.5, 20.0),
+        (TABULATED_LN, 1.0, 49.0),
+    ], ids=["ln", "tabulated", "tabulated-wide"])
+    def test_measure_read_at_cuts_and_nodes(self, m, r, R):
         xs = []
         got = stieltjes_integral(INV, Measure1D(m=seen(m.m, xs), domain=m.domain), r, R)
-        assert len(xs) == len(set(xs)) == 2 * got.panels_used + 1
-
-    def test_midpoint_reads_each_cut_once(self):
-        self.assert_reads_each_cut_once(Measure1D(m=np.log, domain=Domain(0.5, math.inf)), 1.0, 4.0)
-
-    @pytest.mark.parametrize("r,R", [(1.5, 20.0), (1.0, 49.0)], ids=["tabulated", "tabulated-wide"])
-    def test_midpoint_reads_each_table_cut_once(self, r, R):
-        self.assert_reads_each_cut_once(TABULATED_LN, r, R)
+        start = BASE_PANELS if GEOMETRIC_RATIO * r < R else 1
+        assert len(xs) == len(set(xs)) == start + 1 + 15 * (2 * got.panels_used - start)
 
 
 class TestKinkedTable:
@@ -234,9 +249,10 @@ class TestBreaks:
     @pytest.mark.parametrize("rows", [257, 10_000])
     def test_table_measure_takes_kronrod_times_the_slope(self, rows):
         # x^-1.25 against ln x tabulated on geometric rows: on each gap the
-        # measure's slope times the integral of x^-1.25 dx.  Every gap is
-        # accepted at the first level, 16 points a gap: 4,001 points for 257
-        # rows, where midpoint sums read 396,461.
+        # measure's slope times the integral of x^-1.25 dx.  Cut at its rows,
+        # m is linear on every piece, so the derivative of its interpolant is
+        # that slope.  Every gap is accepted at the first level, 16 points a
+        # gap: 4,001 points for 257 rows.
         xs = np.geomspace(1.0, 50.0, rows)
         xs[-1] = 50.0
         ms = np.log(xs)
@@ -255,8 +271,8 @@ class TestBreaks:
     def test_many_segments_keep_the_table_path(self):
         # 9,000 intervals, one segment each, on the 40-row table measure: the
         # rows add one cut each, however many segments the call holds, so
-        # every piece takes G7/K15 times its slope and meets the closed form,
-        # up to the rounding of m(hi) - m(lo) on a narrow piece.
+        # every piece is linear in m, is accepted at once and meets the closed
+        # form, up to the rounding of m(hi) - m(lo) on a narrow piece.
         grid = np.geomspace(1.0, 49.0, 9001)
         r, R = grid[:-1], grid[1:]
         points = []
@@ -289,14 +305,14 @@ class TestBreaks:
             got, want = stieltjes_integral(g, m, 1.5, 45.0), stieltjes_integral(g0, m0, 1.5, 45.0)
             assert (got.value, got.panels_used) == (want.value, want.panels_used)
 
-    def test_empty_breaks_declare_no_table(self):
-        # ln x with an empty breaks array is not known to be linear anywhere:
-        # cut at the source's breaks, it keeps midpoint sums.
-        m = Measure1D(m=np.log, domain=Domain(1.0, 50.0), breaks=np.array([]))
-        assert not m.table and TABLE_LN.table
+    def test_empty_breaks_are_no_breaks(self):
         g = Function1D(eval=lambda x: 1 / x, domain=Domain(1.0, 50.0), breaks=TABLE_XS)
-        want = 1 / 1.5 - 1 / 20.0
-        assert stieltjes_integral(g, m, 1.5, 20.0).value == pytest.approx(want, rel=1e-9)
+        got, want = (stieltjes_integral(g, Measure1D(m=np.log, domain=Domain(1.0, 50.0),
+                                                     breaks=breaks), 1.5, 20.0)
+                     for breaks in (np.array([]), None))
+        assert (got.value, got.est_error, got.panels_used) == (
+            want.value, want.est_error, want.panels_used)
+        assert got.value == pytest.approx(1 / 1.5 - 1 / 20.0, rel=1e-9)
 
     def test_table_measure_partials_still_need_a_derivative(self):
         with pytest.raises(MissingDerivativeError):
@@ -316,6 +332,64 @@ class TestBreaks:
         assert sum(points) == 1 + gaps + 1 + 15 * gaps  # f(r), then one level
         assert mean_partial_R(source, m, r, R) == pytest.approx(
             (f_R * L - integral) / (R * L * L), rel=1e-8)
+
+
+def damped(x):
+    return np.exp(-0.1 * x) * (2 + np.sin(x))
+
+
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def damped_against_table(xs, slopes, r, R):
+    """integral_r^R damped dm for m linear with the given slopes between the rows xs."""
+    lo, hi = np.clip(xs[:-1], r, R), np.clip(xs[1:], r, R)
+    half, mid = (hi - lo) / 2, (hi + lo) / 2
+    return math.fsum(slopes * half * (damped(mid[:, None] + half[:, None] * GL_NODES)
+                                      @ GL_WEIGHTS))
+
+
+class TestMeasureWithoutDerivative:
+    def test_smooth_measure_without_breaks(self):
+        # ln x, passed with no derivative and no breaks: m' from m's values.
+        points = []
+        got = stieltjes_integral(fn(counted(lambda x: x**-1.25, points), 1.0, 50.0),
+                                 Measure1D(m=np.log, domain=Domain(1.0, 50.0)), 1.0, 45.0)
+        want = (1 - 45.0**-1.25) / 1.25
+        assert abs(got.value - want) <= 1e-12 * want
+        assert sum(points) < 1000
+
+    @pytest.mark.parametrize("cfg", [QuadratureConfig(), QuadratureConfig(atol=1e-13, rtol=1e-12)],
+                             ids=["default", "tight"])
+    def test_random_tables_with_undeclared_kinks(self, cfg):
+        # np.interp on random rows with random slopes, spanning four orders
+        # of magnitude, declared as no breaks: every row is a kink inside
+        # some piece.  On a gap of small slope late in the table, m(hi) -
+        # m(lo) is a few rounding units of m, which bounds what any rule can
+        # read from m's values.
+        g = fn(damped, 1.0, 50.0)
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            xs = np.concatenate([[1.0], np.sort(rng.uniform(1.0, 50.0, rng.integers(1, 30))),
+                                 [50.0]])
+            slopes = rng.lognormal(0.0, 1.5, len(xs) - 1)
+            ms = np.concatenate([[0.0], np.cumsum(slopes * np.diff(xs))])
+            m = Measure1D(m=lambda x: np.interp(x, xs, ms), domain=Domain(1.0, 50.0))
+            r = rng.uniform(1.0, 25.0)
+            R = rng.uniform(r + 1.0, 49.9)
+            want = damped_against_table(xs, slopes, r, R)
+            got = stieltjes_integral(g, m, r, R, cfg).value
+            assert abs(got - want) <= max(cfg.atol, cfg.rtol * abs(want)), seed
+
+    def test_measure_with_a_jump(self):
+        # x + 3 [x >= 7.3]: the jump adds 3 g(7.3) to the integral.
+        points = []
+        m = Measure1D(m=lambda x: x + 3.0 * (x >= 7.3), domain=Domain(0.0, 50.0))
+        got = stieltjes_integral(fn(counted(lambda x: np.exp(-0.1 * x), points), 0.0, 50.0),
+                                 m, 2.0, 20.0)
+        want = 10 * (math.exp(-0.2) - math.exp(-2.0)) + 3 * math.exp(-0.73)
+        assert abs(got.value - want) <= 1e-9 * want
+        assert sum(points) < 2000
 
 
 class TestEndPeak:
@@ -579,15 +653,15 @@ class TestMeasureValidation:
             m.validate(1.0, 40.0)
         m.validate(7.5, 40.0)  # rows outside [lo, hi] are not read
 
-    def test_rejects_a_table_bent_between_its_breaks(self):
-        # ln x with breaks and no derivative claims to be linear between them.
+    def test_accepts_a_curved_measure_with_breaks(self):
+        # breaks say where m may fail to be smooth, as on a function: ln x
+        # with 257 breaks and no derivative is valid input.
         xs = np.geomspace(1.0, 50.0, 257)
         m = Measure1D(m=np.log, domain=Domain(1.0, 50.0), breaks=xs)
-        with pytest.raises(DegenerateIntervalError,
-                           match="^measure with breaks and no derivative is not linear"):
-            m.validate(1.0, 45.0)
-        m.m_prime = lambda x: 1 / x
         m.validate(1.0, 45.0)
+        got = stieltjes_integral(fn(lambda x: x**-1.25, 1.0, 50.0), m, 1.0, 45.0).value
+        want = (1 - 45.0**-1.25) / 1.25
+        assert abs(got - want) <= 1e-12 * want
         TABLE_LN.validate(1.0, 45.0)
         TABLE_LN.validate(3.0, 3.5)  # inside one gap
 
