@@ -253,6 +253,8 @@ def _cmd_envelope(args) -> int:
     _, grid = _configs(args)
     env = envelope_function(f, args.side, grid)
     xs = _parse_range(args.table)
+    for note in env.notes:
+        print(f"warning: {note}", file=sys.stderr)
     _emit(_table_text(env.as_function(), xs), args.output)
     return EXIT_OK
 

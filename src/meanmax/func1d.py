@@ -3,13 +3,14 @@
 The right maximization of f at r is sup f over [r, b); the left maximization is
 sup f over [a, r].  The right one is a decreasing function of r, the left one an
 increasing function, both dominate f pointwise, and both preserve the global
-supremum.  Suprema are estimated by dense sampling plus refinement of every
-local maximum of the samples, to within eps_sup = 1e-9 * max(1, |grid max|)
-(``GridSpec.effective_eps``).  The refinement takes safeguarded parabolic
-steps on all maxima at once and stops each one when its parabola predicts,
-and one more point confirms, a gain of at most one rounding unit of f,
-2^-52 * max(1, |f|), far below eps_sup.  On a monotone side the one peak is
-the end node, and its refinement usually stops after one call of three points.
+supremum.  The suprema of a source with a monotonicity hint, which is trusted,
+read the window's two ends.  Those of any other source are estimated by dense
+sampling plus refinement of every local maximum of the samples, to within
+eps_sup = 1e-9 * max(1, |grid max|) (``GridSpec.effective_eps``).  The
+refinement takes safeguarded parabolic steps on all maxima at once and stops
+each one when its parabola predicts, and one more point confirms, a gain of
+at most one rounding unit of f, 2^-52 * max(1, |f|), far below eps_sup; on an
+unhinted monotone side it usually stops after one call of three points.
 """
 
 from __future__ import annotations
@@ -170,8 +171,8 @@ def evaluate(f: Function1D, x):
 
     An array gets one in_domain check and one sample call, reshaped to x.  A
     number keeps its own path, one direct f.eval call: a one-point sample
-    costs over ten times as much, and single points are what the suprema
-    of a monotone source and the vanishing-tail scan read.
+    costs over ten times as much, and single points are what the
+    vanishing-tail scan reads.
     """
     if isinstance(x, np.ndarray):
         q = in_domain(f.domain, x)
@@ -438,18 +439,18 @@ def right_maximization(f: Function1D, r: float, grid: GridSpec | None = None) ->
     """sup of f over [r, b), within eps_sup for functions the grid resolves.
 
     Each tail note of the window is raised as a RuntimeWarning, as is a
-    declared tail bound that the sampled maximum falls short of.
+    declared tail bound that the sampled maximum falls short of, unless f is
+    hinted decreasing.  A hinted f is read at r and at the window's end.
     """
     grid = grid or GridSpec()
     in_domain(f.domain, r, "r")
-    if f.monotonicity == DECREASING:
-        return _guarded(evaluate(f, r))
     hi, notes = _right_sampling_end(f, r)
     for note in notes:
         warnings.warn(note, RuntimeWarning)
     env = _supremum_table(f, RIGHT, r, hi, grid, notes)
     s = float(env.table[0])
-    if f.domain.unbounded and f.tail.kind == "bounded" and s < f.tail.bound - env.eps_sup:
+    if (f.domain.unbounded and f.tail.kind == "bounded" and f.monotonicity != DECREASING
+            and s < f.tail.bound - env.eps_sup):
         warnings.warn(
             f"tail bound {f.tail.bound} not attained by the sampled maximum {s}",
             RuntimeWarning,
@@ -458,30 +459,23 @@ def right_maximization(f: Function1D, r: float, grid: GridSpec | None = None) ->
 
 
 def left_maximization(f: Function1D, r: float, grid: GridSpec | None = None) -> float:
-    """sup of f over the closed interval [a, r]."""
-    grid = grid or GridSpec()
+    """sup of f over the closed interval [a, r]; a hinted f is read at a and r."""
     in_domain(f.domain, r, "r")
-    if not f.locally_bounded:
-        raise UnboundedSupError("left maximization needs a locally bounded function")
-    if f.monotonicity == INCREASING or r == f.domain.a:
-        return _guarded(evaluate(f, r))
-    if f.monotonicity == DECREASING:
-        return _guarded(evaluate(f, f.domain.a))
-    return float(_supremum_table(f, LEFT, f.domain.a, r, grid, []).table[-1])
+    return float(_supremum_table(f, LEFT, f.domain.a, r, grid or GridSpec(), []).table[-1])
 
 
 @dataclass
 class Envelope:
     """Monotone envelope table of a function, one side at a time.
 
-    xs holds every sample of the build in increasing order: the base-grid
-    nodes and the refined best point of each local maximum of the node
-    samples.  table holds their exact suffix maximum (right side) or prefix
-    maximum (left side), so it is exactly monotone.  A query at a sample
-    reads its table value alone.  A query between two samples re-evaluates
-    the source and clamps the result between their table values, which is
-    continuous at every sample and exact wherever the source is monotone
-    between the two.
+    xs holds every sample of the build in increasing order: the window's two
+    ends for a hinted source, else the base-grid nodes and the refined best
+    point of each local maximum of the node samples.  table holds their exact
+    suffix maximum (right side) or prefix maximum (left side), so it is
+    exactly monotone.  A query at a sample reads its table value alone.  A
+    query between two samples re-evaluates the source and clamps the result
+    between their table values, which is continuous at every sample and exact
+    wherever the source is monotone between the two.
     """
 
     source: Function1D
@@ -548,23 +542,27 @@ class Envelope:
         return self.value_at(x)
 
 
-def _guarded(top: float) -> float:
-    """A supremum, raised as NonFiniteValueError past OVERFLOW_GUARD."""
-    if top > OVERFLOW_GUARD:
-        raise NonFiniteValueError("envelope values exceed the overflow guard")
-    return top
-
-
 def _supremum_table(f: Function1D, side: str, lo: float, hi: float, grid: GridSpec,
                     notes: list[str]) -> Envelope:
     """The side's envelope table of f sampled on [lo, hi], carrying notes.
 
     Every supremum goes through here: envelope_function builds from a, and
-    the scalar maximizations read one end of a build from r.
+    the scalar maximizations read one end of a build from r.  A hinted source
+    and an empty window lo == hi are read at the window's distinct ends, which
+    with Envelope.value_at's clamp is exact for a monotone source; any other
+    takes _refined_samples.  A supremum past OVERFLOW_GUARD raises.
     """
-    xs, ys = _refined_samples(f, lo, hi, grid)
+    if side == LEFT and not f.locally_bounded:
+        raise UnboundedSupError("left maximization needs a locally bounded function")
+    if f.monotonicity != NONE or lo == hi:
+        xs = np.unique([lo, hi])
+        ys = sample(f.eval, xs)
+    else:
+        xs, ys = _refined_samples(f, lo, hi, grid)
     table = np.maximum.accumulate(ys[::-1])[::-1] if side == RIGHT else np.maximum.accumulate(ys)
-    top = _guarded(float(table[0] if side == RIGHT else table[-1]))
+    top = float(table[0] if side == RIGHT else table[-1])
+    if top > OVERFLOW_GUARD:
+        raise NonFiniteValueError("envelope values exceed the overflow guard")
     return Envelope(source=f, side=side, xs=xs, table=table, eps_sup=grid.effective_eps(top),
                     sampling_end=hi, notes=notes)
 
@@ -574,8 +572,6 @@ def envelope_function(f: Function1D, side: str, grid: GridSpec | None = None) ->
     grid = grid or GridSpec()
     if side not in (RIGHT, LEFT):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    if side == LEFT and not f.locally_bounded:
-        raise UnboundedSupError("left maximization needs a locally bounded function")
     a = f.domain.a
     hi, notes = _right_sampling_end(f, a) if side == RIGHT else (window_end(f.domain, a), [])
     return _supremum_table(f, side, a, hi, grid, notes)

@@ -30,8 +30,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateIntervalError, MissingDerivativeError, QuadratureError
-from .func1d import (GEOMETRIC_RATIO, Domain, Function1D, batch_eval, build_nodes, evaluate,
-                     probe, sample, window_end)
+from .func1d import (GEOMETRIC_RATIO, Domain, Function1D, build_nodes, evaluate, probe,
+                     sample, window_end)
 
 # Geometric pieces a segment of segment_integrals wider than GEOMETRIC_RATIO
 # on positive x starts from.
@@ -412,17 +412,15 @@ def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig):
 
 
 def measure_weight(m: Measure1D, r: float | np.ndarray, R: float | np.ndarray):
-    """m(R) - m(r) for numbers or numpy arrays r and R, checked positive."""
-
-    def at(x):
-        return batch_eval(m.m, x.ravel()).reshape(x.shape) if isinstance(x, np.ndarray) else m.m(x)
-
-    dm = at(R) - at(r)
-    if np.any(dm <= 0):
+    """m(R) - m(r) for numbers or numpy arrays r and R, read by sample, checked positive."""
+    rs, Rs = np.asarray(r, dtype=float), np.asarray(R, dtype=float)
+    ms = sample(m.m, np.concatenate([rs.ravel(), Rs.ravel()]))
+    dm = ms[rs.size:].reshape(Rs.shape) - ms[: rs.size].reshape(rs.shape)
+    if (dm <= 0).any():
         raise DegenerateIntervalError(
             f"m(R) - m(r) = {np.min(dm)} is not positive; the measure data is not increasing"
         )
-    return dm
+    return float(dm) if dm.ndim == 0 else dm
 
 
 def integral_mean(
@@ -488,7 +486,4 @@ def _mean_partial(f: Function1D, m: Measure1D, r: float, R: float,
         breaks=f.breaks,
     )
     integral = stieltjes_integral(shifted, m, r, R, cfg)
-    dm = m.m(R) - m.m(r)
-    if dm <= 0:
-        raise DegenerateIntervalError("measure does not increase over [r, R]")
-    return m.m_prime(x0) * integral.value / dm**2
+    return m.m_prime(x0) * integral.value / measure_weight(m, r, R) ** 2

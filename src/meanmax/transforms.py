@@ -34,11 +34,11 @@ from .func1d import (
     Function1D,
     GridSpec,
     Tail,
-    batch_eval,
     envelope_function,
     evaluate,
     in_domain,
     probe,
+    window_end,
 )
 from .stieltjes import (
     Measure1D,
@@ -155,15 +155,19 @@ def _majorant_mean(f: Function1D, m: Measure1D, cfg: QuadratureConfig, grid: Gri
         rest = np.flatnonzero(~exact)
         done = segment_integrals(env.value_at, m, lo[rest], hi[rest], cfg,
                                  np.broadcast_to(span, lo.shape)[rest])
-        value = level[exact] * (batch_eval(m.m, hi[exact]) - batch_eval(m.m, lo[exact]))
+        value = level[exact] * measure_weight(m, lo[exact], hi[exact]) if exact.any() else []
         return (np.concatenate([hi[exact], done.hi]), np.concatenate([value, done.value]),
                 np.concatenate([np.flatnonzero(exact), rest[done.origin]]))
 
     def build():
         # Cut at the envelope's kinks among the samples the measure is
-        # defined at.  Queries past the last cut integrate from it.
+        # defined at, closed at the measure's window end when the table runs
+        # past it.  Queries past the last cut integrate from it.
         cuts = env.kinks(m.domain.b)
-        span = m.m(cuts[-1]) - m.m(a)
+        if env.xs[-1] >= m.domain.b:
+            end = window_end(m.domain, a)
+            cuts = np.append(cuts[cuts < end], end)
+        span = measure_weight(m, a, cuts[-1])
         hi, value, _ = pieces(cuts[:-1], cuts[1:], span)
         order = np.argsort(hi)
         edges = np.concatenate([cuts[:1], hi[order]])
@@ -182,7 +186,9 @@ def _majorant_mean(f: Function1D, m: Measure1D, cfg: QuadratureConfig, grid: Gri
         if part.any():
             hi = R[part]
             beyond = hi > edges[-1]
-            span = np.where(beyond, batch_eval(m.m, hi) - m.m(edges[-1]), span)
+            if beyond.any():
+                span = np.full(len(hi), span)
+                span[beyond] = measure_weight(m, edges[-1], hi[beyond])
             _, value, origin = pieces(edges[k[part]], hi, span)
             out[part] += np.bincount(origin, value, minlength=len(hi))
         return out

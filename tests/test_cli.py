@@ -566,6 +566,17 @@ class TestTableAndRoundTrip:
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(1.0, abs=1e-8)
 
+    def test_envelope_prints_its_notes(self, capsys):
+        # x^-0.01 never falls below the vanishing-tail threshold before the
+        # scan's cap, as transform --kind majorant warns for the same source.
+        code, out, err = run(
+            capsys, "envelope", "--f", "x^(-0.01)", "--side", "right", "--a", "1",
+            "--tail", "vanishing", "--table", "1:10:uniform:3",
+        )
+        assert code == 0
+        assert err == "warning: vanishing-tail cutoff scan hit its cap; tail taken on trust\n"
+        assert out == "1,1\n5.5,0.9830970052\n10,0.977237221\n"
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):

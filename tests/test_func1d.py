@@ -249,7 +249,7 @@ class TestRightMaximization:
                                match="^envelope values exceed the overflow guard$"):
                 sup(f, 694.0)
 
-    # The shortcut suprema read one point of f and pass the same guard.
+    # Hinted and empty-window suprema read the window's ends and pass the same guard.
     @pytest.mark.parametrize("sup,hint,r", [
         (right_maximization, "decreasing", 0.1),
         (left_maximization, "increasing", 0.1),
@@ -261,6 +261,14 @@ class TestRightMaximization:
         with pytest.raises(NonFiniteValueError,
                            match="^envelope values exceed the overflow guard$"):
             sup(f, r)
+
+    def test_decreasing_hint_keeps_the_tail_bound_silent(self):
+        f = make(lambda x: np.exp(-x), 0.0, math.inf, tail=Tail.bounded_by(5.0),
+                 hint="decreasing")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = right_maximization(f, 0.0)
+        assert caught == [] and got == 1.0
 
     def test_result_at_least_f_r(self, f_sin):
         for r in (0.5, 2.5, 4.0):
@@ -453,22 +461,48 @@ class TestMaximaRefinement:
         envelope_function(f, "right", grid)
         assert len(sizes) - 1 - sizes.index(grid.node_count) <= 12
 
-    @pytest.mark.parametrize("side,hint,steps", [
+    @pytest.mark.parametrize("side,shape,steps", [
         ("right", "decreasing", [3]),
         # Near x = 20, 1 - exp(-x) is flat to rounding: the point 2^-20 of the
         # end gap inside ties with the end node, and one more step settles it.
         ("left", "increasing", [3, 1]),
     ])
-    def test_a_monotone_side_takes_few_refinement_points(self, side, hint, steps):
+    def test_a_monotone_side_takes_few_refinement_points(self, side, shape, steps):
         # exp(-x) has its one peak at the window's left end, 1 - exp(-x) at its
-        # right end, and refinement finds nothing above it.
-        fun = (lambda x: np.exp(-x)) if hint == "decreasing" else (lambda x: 1 - np.exp(-x))
+        # right end, and refinement finds nothing above it.  Without a hint
+        # the monotone side is sampled and refined like any other.
+        fun = (lambda x: np.exp(-x)) if shape == "decreasing" else (lambda x: 1 - np.exp(-x))
         sizes = []
         grid = GridSpec()
-        env = envelope_function(make(calls_of(fun, sizes), 0.0, 20.0, hint=hint), side, grid)
+        env = envelope_function(make(calls_of(fun, sizes), 0.0, 20.0), side, grid)
         assert sizes == [grid.node_count] + steps
         assert np.array_equal(env.table, fun(env.xs))
-        assert env.table.max() == fun(0.0 if hint == "decreasing" else env.xs[-1])
+        assert env.table.max() == fun(0.0 if shape == "decreasing" else env.xs[-1])
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    @pytest.mark.parametrize("hint", ["decreasing", "increasing"])
+    def test_a_hinted_source_reads_its_window_ends(self, side, hint):
+        # On its hint's own side the envelope is f itself, on the other the
+        # constant f takes at the end the hint points to.  Near x = 20,
+        # 1 - exp(-x) is flat to rounding, so a window end moved by r is the
+        # same constant.
+        fun = (lambda x: np.exp(-x)) if hint == "decreasing" else (lambda x: 1 - np.exp(-x))
+        sizes = []
+        f = make(calls_of(fun, sizes), 0.0, 20.0, hint=hint)
+        env = envelope_function(f, side)
+        assert sizes == [2] and env.xs[0] == 0.0
+        qs = np.random.default_rng(17).uniform(0.0, 20.0, 1000)
+        if (side == "right") == (hint == "decreasing"):
+            want = fun(qs)
+        else:
+            want = np.full(qs.shape, fun(0.0 if hint == "decreasing" else env.xs[-1]))
+        assert np.array_equal(env.value_at(qs), want)
+        sup = right_maximization if side == "right" else left_maximization
+        for r in [0.0, *qs[:20].tolist()]:
+            del sizes[:]
+            got = sup(f, r)
+            assert sizes == [1 if side == "left" and r == 0.0 else 2]
+            assert got == env.value_at(r)
 
     @pytest.mark.parametrize("fun,x_max", [
         # a hump that the end gap's golden-section points see

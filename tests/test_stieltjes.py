@@ -528,6 +528,13 @@ class TestArrayIntervals:
         with pytest.raises(DegenerateIntervalError, match="not increasing"):
             integral_mean(ONE, flat, np.array([1.0, 2.0]), 3.0)
 
+    def test_measure_not_finite_at_r(self):
+        m = Measure1D(m=np.log, m_prime=lambda x: 1 / x, domain=Domain(0.0, math.inf))
+        for call in (lambda: measure_weight(m, 0.0, 5.0),
+                     lambda: integral_mean(fn(np.exp, 0.0, math.inf), m, 0.0, 5.0)):
+            with pytest.raises(NonFiniteValueError, match=r"^non-finite value -inf at x=0\.0$"):
+                call()
+
     def test_measure_weight_of_arrays(self):
         rs, Rs = np.array([1.0, 2.0, 3.0]), np.array([4.0, 4.0, 5.0])
         assert np.array_equal(measure_weight(M_LN, rs, Rs), np.log(Rs) - np.log(rs))

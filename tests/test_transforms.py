@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from meanmax.cli import TabulatedFunction
-from meanmax.errors import DomainError, MeanmaxError, UnboundedSupError
+from meanmax.errors import DomainError, MeanmaxError, NonFiniteValueError, UnboundedSupError
 from meanmax.exprparse import compile_expression, parse_expression
 from meanmax.func1d import (RIGHT, TAIL_CAP_NOTE, Domain, Function1D, GridSpec, Tail,
                             envelope_function, evaluate)
@@ -166,10 +166,52 @@ class TestMajorantTable:
         self.check_against_reference(res, f, m, [0.27, 0.99, 3.0], panels=4000)
 
     def test_inverse_log_measure(self):
+        # A hinted source's table is its window's two ends, too coarse a
+        # partition for the midpoint reference: D meets the closed form
+        # (1 - 1/R) / ln R at the reference's tolerance instead.
         f = fn(lambda x: 1 / x, 1.0, math.inf, tail=Tail.vanishing(), hint="decreasing")
-        m = log_measure(1.0)
+        res = decreasing_majorant_mean(f, log_measure(1.0))
+        for R in (1.5, 10.0, 123.4, 1e4):
+            I, dm = 1 - 1 / R, math.log(R)
+            assert abs(res.fn(R) - I / dm) <= max(1e-10, 1e-9 * I) / dm, R
+
+    def test_hinted_table_past_the_measure_end(self):
+        # The table of a hinted 1/x runs from 1 to 10^6, past the measure's
+        # end 50.  The build closes its cuts at the measure's window end;
+        # without that cut every query integrates from a, 16,992 points here.
+        points = 0
+
+        def counted(x):
+            nonlocal points
+            points += np.size(x)
+            return 1 / x
+
+        f = fn(counted, 1.0, math.inf, tail=Tail.vanishing(), hint="decreasing")
+        res = decreasing_majorant_mean(f, log_measure(1.0, 50.0))
+        for R in np.random.default_rng(5).uniform(1.0, 50.0, 100).tolist():
+            I, dm = 1 - 1 / R, math.log(R)
+            assert abs(res.fn(R) - I / dm) <= max(1e-10, 1e-9 * I) / dm, R
+        assert points <= 3_000
+
+    def test_a_table_node_at_the_measure_window_end(self):
+        # On [0, 2) the uniform node 2048 is 1 - 1e-12, the window end of the
+        # measure's [0, 1): the closing cut replaces it rather than repeat it.
+        # Bit for bit what D returned before the closing cut.
+        f = fn(wave, 0.0, 2.0)
+        D = decreasing_majorant_mean(f, identity_measure(0.0, 1.0)).fn
+        assert [D(R).hex() for R in (0.3, 0.9, 1 - 1e-12, 1 - 1e-13)] == [
+            "0x1.28358ee045f37p+0", "0x1.9d8fd751dab04p-1", "0x1.85288801e430cp-1",
+            "0x1.85288801e3577p-1"]
+
+    def test_measure_not_finite_at_a(self):
+        # ln x is -inf at a = 0: D names the point instead of returning NaN.
+        f = fn(wave, 0.0, math.inf, tail=Tail.vanishing())
+        m = Measure1D(m=np.log, m_prime=lambda x: 1 / x, domain=Domain(0.0, math.inf))
         res = decreasing_majorant_mean(f, m)
-        self.check_against_reference(res, f, m, [1.5, 10.0, 123.4, 1e4], panels=200)
+        for call in (res.fn.eval, res.fn):
+            for R in (0.1, np.array([0.1, 2.0])):
+                with pytest.raises(NonFiniteValueError, match=r"^non-finite value -inf at x=0\.0$"):
+                    call(R)
 
     def test_tabulated_measure(self):
         xs = np.geomspace(1.0, 50.0, 257)
