@@ -368,7 +368,7 @@ def dispatch(args) -> int:
     except (ExpressionSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MeanmaxError as exc:
+    except (MeanmaxError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -213,6 +213,18 @@ def build_nodes(lo: float, hi: float, count: int, spacing: str | None = None) ->
     return xs
 
 
+def distinct(xs) -> np.ndarray:
+    """The sorted distinct values of xs, as np.unique gives them for non-NaN values.
+
+    np.unique without index outputs imports numpy.ma, which a CLI call would
+    otherwise spend milliseconds loading.
+    """
+    xs = np.sort(np.ravel(xs))
+    keep = np.ones(len(xs), dtype=bool)
+    keep[1:] = xs[1:] != xs[:-1]
+    return xs[keep]
+
+
 def batch_eval(fun: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
     """Evaluate fun at every x, trying one vectorized call before falling back.
 
@@ -555,7 +567,7 @@ def _supremum_table(f: Function1D, side: str, lo: float, hi: float, grid: GridSp
     if side == LEFT and not f.locally_bounded:
         raise UnboundedSupError("left maximization needs a locally bounded function")
     if f.monotonicity != NONE or lo == hi:
-        xs = np.unique([lo, hi])
+        xs = distinct([lo, hi])
         ys = sample(f.eval, xs)
     else:
         xs, ys = _refined_samples(f, lo, hi, grid)

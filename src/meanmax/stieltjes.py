@@ -30,8 +30,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateIntervalError, MissingDerivativeError, QuadratureError
-from .func1d import (GEOMETRIC_RATIO, Domain, Function1D, build_nodes, evaluate, probe,
-                     sample, window_end)
+from .func1d import (GEOMETRIC_RATIO, Domain, Function1D, build_nodes, distinct, evaluate,
+                     probe, sample, window_end)
 
 # Geometric pieces a segment of segment_integrals wider than GEOMETRIC_RATIO
 # on positive x starts from.
@@ -136,7 +136,7 @@ class Measure1D:
             return
         inner = np.empty(0) if self.breaks is None else self.breaks[
             (self.breaks > lo) & (self.breaks < hi)]
-        xs = np.union1d(build_nodes(lo, hi, 257), inner)
+        xs = distinct(np.concatenate([build_nodes(lo, hi, 257), inner]))
         ms = probe(self.m, xs)
         if np.isnan(ms[0]):
             raise DegenerateIntervalError(f"measure is not finite at the left end x={lo}")
@@ -232,7 +232,7 @@ def stieltjes_integral(
     check_interval(g, m, r, R)
     rs, Rs = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(R, dtype=float))
     shape, rs, Rs = rs.shape, rs.ravel(), Rs.ravel()
-    ends = np.unique(np.concatenate([rs, Rs]))
+    ends = distinct(np.concatenate([rs, Rs]))
     n = len(ends)
     depth = np.cumsum(np.bincount(np.searchsorted(ends, rs), minlength=n)
                       - np.bincount(np.searchsorted(ends, Rs), minlength=n))
@@ -294,7 +294,7 @@ def segment_integrals(
     origin = np.arange(len(lo))
     knots = [k for k in (breaks, m.breaks) if k is not None and len(k)]
     if knots:
-        cut = _cut(lo, hi, np.unique(np.concatenate(knots)))
+        cut = _cut(lo, hi, distinct(np.concatenate(knots)))
         if CUT_POINTS * (len(cut[0]) - len(lo)) <= POINT_BUDGET:
             lo, hi, origin = cut
     wide = (lo > 0) & (hi > GEOMETRIC_RATIO * lo)

@@ -8,7 +8,8 @@ they compare from one array call of integral_mean or stieltjes_integral, so
 these share one refinement of the union of their intervals.
 Candidate violations are re-checked against a brute-force midpoint oracle
 before being reported, so a "violated" verdict never rests on the adaptive
-path alone.  Limits at the right endpoint are operationalized as geometric
+path alone; the oracle streams its 10^6 panels in blocks of 2^15, in
+constant memory.  Limits at the right endpoint are operationalized as geometric
 decay schedules: eventually nonincreasing samples ending below a threshold.
 """
 
@@ -49,6 +50,8 @@ VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 
 ORACLE_PANELS = 10**6
+# Panels per partial sum of the oracle: each block's arrays stay near 256 KB.
+ORACLE_BLOCK = 2**15
 
 # Tolerance scale for finite-difference agreement with analytic partials.
 PARTIALS_REL_TOL = 1e-6
@@ -130,12 +133,25 @@ class DecaySchedule:
 
 
 def midpoint_stieltjes_oracle(g_eval, m_eval, r: float, R: float) -> float:
-    """Midpoint Stieltjes sum on ORACLE_PANELS panels: the independent brute-force route."""
-    ts = np.linspace(r, R, ORACLE_PANELS + 1)
-    mids = 0.5 * (ts[:-1] + ts[1:])
-    gs = batch_eval(g_eval, mids)
-    ms = batch_eval(m_eval, ts)
-    return float(np.sum(gs * np.diff(ms)))
+    """Midpoint Stieltjes sum on ORACLE_PANELS panels: the independent brute-force route.
+
+    The nodes are those of np.linspace(r, R, ORACLE_PANELS + 1), swept in
+    blocks of ORACLE_BLOCK panels, one partial sum each, so memory stays
+    constant.  g is read once at each midpoint and m once at each node: a
+    block reuses the previous block's last m value for its first node.
+    """
+    step = (R - r) / ORACLE_PANELS
+    total = 0.0
+    for s in range(0, ORACLE_PANELS, ORACLE_BLOCK):
+        e = min(s + ORACLE_BLOCK, ORACLE_PANELS)
+        ts = np.arange(s, e + 1) * step + r
+        if e == ORACLE_PANELS:
+            ts[-1] = R
+        gs = batch_eval(g_eval, 0.5 * (ts[:-1] + ts[1:]))
+        ms = (batch_eval(m_eval, ts) if s == 0
+              else np.concatenate((ms[-1:], batch_eval(m_eval, ts[1:]))))
+        total += float(np.dot(gs, np.diff(ms)))
+    return total
 
 
 def invert_measure(m: Measure1D, lo: float, hi: float, us) -> np.ndarray:

@@ -649,6 +649,24 @@ class TestUsageErrors:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "budget" in lines[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["table", "--f", "1/x", "--a", "1", "--table", "1:10:uniform:10000000000000"],
+        ["envelope", "--f", "1/(1+x)", "--side", "right", "--a", "0", "--b", "10",
+         "--grid", "10000000000000", "--table", "0:1:uniform:3"],
+    ], ids=["table", "envelope"])
+    def test_refused_allocation_is_a_numeric_failure(self, capsys, monkeypatch, argv):
+        # Exit 1 would read as "violated"; a refused allocation is a numeric
+        # failure.  The request itself is never made: a machine that
+        # overcommits memory may grant it and then fill it.
+        message = ("Unable to allocate 72.8 TiB for an array with shape "
+                   "(10000000000000,) and data type float64")
+
+        def refuse(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "build_nodes", refuse)
+        assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["mean", "--f", "1/x", "--a", "1", "--r", "1", "--R", "10", "--tol", "nan"],
          "tolerances must be finite and positive"),

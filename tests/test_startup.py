@@ -62,13 +62,31 @@ def test_cli_answers_like_run_command(argv, capsys, monkeypatch):
     assert code == (2 if argv[0] == "mean" else 0)
 
 
+def imported_by(*argv):
+    """The modules a fresh `meanmax` process imports to answer argv."""
+    proc = python("-X", "importtime", "-m", "meanmax", *argv)
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 @pytest.mark.parametrize("argv", ARGVS, ids=IDS)
 def test_cli_parses_before_loading_numpy(argv):
-    proc = python("-X", "importtime", "-m", "meanmax", *argv)
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
+    imported = imported_by(*argv)
     assert "meanmax.cliargs" in imported
     assert not imported & {"numpy", *NUMERIC}
+
+
+@pytest.mark.parametrize("argv", [
+    ["mean", "--f", "1/x", "--a", "1", "--r", "1", "--R", "10"],
+    ["verify", "--property", "monotonicity", "--f", "1/x", "--a", "1", "--b", "10",
+     "--steps", "5"],
+], ids=["mean", "monotonicity"])
+def test_cli_computes_without_numpy_ma(argv):
+    # np.unique and np.union1d import numpy.ma, which costs a computing call
+    # milliseconds of start-up.
+    imported = imported_by(*argv)
+    assert "meanmax.verify" in imported
+    assert "numpy.ma" not in imported
 
 
 def test_import_meanmax_loads_no_numpy():

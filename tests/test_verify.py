@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from meanmax import verify
 from meanmax.errors import DegenerateIntervalError
-from meanmax.func1d import Domain, Function1D, Tail
+from meanmax.func1d import RIGHT, Domain, Function1D, Tail, envelope_function
 from meanmax.stieltjes import Measure1D, identity_measure, log_measure
 from meanmax.transforms import Q_from_d, WeightN, d_from_Q
 from meanmax.verify import (
@@ -22,6 +23,7 @@ from meanmax.verify import (
     estimate_decay,
     finite_difference_check,
     invert_measure,
+    midpoint_stieltjes_oracle,
     slack_budget,
 )
 
@@ -34,6 +36,34 @@ def fn(fun, a, b, tail=None, hint="none"):
 
 def exp_on(a, b):
     return fn(lambda x: np.exp(-x), a, b, tail=Tail.vanishing())
+
+
+def traced_peak(call):
+    """The peak bytes that tracemalloc sees allocated during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def f1_with_halved_majorant(monkeypatch):
+    # D under-reports by half, so the adaptive route sees violations; the
+    # oracle integrates the right envelope itself and does not.
+    build = verify.decreasing_majorant_mean
+
+    def halved(*args):
+        res = build(*args)
+        D = res.fn.eval
+        res.fn.eval = lambda R: 0.5 * D(R)
+        return res
+
+    monkeypatch.setattr(verify, "decreasing_majorant_mean", halved)
+    f = exp_on(0.0, 50.0)
+    m = identity_measure(0.0, 50.0)
+    m.diverges = True
+    return check_majorant_inequality(f, m, 40, 3)
 
 
 class TestMeanMonotonicity:
@@ -293,21 +323,7 @@ class TestPairChecks:
             check_corollary_bounds(Q, d, 1.0, "dQ", 5, 1, sample_hi=0.5)
 
     def test_f1_violation_the_oracle_does_not_confirm(self, monkeypatch):
-        # D under-reports by half, so the adaptive route sees violations; the
-        # oracle integrates the right envelope itself and does not.
-        build = verify.decreasing_majorant_mean
-
-        def halved(*args):
-            res = build(*args)
-            D = res.fn.eval
-            res.fn.eval = lambda R: 0.5 * D(R)
-            return res
-
-        monkeypatch.setattr(verify, "decreasing_majorant_mean", halved)
-        f = exp_on(0.0, 50.0)
-        m = identity_measure(0.0, 50.0)
-        m.diverges = True
-        report = check_majorant_inequality(f, m, 40, 3)
+        report = f1_with_halved_majorant(monkeypatch)
         assert report.verdict == INCONCLUSIVE
         assert report.worst_slack > slack_budget(0.0)
         assert report.note == ("adaptive route signalled a violation the brute-force oracle "
@@ -339,6 +355,67 @@ class TestPairChecks:
         xs = invert_measure(log_measure(1.0), 1.0, 1e4, us)
         assert xs[0] == 1.0 and xs[-1] == 1e4
         assert xs == pytest.approx(np.exp(us), rel=1e-5)
+
+
+def dq_density(x):
+    return x**0.4 / (x * x)
+
+
+def recorded(fun, seen):
+    """fun, appending each argument it is called with to seen."""
+    def call(x):
+        seen.append(np.array(x, copy=True))
+        return fun(x)
+    return call
+
+
+class TestMidpointOracle:
+    """The oracle reads g at each midpoint of np.linspace(r, R, ORACLE_PANELS + 1)
+    and m at each node, once each, and sums as one np.sum would to rounding."""
+
+    @staticmethod
+    def reference(g, m, r, R):
+        ts = np.linspace(r, R, verify.ORACLE_PANELS + 1)
+        mids = 0.5 * (ts[:-1] + ts[1:])
+        return ts, mids, float(np.sum(g(mids) * np.diff(m(ts))))
+
+    @pytest.mark.parametrize("g, m, r, R", [
+        (dq_density, lambda x: x, 1.3, 37.0),
+        (envelope_function(exp_on(0.0, 50.0), RIGHT).value_at, lambda x: x, 0.5, 20.0),
+        (lambda x: np.abs(np.sin(3.0 * x)), np.log, 1.0, 7.0),
+    ], ids=["dQ-density", "right-envelope", "kinked"])
+    def test_reads_and_value(self, g, m, r, R):
+        g_seen, m_seen = [], []
+        got = midpoint_stieltjes_oracle(recorded(g, g_seen), recorded(m, m_seen), r, R)
+        ts, mids, want = self.reference(g, m, r, R)
+        assert np.array_equal(np.concatenate(g_seen), mids)
+        m_nodes = np.concatenate(m_seen)
+        assert np.array_equal(m_nodes, ts)
+        assert m_nodes[-1] == R
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_scalar_only_source(self):
+        # math.exp rejects each block's array, so every block falls back to
+        # one call per point.
+        g_seen = []
+
+        def g(x):
+            value = math.exp(-x)
+            g_seen.append(x)
+            return value
+
+        got = midpoint_stieltjes_oracle(g, lambda x: x, 0.0, 5.0)
+        _, mids, want = self.reference(lambda x: np.exp(-x), lambda x: x, 0.0, 5.0)
+        assert np.array_equal(g_seen, mids)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_one_call_in_constant_memory(self):
+        # One array of the ORACLE_PANELS points alone would take 8 MB.
+        assert traced_peak(lambda: midpoint_stieltjes_oracle(dq_density, lambda x: x,
+                                                             1.3, 37.0)) < 4e6
+
+    def test_f1_oracle_path_in_constant_memory(self, monkeypatch):
+        assert traced_peak(lambda: f1_with_halved_majorant(monkeypatch)) < 8e6
 
 
 class TestEstimateDecay:
