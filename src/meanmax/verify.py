@@ -137,19 +137,20 @@ def midpoint_stieltjes_oracle(g_eval, m_eval, r: float, R: float) -> float:
 
     The nodes are those of np.linspace(r, R, ORACLE_PANELS + 1), swept in
     blocks of ORACLE_BLOCK panels, one partial sum each, so memory stays
-    constant.  g is read once at each midpoint and m once at each node: a
-    block reuses the previous block's last m value for its first node.
+    constant.  g is read once at each midpoint and m once at each node: m(r)
+    is read before the sweep, and each block starts from the last m value
+    before it.
     """
     step = (R - r) / ORACLE_PANELS
     total = 0.0
+    ms = batch_eval(m_eval, np.array([r], dtype=float))
     for s in range(0, ORACLE_PANELS, ORACLE_BLOCK):
         e = min(s + ORACLE_BLOCK, ORACLE_PANELS)
         ts = np.arange(s, e + 1) * step + r
         if e == ORACLE_PANELS:
             ts[-1] = R
         gs = batch_eval(g_eval, 0.5 * (ts[:-1] + ts[1:]))
-        ms = (batch_eval(m_eval, ts) if s == 0
-              else np.concatenate((ms[-1:], batch_eval(m_eval, ts[1:]))))
+        ms = np.concatenate((ms[-1:], batch_eval(m_eval, ts[1:])))
         total += float(np.dot(gs, np.diff(ms)))
     return total
 

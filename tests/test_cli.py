@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from meanmax import cli, stieltjes
+from meanmax import cli, func1d, stieltjes
 from meanmax.cli import load_csv_function, run_command
 from meanmax.errors import CsvFormatError
+from meanmax.func1d import build_nodes
 from meanmax.stieltjes import segment_integrals
 
 from oracles import table_log_integral
@@ -656,16 +657,23 @@ class TestUsageErrors:
     ], ids=["table", "envelope"])
     def test_refused_allocation_is_a_numeric_failure(self, capsys, monkeypatch, argv):
         # Exit 1 would read as "violated"; a refused allocation is a numeric
-        # failure.  The request itself is never made: a machine that
-        # overcommits memory may grant it and then fill it.
+        # failure.  The huge request itself is never made, since a machine
+        # that overcommits memory may grant it and then fill it: the stub
+        # refuses it and passes every ordinary request to build_nodes.
         message = ("Unable to allocate 72.8 TiB for an array with shape "
                    "(10000000000000,) and data type float64")
+        refused = []
 
-        def refuse(*args):
-            raise MemoryError(message)
+        def refuse_huge(lo, hi, count, *rest):
+            if count > 10**9:
+                refused.append(count)
+                raise MemoryError(message)
+            return build_nodes(lo, hi, count, *rest)
 
-        monkeypatch.setattr(cli, "build_nodes", refuse)
+        monkeypatch.setattr(cli, "build_nodes", refuse_huge)
+        monkeypatch.setattr(func1d, "build_nodes", refuse_huge)
         assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+        assert refused == [10**13]
 
     @pytest.mark.parametrize("argv, message", [
         (["mean", "--f", "1/x", "--a", "1", "--r", "1", "--R", "10", "--tol", "nan"],
