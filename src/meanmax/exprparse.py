@@ -10,7 +10,8 @@ Grammar (whitespace-insensitive, identifiers lowercase)::
 
 '^' is right-associative and unary minus applies to a whole power, so
 -x^2 parses as -(x^2).  Functions: ln, exp, sqrt, sin, cos, abs, min, max.
-Error positions are 1-based character offsets.
+Error positions are 1-based character offsets.  Parsing, differentiating or
+compiling an expression nested too deeply for Python raises ExpressionSyntaxError.
 """
 
 from __future__ import annotations
@@ -175,7 +176,10 @@ def parse_expression(text: str) -> Expression:
     """Parse an expression string into its syntax tree."""
     if not text or not text.strip():
         raise ExpressionSyntaxError("empty expression", 1)
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ExpressionSyntaxError("expression nested too deeply to parse") from None
 
 
 def _is_const(node: Expression) -> bool:
@@ -222,15 +226,22 @@ def _div(a, b):
 
 def derive_expression(node: Expression) -> Expression:
     """Symbolic derivative with respect to x; abs/min/max are rejected."""
+    try:
+        return _derive(node)
+    except RecursionError:
+        raise ExpressionSyntaxError("expression nested too deeply to differentiate") from None
+
+
+def _derive(node: Expression) -> Expression:
     if isinstance(node, (Num, Const)):
         return Num(0.0)
     if isinstance(node, Var):
         return Num(1.0)
     if isinstance(node, Neg):
-        return Neg(derive_expression(node.arg))
+        return Neg(_derive(node.arg))
     if isinstance(node, BinOp):
         u, v = node.left, node.right
-        du, dv = derive_expression(u), derive_expression(v)
+        du, dv = _derive(u), _derive(v)
         if node.op == "+":
             return _add(du, dv)
         if node.op == "-":
@@ -251,7 +262,7 @@ def derive_expression(node: Expression) -> Expression:
     if node.name in ("abs", "min", "max"):
         raise NonDifferentiableError(f"{node.name} is not differentiable")
     (arg,) = node.args
-    da = derive_expression(arg)
+    da = _derive(arg)
     if node.name == "ln":
         return _div(da, arg)
     if node.name == "exp":
@@ -304,7 +315,10 @@ def compile_expression(node: Expression):
         "_min": np.minimum,
         "_max": np.maximum,
     }
-    code = compile(render(node), "<expression>", "eval")
+    try:
+        code = compile(render(node), "<expression>", "eval")
+    except (RecursionError, SyntaxError):
+        raise ExpressionSyntaxError("expression nested too deeply to compile") from None
 
     def fn(x):
         with np.errstate(all="ignore"):

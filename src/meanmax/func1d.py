@@ -505,10 +505,12 @@ class Envelope:
         j = np.searchsorted(xs, q)
         below, above = table[np.maximum(j - 1, 0)], table[np.minimum(j, len(xs) - 1)]
         exact = xs[np.minimum(j, len(xs) - 1)] == q
-        fx = np.zeros(q.shape)  # a table sample's value is its table entry
-        if not exact.all():
-            fx[~exact] = sample(self.source.eval, q[~exact])
         inside = j < len(xs)
+        # f is read only where the table does not decide: off its samples and flat gaps.
+        read = ~exact & ((below != above) | ~inside)
+        fx = np.zeros(q.shape)
+        if read.any():
+            fx[read] = sample(self.source.eval, q[read])
         if self.side == RIGHT:
             floor = 0.0 if self.source.tail.kind == "vanishing" else -math.inf
             out = np.where(inside, np.minimum(below, np.maximum(fx, above)),

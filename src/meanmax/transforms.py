@@ -18,6 +18,7 @@ such as func1d.TAIL_CAP_NOTE when the vanishing-tail scan hit its cap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -143,7 +144,6 @@ def _majorant_mean(f: Function1D, m: Measure1D, cfg: QuadratureConfig, grid: Gri
     # flat[j - 1] is the envelope's value between samples j - 1 and j when the
     # table is flat there, NaN otherwise; past the last sample it never is.
     flat = np.append(np.where(T[:-1] == T[1:], T[1:], np.nan), np.nan)
-    table = None
 
     def pieces(lo, hi, span):
         # (right end, integral, segment index) of the accepted pieces of each
@@ -159,6 +159,7 @@ def _majorant_mean(f: Function1D, m: Measure1D, cfg: QuadratureConfig, grid: Gri
         return (np.concatenate([hi[exact], done.hi]), np.concatenate([value, done.value]),
                 np.concatenate([np.flatnonzero(exact), rest[done.origin]]))
 
+    @functools.cache
     def build():
         # Cut at the envelope's kinks among the samples the measure is
         # defined at, closed at the measure's window end when the table runs
@@ -174,12 +175,7 @@ def _majorant_mean(f: Function1D, m: Measure1D, cfg: QuadratureConfig, grid: Gri
         return edges, np.concatenate([[0.0], np.cumsum(value[order])]), span
 
     def integral(R: np.ndarray) -> np.ndarray:
-        nonlocal table
-        tab = table
-        if tab is None:
-            tab = build()
-            table = tab  # one assignment publishes the table to every thread
-        edges, cum, span = tab
+        edges, cum, span = build()
         k = np.searchsorted(edges, R, side="right") - 1
         out = cum[k]
         part = R > edges[k]
@@ -297,9 +293,7 @@ def _duality_source(src: Function1D, name: str, r0: float, fun, decay_note: str,
         raise UnboundedSupError("Q construction needs a locally bounded density")
     dom = Domain(r0, src.domain.b)
     ok, probe, max_abs = _decays_to_zero(fun, dom)
-    notes = []
-    if not ok:
-        notes.append(decay_note)
+    notes = [] if ok else [decay_note]
     if any(v < -1e-12 * max(1.0, max_abs) for v in probe):
         notes.append(f"{name} takes negative values on probe points")
     tail = Tail.vanishing() if ok else Tail.bounded_by(max_abs)

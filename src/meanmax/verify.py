@@ -238,6 +238,13 @@ def _pair_claim(property_id: str, hypothesis_failures, m: Measure1D, lo: float,
     return VerifyReport(property_id, verdict, worst, len(rs), witness=witness, note=note)
 
 
+def _not_decreasing(property_id: str, f: Function1D, grid: GridSpec | None):
+    """property_id's inconclusive report when f does not classify as decreasing, else None."""
+    if classify_monotonicity(f, grid) != DECREASING:
+        return VerifyReport(property_id, INCONCLUSIVE, 0.0, 0,
+                            note="precondition failed: f does not classify as decreasing")
+
+
 def check_mean_monotonicity(
     f: Function1D,
     m: Measure1D,
@@ -269,36 +276,21 @@ def check_mean_monotonicity(
     if not steps and not mid_pairs:
         raise ValueError("monotonicity: the grid has no neighbouring cells r < R "
                          "and no midpoint pair to compare")
-    if classify_monotonicity(f, grid) != DECREASING:
-        return VerifyReport(
-            "monotonicity", INCONCLUSIVE, 0.0, 0,
-            note="precondition failed: f does not classify as decreasing",
-        )
+    if (report := _not_decreasing("monotonicity", f, grid)) is not None:
+        return report
     i, j = np.array(cells).T
     values = integral_mean(f, m, np.take(r_grid, i), np.take(R_grid, j), cfg).value
     means = dict(zip(cells, values.tolist()))
-    scale = 1.0 + max(abs(v) for v in means.values())
-    slack = 1e-8 * scale
-    samples = [(means[n], means[c], (r_grid[n[0]], R_grid[n[1]])) for c, n in steps]
-    worst = max((lhs - rhs for lhs, rhs, _ in samples), default=-math.inf)
-    witness = None
+    slack = 1e-8 * (1.0 + max(abs(v) for v in means.values()))
+    # (LHS - RHS, (r, R)) of each grid step, then of each midpoint pair's
+    # partials in r and R; the witness is the first of the largest.
+    gaps = [(means[n] - means[c], (r_grid[n[0]], R_grid[n[1]])) for c, n in steps]
+    gaps += [(partial(f, m, r, R, cfg), (r, R))
+             for r, R in mid_pairs for partial in (mean_partial_r, mean_partial_R)]
+    worst, witness = max(gaps, key=lambda g: g[0])
     ok = worst <= slack
-    # Without m' there are no midpoint pairs: the grid comparisons decide alone.
-    for r, R in mid_pairs:
-        for val in (mean_partial_r(f, m, r, R, cfg), mean_partial_R(f, m, r, R, cfg)):
-            if val > worst:
-                worst = val
-                witness = (r, R)
-            if val > slack:
-                ok = False
-    verdict = HOLDS if ok else VIOLATED
-    if not ok and witness is None:
-        witness = max(samples, key=lambda s: s[0] - s[1])[2]
-    return VerifyReport(
-        "monotonicity", verdict, worst, len(samples) + 2 * len(mid_pairs),
-        witness=witness if not ok else None,
-        details={"grid_pairs": len(means)},
-    )
+    return VerifyReport("monotonicity", HOLDS if ok else VIOLATED, worst, len(gaps),
+                        witness=None if ok else witness, details={"grid_pairs": len(means)})
 
 
 def check_sup_identity(
@@ -318,11 +310,8 @@ def check_sup_identity(
     rs = sorted(float(r) for r in r_grid if a <= r < R)
     if not rs:
         raise ValueError(f"sup-identity: no grid r has a <= r < R = {R}")
-    if classify_monotonicity(f, grid) != DECREASING:
-        return VerifyReport(
-            "sup-identity", INCONCLUSIVE, 0.0, 0,
-            note="precondition failed: f does not classify as decreasing",
-        )
+    if (report := _not_decreasing("sup-identity", f, grid)) is not None:
+        return report
     # The mean on [a, R] and on every [r, R]; r = a gets the same value.
     base, *vals = integral_mean(f, m, np.array([a, *rs]), R, cfg).value.tolist()
     worst = max(vals) - base

@@ -1,5 +1,10 @@
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +54,16 @@ class TestLoadCsv:
         p = tmp_path / "t.csv"
         p.write_text("1,1\nbogus\n")
         with pytest.raises(CsvFormatError, match=":2"):
+            load_csv_function(p)
+
+    @pytest.mark.parametrize("row, message", [
+        ("2,abc", "expected 'x,value', got '2,abc'"),
+        ("2,inf", "non-finite entry"),
+    ], ids=["non-number", "non-finite"])
+    def test_bad_entry(self, tmp_path, row, message):
+        p = tmp_path / "t.csv"
+        p.write_text(f"1,1\n{row}\n")
+        with pytest.raises(CsvFormatError, match=f"^{re.escape(f'{p}:2: {message}')}$"):
             load_csv_function(p)
 
     def test_too_few_rows(self, tmp_path):
@@ -630,6 +645,23 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["table", "--f", "x", "--a", "0", "--table", "1:2:cubic:3"],
+         "spacing must be uniform or geometric, got 'cubic'"),
+        (["table", "--f", "x", "--a", "0", "--table", "1:2:uniform:1"],
+         "range count must be at least 2"),
+        (["table", "--f", "x", "--a", "0", "--table", "2:2:uniform:3"],
+         "range needs lo < hi, got 2.0:2.0"),
+        (["table", "--f", "x", "--a", "0", "--table", "0:2:geometric:3"],
+         "geometric spacing needs lo > 0"),
+        (["decay", "--f", "1/x", "--a", "1", "--schedule", "2:2:8"],
+         "schedule must be start:ratio:steps:threshold, got '2:2:8'"),
+        (["verify", "--property", "monotonicity", "--f", "1/x", "--a", "1", "--b", "inf"],
+         "monotonicity needs a finite --b to bound its samples"),
+    ], ids=["spacing", "count", "lo-hi", "geometric-lo", "schedule", "verify-b-inf"])
+    def test_bad_spec(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_numeric_failure_exit_code(self, capsys):
         # mean over an interval where the integrand blows up at the endpoint
         code, _, err = run(
@@ -688,6 +720,44 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
+
+
+TABLE = ["table", "--a", "1", "--table", "1:2:uniform:3"]
+MEAN = ["mean", "--f", "1/x", "--a", "1", "--b", "10", "--r", "2", "--R", "3"]
+
+
+class TestDeepExpressions:
+    # Expressions nested past what Python's recursion limit, or its parser's
+    # limit of 200 nested parentheses, lets the parser, the derivative or the
+    # compiled code reach are usage errors, through --f and through --m.
+    # name: (text, the stage that refuses it as --f, as --m)
+    SHAPES = {
+        "parens": ("(" * 300 + "x" + ")" * 300, "parse", "parse"),
+        "sums-in-parens": ("1+(" * 210 + "x" + ")" * 210, "compile", "compile"),
+        "minus-signs": ("-" * 300 + "x", "compile", "compile"),
+        "long-sum": ("+".join(["x"] * 400), "compile", "compile"),
+        "longer-sum": ("+".join(["x"] * 1200), "compile", "differentiate"),
+    }
+
+    @pytest.mark.parametrize("name", SHAPES)
+    @pytest.mark.parametrize("flag", ["--f", "--m"])
+    def test_usage_error(self, capsys, name, flag):
+        text, as_f, as_m = self.SHAPES[name]
+        argv = [*TABLE, f"--f={text}"] if flag == "--f" else [*MEAN, f"--m={text}"]
+        stage = as_f if flag == "--f" else as_m
+        assert run(capsys, *argv) == (2, "", f"error: expression nested too deeply to {stage}\n")
+
+    @pytest.mark.parametrize("text, want", [
+        ("(" * 190 + "x" + ")" * 190, "1,1\n1.5,1.5\n2,2\n"),
+        ("+".join(["x"] * 201), "1,201\n1.5,301.5\n2,402\n"),
+    ], ids=["190-levels", "201-terms"])
+    def test_deep_but_within_the_limits(self, text, want):
+        # A fresh interpreter, so the stack depth of the test runner does not count.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-m", "meanmax", *TABLE, f"--f={text}"],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 
 
 class TestDeterminism:

@@ -108,6 +108,18 @@ class TestParsing:
         with pytest.raises(ExpressionSyntaxError):
             parse_expression("   ")
 
+    def test_nested_too_deeply(self):
+        with pytest.raises(ExpressionSyntaxError, match="^expression nested too deeply to parse$"):
+            parse_expression("(" * 3000 + "x" + ")" * 3000)
+        deep = parse_expression("+".join(["x"] * 3000))
+        with pytest.raises(ExpressionSyntaxError,
+                           match="^expression nested too deeply to differentiate$"):
+            derive_expression(deep)
+        for tree in (deep, parse_expression("-" * 300 + "x")):
+            with pytest.raises(ExpressionSyntaxError,
+                               match="^expression nested too deeply to compile$"):
+                compile_expression(tree)
+
     def test_uppercase_rejected(self):
         with pytest.raises(ExpressionSyntaxError):
             parse_expression("Ln(x)")

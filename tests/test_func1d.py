@@ -83,6 +83,11 @@ class TestEvaluate:
         with pytest.raises(NonFiniteValueError):
             evaluate(f, 5.0)
 
+    def test_non_finite_number(self):
+        f = make(lambda x: math.inf, 0.0, 10.0)
+        with pytest.raises(NonFiniteValueError, match=r"^non-finite value inf at x=2\.0$"):
+            evaluate(f, 2.0)
+
     def test_array_in_one_call_shaped_like_x(self):
         sizes = []
         f = make(lambda x: sizes.append(np.size(x)) or np.exp(-x), 0.0, math.inf)
@@ -343,6 +348,18 @@ class TestEnvelope:
             assert env.value_at(r) == pytest.approx(math.sin(min(r, math.pi / 2)), abs=1e-8)
         for r in (2.0, 4.0, 6.0):
             assert env.value_at(r) == pytest.approx(1.0, abs=1e-8)
+
+    def test_flat_gaps_read_no_source_point(self):
+        # The left envelope of a decreasing source is flat at f(0) = 1: its
+        # table decides every value between samples, so f is not read there.
+        sizes = []
+        env = envelope_function(make(calls_of(lambda x: np.exp(-x), sizes), 0.0, 10.0), "left")
+        mids = 0.5 * (env.xs[:-1] + env.xs[1:])
+        sizes.clear()
+        assert len(mids) > 10 and np.all(env.table == 1.0)
+        assert np.array_equal(env.value_at(mids), env.table[1:])
+        assert env.value_at(float(mids[0])) == 1.0
+        assert sizes == []
 
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_kinks_bound_runs_of_one_kind(self, side):

@@ -219,6 +219,15 @@ class TestEvaluationBudget:
         assert len(xs) == len(set(xs)) == start + 1 + 15 * (2 * got.panels_used - start)
 
 
+class TestNoConvergence:
+    def test_jump_exhausts_the_local_halvings(self):
+        # A jump inside [0, 1] keeps its piece's error at the jump's size.
+        jump = fn(lambda x: np.where(x > 0.3, 1.0, 0.0), 0.0, 2.0)
+        with pytest.raises(QuadratureError, match=r"^no convergence after 52 local halvings "
+                                                  r"\(1 pieces left, first at x=0\.2999"):
+            stieltjes_integral(jump, identity_measure(0.0, 2.0), 0.0, 1.0)
+
+
 class TestKinkedTable:
     # The table's kinks sit at its nodes, inside [r, R]: each piece of the
     # bisection that holds one converges only linearly.

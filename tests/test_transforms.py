@@ -604,6 +604,13 @@ class TestEvaluateArrays:
         np.testing.assert_allclose(got, [evaluate(D, x) for x in self.XS.tolist()],
                                    rtol=2.0**-50, atol=0)
 
+    def test_result_is_callable(self):
+        res = decreasing_majorant_mean(self.WAVE, identity_measure(0.0))
+        assert np.array_equal(res(self.XS), evaluate(res.fn, self.XS))
+        assert res(3.0) == evaluate(res.fn, 3.0)
+        with pytest.raises(DomainError):
+            res(-1.0)
+
     def test_weight_check_names_the_first_bad_point(self):
         f = fn(lambda x: np.exp(-x), 0.0, 10.0, tail=Tail.vanishing())
         weight = WeightN(n=lambda x: 1.0 - 0.5 * x, domain=f.domain)

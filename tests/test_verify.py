@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -90,6 +91,56 @@ class TestMeanMonotonicity:
         report = check_mean_monotonicity(f, m, pts, pts)
         assert report.verdict == INCONCLUSIVE
         assert "decreasing" in report.note
+
+
+class TestMonotonicityViolations:
+    """Forced violations of the monotonicity check pin its report line.
+
+    1/x under ln x on six geometric points in [1, 49]: 10 grid steps and 15
+    midpoint pairs, so 40 comparisons.  A bump on the means makes grid steps
+    violate; a replaced mean_partial_R makes partials violate.
+    """
+
+    @staticmethod
+    def line(monkeypatch, grid_bump=None, partial_R=None):
+        if grid_bump is not None:
+            mean = verify.integral_mean
+
+            def bumped(f, m, r, R, cfg=None):
+                res = mean(f, m, r, R, cfg)
+                return dataclasses.replace(res, value=res.value + grid_bump(r, R))
+
+            monkeypatch.setattr(verify, "integral_mean", bumped)
+        if partial_R is not None:
+            monkeypatch.setattr(verify, "mean_partial_R",
+                                lambda f, m, r, R, cfg=None: partial_R(r, R))
+        pts = np.geomspace(1.0, 49.0, 6)
+        f = fn(lambda x: 1.0 / x, 1.0, 50.0, tail=Tail.vanishing())
+        return check_mean_monotonicity(f, log_measure(1.0, 50.0), pts, pts).to_line()
+
+    def test_holds_unforced(self, monkeypatch):
+        assert self.line(monkeypatch) == (
+            "monotonicity holds worst_slack=-0.0005160138283 samples=40")
+
+    def test_grid_step(self, monkeypatch):
+        # The witness is the neighbouring cell whose mean rose.
+        assert self.line(monkeypatch, grid_bump=lambda r, R: 0.02 * R) == (
+            "monotonicity violated worst_slack=0.5118374174 samples=40 witness=10.33041213,49")
+
+    def test_partial(self, monkeypatch):
+        assert self.line(monkeypatch, partial_R=lambda r, R: R / (100.0 * r)) == (
+            "monotonicity violated worst_slack=0.2249867095 samples=40 "
+            "witness=1.588953212,35.74933547")
+
+    def test_grid_step_and_larger_partial(self, monkeypatch):
+        line = self.line(monkeypatch, grid_bump=lambda r, R: 0.02 * R,
+                         partial_R=lambda r, R: R / (10.0 * r))
+        assert line == ("monotonicity violated worst_slack=2.249867095 samples=40 "
+                        "witness=1.588953212,35.74933547")
+
+    def test_tied_partials_report_the_first(self, monkeypatch):
+        assert self.line(monkeypatch, partial_R=lambda r, R: 0.25) == (
+            "monotonicity violated worst_slack=0.25 samples=40 witness=1.588953212,3.460591409")
 
 
 class TestSupIdentity:
