@@ -107,7 +107,11 @@ def load_csv_function(path: str | Path) -> TabulatedFunction:
         raise CsvFormatError(f"{path}: no such file")
     xs: list[float] = []
     ys: list[float] = []
-    with open(path, encoding="utf-8-sig") as handle:
+    try:
+        handle = open(path, encoding="utf-8-sig")
+    except OSError as exc:
+        raise CsvFormatError(f"{path}: {exc.strerror}") from None
+    with handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -226,7 +230,7 @@ def _source(args, name: str, default_tail: Tail) -> Function1D:
 
 
 def _configs(args) -> tuple[QuadratureConfig, GridSpec]:
-    cfg = QuadratureConfig(atol=args.tol * 0.1, rtol=args.tol)
+    cfg = QuadratureConfig(args.tol)
     grid = GridSpec(node_count=args.grid)
     return cfg, grid
 

@@ -10,8 +10,9 @@ Grammar (whitespace-insensitive, identifiers lowercase)::
 
 '^' is right-associative and unary minus applies to a whole power, so
 -x^2 parses as -(x^2).  Functions: ln, exp, sqrt, sin, cos, abs, min, max.
-Error positions are 1-based character offsets.  Parsing, differentiating or
-compiling an expression nested too deeply for Python raises ExpressionSyntaxError.
+A number too large for a double is an error.  Error positions are 1-based
+character offsets.  Parsing, differentiating or compiling an expression nested
+too deeply for Python raises ExpressionSyntaxError.
 """
 
 from __future__ import annotations
@@ -145,8 +146,11 @@ class _Parser:
             return node
         m = _NUMBER_RE.match(self.text, self.pos)
         if m:
+            value = float(m.group())
+            if math.isinf(value):
+                self.error(f"number {m.group()} is out of range")
             self.pos = m.end()
-            return Num(float(m.group()))
+            return Num(value)
         m = _IDENT_RE.match(self.text, self.pos)
         if m:
             name = m.group()
@@ -294,27 +298,14 @@ def compile_expression(node: Expression):
         if isinstance(n, Neg):
             return f"(-{render(n.arg)})"
         if isinstance(n, BinOp):
-            if n.op == "^":
-                return f"_pow({render(n.left)}, {render(n.right)})"
-            if n.op == "/":
-                return f"_div({render(n.left)}, {render(n.right)})"
+            if n.op in "^/":
+                ufunc = "power" if n.op == "^" else "divide"
+                return f"np.{ufunc}({render(n.left)}, {render(n.right)})"
             return f"({render(n.left)} {n.op} {render(n.right)})"
-        fn = {"ln": "_log"}.get(n.name, f"_{n.name}")
-        return f"{fn}({', '.join(render(a) for a in n.args)})"
+        fn = {"ln": "log", "min": "minimum", "max": "maximum"}.get(n.name, n.name)
+        return f"np.{fn}({', '.join(render(a) for a in n.args)})"
 
-    env = {
-        "__builtins__": {},
-        "_pow": np.power,
-        "_div": np.divide,
-        "_log": np.log,
-        "_exp": np.exp,
-        "_sqrt": np.sqrt,
-        "_sin": np.sin,
-        "_cos": np.cos,
-        "_abs": np.abs,
-        "_min": np.minimum,
-        "_max": np.maximum,
-    }
+    env = {"__builtins__": {}, "np": np}
     try:
         code = compile(render(node), "<expression>", "eval")
     except (RecursionError, SyntaxError):

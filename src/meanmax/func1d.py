@@ -412,17 +412,11 @@ def _vanishing_cutoff(f: Function1D, start: float, threshold: float) -> tuple[fl
     samples dropping below the threshold, the cap is returned uncertified.
     """
     x = max(start, 1.0)
-    streak_start = None
-    streak = 0
+    run = []  # the current run of scanned points where |f| is below threshold
     while x <= TAIL_SCAN_CAP:
-        if abs(evaluate(f, x)) < threshold:
-            if streak == 0:
-                streak_start = x
-            streak += 1
-            if streak >= 3:
-                return streak_start, True
-        else:
-            streak = 0
+        run = run + [x] if abs(evaluate(f, x)) < threshold else []
+        if len(run) == 3:
+            return run[0], True
         x *= 2.0
     return TAIL_SCAN_CAP, False
 

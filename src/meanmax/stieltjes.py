@@ -174,15 +174,17 @@ def identity_measure(a: float, b: float = math.inf) -> Measure1D:
 
 @dataclass
 class QuadratureConfig:
-    atol: float = 1e-10
+    """The relative tolerance of the quadrature; the absolute one is a tenth of it."""
+
     rtol: float = 1e-9
 
     def __post_init__(self):
-        if not (0 < self.atol < math.inf and 0 < self.rtol < math.inf):
+        if not 0 < self.rtol < math.inf:
             raise ValueError("tolerances must be finite and positive")
 
-    def scaled(self, factor: float) -> "QuadratureConfig":
-        return QuadratureConfig(atol=self.atol * factor, rtol=self.rtol * factor)
+    @property
+    def atol(self) -> float:
+        return self.rtol / 10
 
 
 @dataclass
@@ -344,17 +346,6 @@ def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig):
     """
     fun = (lambda x: g(x) * m.m_prime(x)) if m.m_prime is not None else g
     used = 0
-
-    def integrand(xs):
-        nonlocal used
-        used += len(xs)
-        if used > POINT_BUDGET:
-            raise QuadratureError(
-                f"integrand point budget of {POINT_BUDGET} exceeded "
-                f"({len(lo)} pieces unresolved, first at x={lo[0]})"
-            )
-        return sample(fun, xs)
-
     n = len(lo)
     cuts, at = np.unique(np.concatenate([lo, hi]), return_inverse=True)
     ms = sample(m.m, cuts)[at]
@@ -365,7 +356,14 @@ def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig):
         n = len(lo)
         mid = 0.5 * (lo + hi)
         xs = (mid[:, None] + (hi - mid)[:, None] * KRONROD_NODES).ravel()
-        ys = integrand(np.concatenate([cuts, xs]) if level == 0 else xs)
+        pts = np.concatenate([cuts, xs]) if level == 0 else xs
+        used += len(pts)
+        if used > POINT_BUDGET:
+            raise QuadratureError(
+                f"integrand point budget of {POINT_BUDGET} exceeded "
+                f"({len(lo)} pieces unresolved, first at x={lo[0]})"
+            )
+        ys = sample(fun, pts)
         if level == 0:
             y_ends = ys[: len(cuts)][at]
             y_lo, y_hi, ys = y_ends[:n], y_ends[n:], ys[len(cuts) :]

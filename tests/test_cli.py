@@ -11,9 +11,10 @@ import pytest
 
 from meanmax import cli, func1d, stieltjes
 from meanmax.cli import load_csv_function, run_command
+from meanmax.cliargs import parse_args
 from meanmax.errors import CsvFormatError
 from meanmax.func1d import build_nodes
-from meanmax.stieltjes import segment_integrals
+from meanmax.stieltjes import QuadratureConfig, segment_integrals
 
 from oracles import table_log_integral
 
@@ -75,6 +76,12 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CsvFormatError, match="no such file"):
             load_csv_function(tmp_path / "nope.csv")
+
+    def test_path_that_cannot_be_opened(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.mkdir()
+        with pytest.raises(CsvFormatError, match=f"^{re.escape(f'{p}: Is a directory')}$"):
+            load_csv_function(p)
 
 
 class TestMean:
@@ -222,6 +229,15 @@ class TestMean:
         assert got.keys() == want.keys()
         for key, value in want.items():
             assert float(got[key]) == pytest.approx(value, rel=1e-8), key
+
+
+class TestDefaultConfig:
+    def test_cli_default_is_the_library_default(self):
+        # --tol 1e-9 builds QuadratureConfig(), whose atol is exactly 1e-10.
+        args = parse_args(["mean", "--f", "1/x", "--a", "1", "--r", "1", "--R", "2"])
+        cfg, _ = cli._configs(args)
+        assert cfg == QuadratureConfig()
+        assert cfg.atol == 1e-10
 
 
 class TestBenchmarkContract:
@@ -716,6 +732,32 @@ class TestUsageErrors:
     def test_nan_setting(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, literal, at", [
+        (["table", "--f", "1e999", "--a", "1", "--table", "1:2:uniform:3"], "1e999", 1),
+        (["table", "--f", "x*1e400", "--a", "1", "--table", "1:2:uniform:3"], "1e400", 3),
+        (["mean", "--f", "1/x", "--m", "x+1e999*0", "--a", "1", "--r", "1", "--R", "2"],
+         "1e999", 3),
+        (["transform", "--kind", "double-envelope", "--f", "1/x", "--a", "1", "--b", "10",
+          "--n", "1e999", "--table", "1:2:uniform:3"], "1e999", 1),
+    ], ids=["f", "f-product", "m", "n"])
+    def test_number_out_of_range(self, capsys, argv, literal, at):
+        # A literal that overflows a double is a usage error, not a traceback.
+        assert run(capsys, *argv) == (
+            2, "", f"error: number {literal} is out of range (at position {at})\n")
+
+    def test_largest_literals_still_parse(self, capsys):
+        argv = ["table", "--a", "1", "--table", "1:2:uniform:3"]
+        assert run(capsys, *argv, "--f", "1e308") == (
+            0, "1,1e+308\n1.5,1e+308\n2,1e+308\n", "")
+        assert run(capsys, *argv, "--f", "1e308*x") == (
+            3, "", "error: non-finite value inf at x=2.0\n")
+
+    def test_csv_path_that_cannot_be_opened(self, capsys, tmp_path):
+        d = tmp_path / "d.csv"
+        d.mkdir()
+        assert run(capsys, "table", "--f", str(d), "--a", "1", "--table", "1:2:uniform:3") == (
+            3, "", f"error: {d}: Is a directory\n")
 
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--help")

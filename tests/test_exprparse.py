@@ -1,10 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from meanmax.errors import ExpressionSyntaxError, NonDifferentiableError
 from meanmax.exprparse import (
+    FUNCTIONS,
     BinOp,
     Call,
     Num,
@@ -81,6 +83,13 @@ class TestParsing:
     def test_scientific_literals(self):
         assert eval_expression(parse_expression("1.5e3 + 2E-2"), 0.0) == 1500.02
 
+    def test_number_out_of_range(self):
+        # A literal that overflows a double is refused where it starts.
+        with pytest.raises(ExpressionSyntaxError,
+                           match=r"^number 1e999 is out of range \(at position 3\)$"):
+            parse_expression("x*1e999")
+        assert parse_expression("1e308") == Num(1e308)
+
     def test_trailing_operator(self):
         with pytest.raises(ExpressionSyntaxError) as err:
             parse_expression("x +")
@@ -146,6 +155,19 @@ class TestEvaluation:
                 assert math.isclose(
                     float(fast(x)), eval_expression(ast, x), rel_tol=1e-14, abs_tol=1e-300
                 ), text
+
+    def test_every_function_and_operator_compiles(self):
+        # Each name of FUNCTIONS, '^' and '/' agree with the tree-walker on
+        # numbers and, read at once, on arrays.
+        texts = [f"{name}(x)" if arity == 1 else f"{name}(x, 2 - x)"
+                 for name, arity in FUNCTIONS.items()] + ["x^2.5", "2/x"]
+        xs = np.linspace(0.25, 3.0, 12)
+        for text in texts:
+            ast = parse_expression(text)
+            fast = compile_expression(ast)
+            want = [eval_expression(ast, x) for x in xs.tolist()]
+            assert [float(fast(x)) for x in xs.tolist()] == pytest.approx(want, rel=1e-14), text
+            assert fast(xs).tolist() == pytest.approx(want, rel=1e-14), text
 
     def test_division_by_zero(self):
         with pytest.raises(ExpressionEvalError, match="1 / x"):

@@ -581,6 +581,14 @@ class TestClassify:
         f = make(lambda x: np.exp(-x / 50) * (1 + 0.5 * np.sin(x)), 0.0, math.inf)
         assert classify_monotonicity(f) == "neither"
 
+    def test_source_it_cannot_sample_is_neither(self):
+        # ln(x - 5) is not finite on [0, 5]: the classifier never raises.
+        def log_shifted(x):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return np.log(x - 5.0)
+
+        assert classify_monotonicity(make(log_shifted, 0.0, 10.0)) == "neither"
+
 
 class TestBuildNodes:
     @pytest.mark.parametrize("lo,hi", [(0.0, 1e6), (-3.0, 1e6), (0.0, 101.0), (-5.0, 2e9)])
@@ -677,6 +685,20 @@ class TestGridSpec:
         g = GridSpec()
         assert g.effective_eps(0.5) == pytest.approx(1e-9)
         assert g.effective_eps(100.0) == pytest.approx(1e-7)
+
+
+class TestMetadataValidation:
+    def test_envelope_side(self):
+        with pytest.raises(ValueError, match="^side must be 'right' or 'left', got 'up'$"):
+            envelope_function(make(np.exp, 0.0, 1.0), "up")
+
+    def test_tail_kind(self):
+        with pytest.raises(ValueError, match="^unknown tail kind 'bogus'$"):
+            Tail("bogus")
+
+    def test_monotonicity_hint(self):
+        with pytest.raises(ValueError, match="^bad monotonicity hint 'sideways'$"):
+            make(np.exp, 0.0, 1.0, hint="sideways")
 
 
 class TestDomain:

@@ -368,7 +368,7 @@ class TestMeasureWithoutDerivative:
         assert abs(got.value - want) <= 1e-12 * want
         assert sum(points) < 1000
 
-    @pytest.mark.parametrize("cfg", [QuadratureConfig(), QuadratureConfig(atol=1e-13, rtol=1e-12)],
+    @pytest.mark.parametrize("cfg", [QuadratureConfig(), QuadratureConfig(rtol=1e-12)],
                              ids=["default", "tight"])
     def test_random_tables_with_undeclared_kinks(self, cfg):
         # np.interp on random rows with random slopes, spanning four orders
@@ -614,7 +614,7 @@ class TestPartials:
     def test_finite_difference_agreement(self):
         # central differences of the mean at tightened tolerances
         cfg = QuadratureConfig()
-        fd_cfg = cfg.scaled(1e-4)
+        fd_cfg = QuadratureConfig(cfg.rtol * 1e-4)
         for f, m, r, R in [(EXP, M_ID, 1.0, 3.0), (INV, M_LN, 1.0, math.e)]:
             h = 1e-5 * (R - r)
             fd_r = (
@@ -697,11 +697,34 @@ class TestMeasureValidation:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            QuadratureConfig(atol=0.0)
+            QuadratureConfig(rtol=0.0)
+
+    def test_atol_is_a_tenth_of_rtol(self):
+        # Bit for bit: the default, and the finite-difference check's tightened config.
+        assert QuadratureConfig().atol == 1e-10
+        assert QuadratureConfig(1e-9 * 1e-4).atol == 1e-10 * 1e-4
+        assert QuadratureConfig(1e-12).atol == 1e-13
+
+    def test_empty_window_reads_no_point(self):
+        points = []
+        m = Measure1D(m=counted(np.log, points), domain=Domain(1.0, 50.0))
+        m.validate(5.0, 5.0)
+        m.validate(6.0, 5.0)
+        assert points == []
+
+    def test_log_measure_needs_positive_a(self):
+        with pytest.raises(ValueError, match="^log measure needs a > 0$"):
+            log_measure(0.0)
+
+    def test_interval_outside_the_measure_domain(self):
+        g = fn(lambda x: x, 1.0, 50.0)
+        with pytest.raises(DegenerateIntervalError,
+                           match=r"^\[1\.0, 3\.0\] not inside the measure domain \[2\.0, 50\.0\)$"):
+            integral_mean(g, identity_measure(2.0, 50.0), 1.0, 3.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("field", ["atol", "rtol"])
+@pytest.mark.parametrize("field", ["rtol"])
 def test_config_needs_finite_tolerances(field, bad):
     with pytest.raises(ValueError, match="finite and positive"):
         QuadratureConfig(**{field: bad})

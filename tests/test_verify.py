@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -332,6 +333,16 @@ class TestPairChecks:
             assert report.samples_used == 0
             assert report.note.startswith("unbounded domain")
 
+    def test_close_draw_is_dropped(self):
+        # At seed 8800 the first two draws lie about 1.4e-5 apart, under 1e-4
+        # of the span: the one pair is drawn from the next two.
+        rng = random.Random(8800)
+        first = rng.random(), rng.random()
+        assert abs(first[0] - first[1]) < 1e-4
+        second = sorted((rng.random(), rng.random()))
+        rs, Rs = verify._sample_pairs(identity_measure(0.0, 1.0), 0.0, 1.0, 1, 8800)
+        assert (rs[0], Rs[0]) == pytest.approx(second, abs=1e-12)
+
     @pytest.mark.parametrize("claim", ["F1", "AnmA"])
     def test_measure_not_finite_at_left_end(self, claim):
         # ln x is -inf at the left end 0 of the sampled window
@@ -574,6 +585,11 @@ class TestReports:
         rep = estimate_decay(g, DecaySchedule(start=4, ratio=2, steps=4, threshold=0.1))
         assert rep.verdict == VIOLATED
         assert rep.witness is not None
+
+    def test_line_with_a_note(self):
+        rep = verify.VerifyReport("F1", INCONCLUSIVE, 0.0, 0, note="hypothesis failure: tail")
+        assert rep.to_line() == ("F1 inconclusive worst_slack=0 samples=0 "
+                                 "note='hypothesis failure: tail'")
 
     def test_slack_budget_scale(self):
         assert slack_budget(0.0) == pytest.approx(1e-8)
