@@ -38,12 +38,12 @@ from .errors import CsvFormatError, ExpressionSyntaxError, MeanmaxError, NonDiff
 from .exprparse import compile_expression, derive_expression, parse_expression
 from .func1d import (
     Domain,
+    Envelope,
     Function1D,
     GridSpec,
     Tail,
     build_nodes,
     envelope_function,
-    evaluate,
 )
 from .stieltjes import (
     Measure1D,
@@ -108,31 +108,34 @@ def load_csv_function(path: str | Path) -> TabulatedFunction:
     xs: list[float] = []
     ys: list[float] = []
     try:
-        handle = open(path, encoding="utf-8-sig")
+        data = path.read_bytes()
     except OSError as exc:
         raise CsvFormatError(f"{path}: {exc.strerror}") from None
-    with handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise CsvFormatError(f"{path}:{lineno}: expected 'x,value', got {line!r}")
-            try:
-                x, y = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}:{lineno}: expected 'x,value', got {line!r}"
-                ) from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise CsvFormatError(f"{path}:{lineno}: non-finite entry")
-            if xs and x <= xs[-1]:
-                raise CsvFormatError(
-                    f"{path}:{lineno}: x values must be strictly increasing"
-                )
-            xs.append(x)
-            ys.append(y)
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(
+                f"{path}:{lineno}: not UTF-8 text (byte 0x{raw[exc.start]:02x})") from None
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise CsvFormatError(f"{path}:{lineno}: expected 'x,value', got {line!r}")
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise CsvFormatError(
+                f"{path}:{lineno}: expected 'x,value', got {line!r}"
+            ) from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise CsvFormatError(f"{path}:{lineno}: non-finite entry")
+        if xs and x <= xs[-1]:
+            raise CsvFormatError(
+                f"{path}:{lineno}: x values must be strictly increasing"
+            )
+        xs.append(x)
+        ys.append(y)
     if len(xs) < 2:
         raise CsvFormatError(f"{path}: need at least 2 rows, got {len(xs)}")
     return TabulatedFunction(xs=np.array(xs), ys=np.array(ys))
@@ -211,8 +214,10 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _table_text(fn: Function1D, xs: np.ndarray) -> str:
-    ys = evaluate(fn, xs).tolist()
+def _table_text(fn: Function1D | Envelope, xs: np.ndarray) -> str:
+    """fn at xs, one "x,value" row a point.  An Envelope is read by value_at
+    alone, which locates no plateau edge."""
+    ys = fn(xs).tolist()
     return "".join(f"{format_number(x)},{format_number(y)}\n" for x, y in zip(xs.tolist(), ys))
 
 
@@ -259,7 +264,7 @@ def _cmd_envelope(args) -> int:
     xs = _parse_range(args.table)
     for note in env.notes:
         print(f"warning: {note}", file=sys.stderr)
-    _emit(_table_text(env.as_function(), xs), args.output)
+    _emit(_table_text(env, xs), args.output)
     return EXIT_OK
 
 

@@ -258,6 +258,8 @@ def _derive(node: Expression) -> Expression:
         if isinstance(v, Num):
             return _mul(_mul(v, BinOp("^", u, Num(v.value - 1.0))), du)
         if _is_const(u):
+            if not _num(u) > 0:
+                raise NonDifferentiableError(f"constant base {_num(u)} of ^ is not positive")
             return _mul(_mul(node, Num(math.log(_num(u)))), dv)
         return _mul(
             node,

@@ -15,6 +15,7 @@ unhinted monotone side it usually stops after one call of three points.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -375,6 +376,53 @@ def _refine_peaks(f: Function1D, xs: np.ndarray, ys: np.ndarray, peaks: np.ndarr
     return out_x, out_y
 
 
+def _plateau_edges(f: Function1D, s: np.ndarray, p: np.ndarray, gs: np.ndarray,
+                   level: np.ndarray) -> np.ndarray:
+    """Where f falls to level between s and p, for every bracket at once.
+
+    f - level is gs > 0 at s and at most 0 at p.  Regula falsi with the
+    Illinois step (Dowell and Jarratt 1971): each step reads one point per
+    live bracket, all in one call, at the secant point of the bracket's ends,
+    the value at an end kept twice running halved; it bisects instead when
+    the secant point is not strictly inside or the bracket has not halved
+    over the last two steps.  A point is kept at least half the stopping
+    width from both ends, so a secant that has found the crossing from one
+    side closes the bracket at the next step.  A bracket stops once it is no
+    wider than 2^-26 of its start, or after REFINE_STEPS steps.  Returns each
+    bracket's end where f is at or below level.
+    """
+    out = p.copy()
+    if not len(p):
+        return out
+    gp = sample(f.eval, p) - level
+    tol = 2.0**-26 * np.abs(p - s)
+    idx = np.arange(len(p))
+    moved = np.zeros(len(p))  # the end the last step moved: 1 for s, -1 for p
+    wide = wider = np.full(len(p), np.inf)  # the bracket's width one and two steps ago
+    for _ in range(REFINE_STEPS):
+        width = np.abs(p - s)
+        live = width > tol
+        out[idx[~live]] = p[~live]
+        if not live.any():
+            return out
+        idx, s, p, gs, gp, level, tol, moved, wide, wider, width = (
+            a[live] for a in (idx, s, p, gs, gp, level, tol, moved, wide, wider, width))
+        lo, hi = np.minimum(s, p), np.maximum(s, p)
+        c = s + (p - s) * (gs / (gs - gp))
+        c = np.where((lo < c) & (c < hi) & (width <= 0.5 * wider), c, 0.5 * (s + p))
+        c = np.clip(c, lo + 0.5 * tol, hi - 0.5 * tol)
+        gc = sample(f.eval, c) - level
+        up = gc > 0
+        gp = np.where(up & (moved == 1), 0.5 * gp, gp)
+        gs = np.where(~up & (moved == -1), 0.5 * gs, gs)
+        s, gs = np.where(up, c, s), np.where(up, gc, gs)
+        p, gp = np.where(up, p, c), np.where(up, gp, gc)
+        moved = np.where(up, 1.0, -1.0)
+        wide, wider = width, wide
+    out[idx] = p
+    return out
+
+
 def _refined_samples(f: Function1D, lo: float, hi: float, grid: GridSpec):
     """Base-grid samples on [lo, hi] plus the best point of every local maximum.
 
@@ -516,23 +564,37 @@ class Envelope:
         return float(out) if out.ndim == 0 else out
 
     def kinks(self, end: float = math.inf) -> np.ndarray:
-        """The samples below end where the envelope may fail to be smooth, in order.
+        """The points below end where the envelope may fail to be smooth, in order.
 
         A run of gaps where the table is flat is one constant.  A run where it
         is not is the envelope following f, smooth across its samples, except
-        that every gap of it next to a flat gap may hold a kink where the
-        envelope leaves f for the plateau.  So the kinks are the first and
-        last sample, the ends of every run, and both ends of every such gap.
+        in a steep gap whose neighbour on the plateau side (the next gap on
+        the right side, the previous one on the left) is flat: there it
+        leaves f for the plateau where f crosses the plateau's level, a point
+        _plateau_edges locates.  So the kinks are the first and last sample
+        below end, the ends of every run, and each such gap's located edge,
+        which stands in for the gap's steep-side end.  The edges are found at
+        the first call, one search for the whole table, and kept.
         """
-        n = max(int(np.searchsorted(self.xs, end)), 1)
-        table = self.table[:n]
+        last = self.xs[max(int(np.searchsorted(self.xs, end)), 1) - 1]
+        return np.append(self._kinks[self._kinks < last], last)
+
+    @functools.cached_property
+    def _kinks(self) -> np.ndarray:
+        xs, table = self.xs, self.table
         steep = table[:-1] != table[1:]
-        beside_flat = np.zeros(n + 1, dtype=bool)
-        beside_flat[1:-1] = ~steep
-        kinked = steep & (beside_flat[:-2] | beside_flat[2:])
-        keep = np.ones(n, dtype=bool)
-        keep[1:-1] = (steep[:-1] != steep[1:]) | kinked[:-1] | kinked[1:]
-        return self.xs[:n][keep]
+        keep = np.ones(len(xs), dtype=bool)
+        keep[1:-1] = steep[:-1] != steep[1:]
+        # Gap j is kinked; s its steep-side end, where f is the table value,
+        # p its plateau-side end, where f is at or below the plateau's level.
+        if self.side == RIGHT:
+            j = np.flatnonzero(steep[:-1] & ~steep[1:])
+            s, p, level = j, j + 1, table[j + 1]
+        else:
+            j = np.flatnonzero(~steep[:-1] & steep[1:]) + 1
+            s, p, level = j + 1, j, table[j]
+        edges = _plateau_edges(self.source, xs[s], xs[p], table[s] - level, level)
+        return distinct(np.concatenate([xs[keep], edges]))
 
     def as_function(self) -> Function1D:
         hint = DECREASING if self.side == RIGHT else INCREASING

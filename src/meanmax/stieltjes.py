@@ -347,7 +347,8 @@ def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig):
     fun = (lambda x: g(x) * m.m_prime(x)) if m.m_prime is not None else g
     used = 0
     n = len(lo)
-    cuts, at = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    cuts = distinct(np.concatenate([lo, hi]))
+    at = np.searchsorted(cuts, np.concatenate([lo, hi]))
     ms = sample(m.m, cuts)[at]
     m_lo, m_hi = ms[:n], ms[n:]
     density = cfg.atol / span if span is not None else np.full(n, cfg.atol / np.sum(m_hi - m_lo))

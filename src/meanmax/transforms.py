@@ -148,8 +148,11 @@ def _majorant_mean(f: Function1D, m: Measure1D, cfg: QuadratureConfig, grid: Gri
     def pieces(lo, hi, span):
         # (right end, integral, segment index) of the accepted pieces of each
         # segment [lo, hi].  A segment lies in one run of flat gaps or of
-        # steep ones, the run of the gap its right end closes; over a flat
-        # run the envelope is that constant, integrated exactly.
+        # steep ones, the run of the gap that holds its right end; over a
+        # flat run the envelope is that constant, integrated exactly.  A
+        # located plateau edge lies inside a steep gap, so the sliver from
+        # it to the gap's flat end integrates value_at like any steep piece,
+        # whether or not f stays below the plateau there.
         level = flat[np.searchsorted(xs, hi) - 1]
         exact = ~np.isnan(level)
         rest = np.flatnonzero(~exact)
@@ -161,9 +164,10 @@ def _majorant_mean(f: Function1D, m: Measure1D, cfg: QuadratureConfig, grid: Gri
 
     @functools.cache
     def build():
-        # Cut at the envelope's kinks among the samples the measure is
-        # defined at, closed at the measure's window end when the table runs
-        # past it.  Queries past the last cut integrate from it.
+        # Cut at the envelope's kinks (run ends and located plateau edges)
+        # where the measure is defined, closed at the measure's window end
+        # when the table runs past it.  Queries past the last cut integrate
+        # from it.
         cuts = env.kinks(m.domain.b)
         if env.xs[-1] >= m.domain.b:
             end = window_end(m.domain, a)

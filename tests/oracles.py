@@ -174,6 +174,18 @@ def wave_left_max(x):
     return np.where(np.asarray(x) < x0, wave(x), wave(x0))
 
 
+def wave_plateau_edge(k):
+    """The crossing c_k, k = 1, 2, ..., where wave, falling from maximum k - 1
+    toward the minimum after it, reaches the level of maximum k: the kink
+    where wave_right_max leaves wave for that level.  Found by bisection."""
+    level = float(wave(wave_maximum(k)))
+    lo, hi = wave_maximum(k - 1), (-_THETA - _PHI + 2 * math.pi * k) / 5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if float(wave(mid)) > level else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def _wave_antiderivative(x):
     e = math.exp(-x)
     return -e - e * (math.sin(5 * x) + 5 * math.cos(5 * x)) / 52
@@ -183,8 +195,8 @@ def wave_right_max_integral(R: float) -> float:
     """integral_0^R of wave_right_max, piece by piece between its kinks.
 
     It is the constant wave(x_0) on [0, x_0]; after maximum k - 1 it is wave
-    itself down to the crossing c_k where wave falls to the level of maximum
-    k, then that constant up to x_k.  c_k is found by bisection on the descent.
+    itself down to the crossing c_k = wave_plateau_edge(k), then the level of
+    maximum k up to x_k.
     """
     x0 = wave_maximum(0)
     total = min(R, x0) * float(wave(x0))
@@ -192,11 +204,7 @@ def wave_right_max_integral(R: float) -> float:
     while R > wave_maximum(k - 1):
         top, nxt = wave_maximum(k - 1), wave_maximum(k)
         level = float(wave(nxt))
-        lo, hi = top, (-_THETA - _PHI + 2 * math.pi * k) / 5  # the minimum between them
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if float(wave(mid)) > level else (lo, mid)
-        cut = 0.5 * (lo + hi)
+        cut = wave_plateau_edge(k)
         total += _wave_antiderivative(min(R, cut)) - _wave_antiderivative(top)
         total += max(0.0, min(R, nxt) - cut) * level
         k += 1

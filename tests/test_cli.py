@@ -77,6 +77,20 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="no such file"):
             load_csv_function(tmp_path / "nope.csv")
 
+    def test_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "bin.csv"
+        p.write_bytes(b"1,1\n2,\xff\xfe2\n")
+        message = f"{p}:2: not UTF-8 text (byte 0xff)"
+        with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
+            load_csv_function(p)
+        assert run(capsys, "table", "--f", str(p), "--a", "1", "--table", "1:2:uniform:3") == (
+            3, "", f"error: {message}\n")
+
+    def test_byte_order_mark_and_lone_carriage_returns(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"\xef\xbb\xbf1,1\r2,0.5\r\n4,0.25")
+        assert load_csv_function(p).ys.tolist() == [1.0, 0.5, 0.25]
+
     def test_path_that_cannot_be_opened(self, tmp_path):
         p = tmp_path / "d.csv"
         p.mkdir()
@@ -153,6 +167,16 @@ class TestMean:
         code, out, err = run(capsys, *argv, "--m", str(p), "--a", "1", "--b", "50")
         assert (code, out) == (3, "")
         assert err == "error: measure is not strictly increasing near x=7.0\n"
+
+    def test_constant_zero_base_in_the_measure(self, capsys):
+        # 0^x has no symbolic derivative (ln 0), so m takes the
+        # derivative-free route; 0^x + x is x on [1, 2].
+        assert run(capsys, "mean", "--f", "1/x", "--m", "0^x+x", "--a", "1",
+                   "--r", "1", "--R", "2") == (0, "0.6931471806\n", "")
+
+    def test_negative_base_in_the_measure(self, capsys):
+        assert run(capsys, "mean", "--f", "1/x", "--m", "(0-2)^x+x", "--a", "1",
+                   "--r", "1", "--R", "2") == (3, "", "error: non-finite value nan at x=1.0\n")
 
     def test_rejects_measure_not_increasing(self, capsys):
         # x + 2 sin x decreases where cos x < -1/2
@@ -597,6 +621,18 @@ class TestTableAndRoundTrip:
         vals = [float(r.split(",")[1]) for r in out.strip().splitlines()]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(1.0, abs=1e-8)
+
+    def test_envelope_locates_no_plateau_edge(self, capsys, monkeypatch):
+        # The table reads the envelope by value_at alone: the right envelope
+        # of the wave has plateau edges, and none is searched for.
+        def refused(*args):
+            raise AssertionError("plateau edge search")
+
+        monkeypatch.setattr(func1d, "_plateau_edges", refused)
+        code, out, _ = run(capsys, "envelope", "--f", "exp(-x)*(1+0.5*sin(5*x))",
+                           "--side", "right", "--a", "0", "--tail", "vanishing",
+                           "--table", "0:3:uniform:7")
+        assert code == 0 and len(out.splitlines()) == 7
 
     def test_envelope_prints_its_notes(self, capsys):
         # x^-0.01 never falls below the vanishing-tail threshold before the

@@ -220,6 +220,15 @@ class TestDerivative:
                 denom = max(abs(fd), abs(got), 1e-6)
                 assert abs(got - fd) / denom <= 1e-7, (text, x)
 
+    def test_constant_base_that_is_not_positive(self):
+        # d/dx c^v is c^v ln(c) v', which has no value for c <= 0.
+        message = r"^constant base 0\.0 of \^ is not positive$"
+        for text in ("0^x", "0^(2*x)"):
+            with pytest.raises(NonDifferentiableError, match=message):
+                derive_expression(parse_expression(text))
+        d = derive_expression(parse_expression("e^x"))
+        assert eval_expression(d, 2.0) == pytest.approx(math.exp(2.0), rel=1e-14)
+
     def test_derivative_of_constant(self):
         d = derive_expression(parse_expression("pi"))
         assert isinstance(d, Num) and d.value == 0.0

@@ -28,14 +28,17 @@ from meanmax.func1d import (
     right_maximization,
     sample,
 )
+from meanmax.stieltjes import identity_measure, stieltjes_integral
 
 from oracles import (
     dense_maxima,
     grid_sup,
+    midpoint_stieltjes,
     table_from_samples,
     wave,
     wave_left_max,
     wave_maximum,
+    wave_plateau_edge,
     wave_right_max,
 )
 
@@ -368,14 +371,61 @@ class TestEnvelope:
         kinks = env.kinks()
         assert np.array_equal(env.as_function().breaks, kinks)
         assert kinks[0] == env.xs[0] and kinks[-1] == env.xs[-1]
-        # Between two kinks the table is flat throughout or steep throughout.
-        steep = env.table[:-1] != env.table[1:]
-        at = np.searchsorted(env.xs, kinks)
-        assert all(len(set(steep[i:j])) == 1 for i, j in zip(at[:-1], at[1:]))
+        assert np.all(np.diff(kinks) > 0)
+        # Between two kinks the envelope is flat throughout or follows f
+        # throughout; a located plateau edge leaves a sliver of at most 2^-26
+        # of its gap where it is neither, which no grid point below hits.
+        for lo, hi in zip(kinks[:-1], kinks[1:]):
+            xs = np.linspace(lo, hi, 41)[1:-1]
+            env_x = env.value_at(xs)
+            assert np.all(env_x == env_x[0]) or np.allclose(env_x, wave(xs), rtol=1e-12, atol=0)
         assert len(kinks) < len(env.xs) / 10
         below = env.kinks(20.0)
         assert np.array_equal(below[:-1], kinks[kinks < below[-1]])
         assert below[-1] == env.xs[env.xs < 20.0][-1]
+
+    def test_plateau_edges_are_located_once(self):
+        # The right envelope of the wave leaves f for a plateau once after
+        # each maximum, inside a sampled gap.  The edge is found at the first
+        # call of kinks, not at the build, and kept.
+        sizes = []
+        env = envelope_function(make(calls_of(wave, sizes), 0.0, math.inf,
+                                     tail=Tail.vanishing()), "right")
+        sizes.clear()
+        kinks = env.kinks()
+        edges = kinks[~np.isin(kinks, env.xs)]
+        assert len(edges) == 25 and 0 < sum(sizes) <= 300
+        sizes.clear()
+        assert np.array_equal(env.as_function().breaks, kinks)
+        env.kinks(20.0)
+        assert sizes == []
+        # Each edge is where wave falls to its gap's plateau level: above it
+        # 2^-26 of the gap before the edge, at or below it at the edge.
+        j = np.searchsorted(env.xs, edges)
+        width, level = env.xs[j] - env.xs[j - 1], env.table[j]
+        assert np.all(wave(edges) <= level) and np.all(wave(edges - 2.0**-26 * width) > level)
+        # Through the 12th edge (x < 15, f above 4e-7) that level is the next
+        # maximum's within rounding, so the edge is the closed-form crossing.
+        for k, e, w in zip(range(1, 13), edges, width):
+            assert abs(e - wave_plateau_edge(k)) <= 2.0**-26 * w, k
+
+    def test_left_edge_integrates_like_a_dense_sum(self):
+        # The left envelope of sin 5x + x/4 is flat after each maximum until
+        # f climbs back to its level at a located edge.  The integral across
+        # the edges takes one piece between two kinks, each accepted at its
+        # first level, and matches a midpoint sum of the dense prefix maximum.
+        def f(x):
+            return np.sin(5 * x) + 0.25 * x
+
+        env = envelope_function(make(f, 0.0, 10.0), "left")
+        g = env.as_function()
+        edges = g.breaks[~np.isin(g.breaks, env.xs)]
+        assert len(edges) >= 5
+        R = float(edges[3]) + 0.1
+        got = stieltjes_integral(g, identity_measure(0.0), 0.0, R)
+        assert got.panels_used == np.count_nonzero(g.breaks < R)
+        want = midpoint_stieltjes(lambda x: np.maximum.accumulate(f(x)), lambda x: x, 0.0, R)
+        assert got.value == pytest.approx(want, rel=1e-10)
 
     def test_kinks_of_a_decreasing_function_are_its_ends(self, f_exp):
         env = envelope_function(f_exp, "right")

@@ -6,12 +6,14 @@ import threading
 import numpy as np
 import pytest
 
+from meanmax import transforms
 from meanmax.cli import TabulatedFunction
 from meanmax.errors import DomainError, MeanmaxError, NonFiniteValueError, UnboundedSupError
 from meanmax.exprparse import compile_expression, parse_expression
 from meanmax.func1d import (RIGHT, TAIL_CAP_NOTE, Domain, Function1D, GridSpec, Tail,
                             envelope_function, evaluate)
-from meanmax.stieltjes import Measure1D, identity_measure, integral_mean, log_measure
+from meanmax.stieltjes import (Measure1D, identity_measure, integral_mean, log_measure,
+                               segment_integrals)
 from meanmax.transforms import (
     Q_from_d,
     WeightN,
@@ -26,6 +28,7 @@ from oracles import (
     piecewise_midpoint,
     wave,
     wave_maximum,
+    wave_plateau_edge,
     wave_right_max_integral,
 )
 
@@ -154,6 +157,40 @@ class TestMajorantTable:
             tol = res.log["eps_sup"] + max(1e-10, 1e-9 * want * R) / R
             assert abs(res.fn(R) - want) <= tol, R
 
+    def test_wave_within_1e14_of_closed_form(self):
+        # The table cuts at each located plateau edge, so D meets the closed
+        # form to rounding: at the frozen R and just either side of three
+        # edges, where a query's partial piece starts or ends at the edge.
+        f = fn(wave, 0.0, math.inf, tail=Tail.vanishing())
+        D = decreasing_majorant_mean(f, identity_measure(0.0)).fn
+        edges = [wave_plateau_edge(k) for k in (1, 5, 12)]
+        for R in (0.3, 1.0, 7.1, 40.0, *(c + s for c in edges for s in (-1e-7, 1e-7))):
+            assert D(R) == pytest.approx(wave_right_max_integral(R) / R, rel=1e-14, abs=0), R
+
+    def test_wave_table_cost(self, monkeypatch):
+        # No segment of the wave's table holds a kink, so each is accepted at
+        # its first level: 983 points for the table and D(40)'s partial
+        # piece, where cutting at both ends of each kinked gap took 5,366.
+        points, calls = 0, []
+
+        def counted(x):
+            nonlocal points
+            points += np.size(x)
+            return wave(x)
+
+        def spy(g, m, lo, hi, *args):
+            out = segment_integrals(g, m, lo, hi, *args)
+            calls.append((len(lo), len(out.hi)))
+            return out
+
+        res = decreasing_majorant_mean(fn(counted, 0.0, math.inf, tail=Tail.vanishing()),
+                                       identity_measure(0.0))
+        monkeypatch.setattr(transforms, "segment_integrals", spy)
+        points = 0
+        res.fn(40.0)
+        assert points <= 2_000
+        assert len(calls) == 2 and all(segments == pieces for segments, pieces in calls)
+
     def test_maximum_inside_a_gap(self):
         # The first maximum, x = 0.2782, lies inside the node gap [0.25, 0.28125],
         # where the envelope rises above its lower table value only over the
@@ -196,12 +233,16 @@ class TestMajorantTable:
     def test_a_table_node_at_the_measure_window_end(self):
         # On [0, 2) the uniform node 2048 is 1 - 1e-12, the window end of the
         # measure's [0, 1): the closing cut replaces it rather than repeat it.
-        # Bit for bit what D returned before the closing cut.
+        # Bit for bit what D returns with its plateau edge located (each
+        # within 1e-14 of the closed form, which holds up to R = 1 on [0, 2)).
         f = fn(wave, 0.0, 2.0)
         D = decreasing_majorant_mean(f, identity_measure(0.0, 1.0)).fn
-        assert [D(R).hex() for R in (0.3, 0.9, 1 - 1e-12, 1 - 1e-13)] == [
-            "0x1.28358ee045f37p+0", "0x1.9d8fd751dab04p-1", "0x1.85288801e430cp-1",
-            "0x1.85288801e3577p-1"]
+        Rs = (0.3, 0.9, 1 - 1e-12, 1 - 1e-13)
+        assert [D(R).hex() for R in Rs] == [
+            "0x1.28358ee045f37p+0", "0x1.9d8fd751dab03p-1", "0x1.85288801e430bp-1",
+            "0x1.85288801e3576p-1"]
+        for R in Rs:
+            assert D(R) == pytest.approx(wave_right_max_integral(R) / R, rel=1e-14, abs=0), R
 
     def test_measure_not_finite_at_a(self):
         # ln x is -inf at a = 0: D names the point instead of returning NaN.
@@ -233,15 +274,17 @@ class TestMajorantTable:
         self.check_against_reference(res, f, m, [1.2, 3.3, xs[100], 17.0, 49.0], panels=1000)
 
     def test_frozen_values(self):
-        # Bit for bit what D returned before the envelope's cut rule moved
-        # into Envelope.kinks.
+        # Bit for bit what D returns with the plateau edges located; the
+        # wave's values are within 1e-14 of the closed form
+        # (test_wave_within_1e14_of_closed_form), the 1/x ones unchanged
+        # since the envelope's cut rule moved into Envelope.kinks.
         wave_D = decreasing_majorant_mean(fn(wave, 0.0, math.inf, tail=Tail.vanishing()),
                                           identity_measure(0.0)).fn
         inv_D = decreasing_majorant_mean(fn(lambda x: 1 / x, 1.0, math.inf,
                                             tail=Tail.vanishing()), log_measure(1.0)).fn
         for D, Rs, want in [
             (wave_D, (0.3, 1.0, 7.1, 40.0), ("0x1.28358ee045f37p+0", "0x1.85288801e33f3p-1",
-                                             "0x1.54786df6d38abp-3", "0x1.e3d6286cf1396p-6")),
+                                             "0x1.54786df6d38aep-3", "0x1.e3d6286cf1382p-6")),
             (inv_D, (1.5, 10.0, 123.4, 1e4), ("0x1.a4ea7145f210ap-1", "0x1.903eec63c9af4p-2",
                                               "0x1.a5da57788bf8fp-3", "0x1.bcac4ed231394p-4")),
         ]:
