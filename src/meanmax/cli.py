@@ -190,6 +190,8 @@ def _parse_range(spec: str) -> np.ndarray:
         raise ValueError(f"spacing must be uniform or geometric, got {spacing!r}")
     if count < 2:
         raise ValueError("range count must be at least 2")
+    if not math.isfinite(lo) or not math.isfinite(hi):
+        raise ValueError(f"range ends must be finite, got {lo}:{hi}")
     if not lo < hi:
         raise ValueError(f"range needs lo < hi, got {lo}:{hi}")
     if spacing == "geometric" and lo <= 0:
@@ -260,8 +262,8 @@ def _cmd_mean(args) -> int:
 def _cmd_envelope(args) -> int:
     f = _source(args, "envelope", Tail.unknown())
     _, grid = _configs(args)
-    env = envelope_function(f, args.side, grid)
     xs = _parse_range(args.table)
+    env = envelope_function(f, args.side, grid)
     for note in env.notes:
         print(f"warning: {note}", file=sys.stderr)
     _emit(_table_text(env, xs), args.output)

@@ -129,6 +129,12 @@ class DecaySchedule:
             raise ValueError("need at least 3 steps")
         if not math.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold}")
+        try:
+            last = self.start * self.ratio ** (self.steps - 1)
+        except OverflowError:
+            last = math.inf
+        if not math.isfinite(last):
+            raise ValueError("schedule's last point start * ratio^(steps-1) is not finite")
 
     def points(self) -> list[float]:
         return [self.start * self.ratio**k for k in range(self.steps)]

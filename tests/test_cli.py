@@ -710,7 +710,20 @@ class TestUsageErrors:
          "schedule must be start:ratio:steps:threshold, got '2:2:8'"),
         (["verify", "--property", "monotonicity", "--f", "1/x", "--a", "1", "--b", "inf"],
          "monotonicity needs a finite --b to bound its samples"),
-    ], ids=["spacing", "count", "lo-hi", "geometric-lo", "schedule", "verify-b-inf"])
+        (["table", "--f", "1/x", "--a", "1", "--table", "1:inf:uniform:3"],
+         "range ends must be finite, got 1.0:inf"),
+        (["table", "--f", "1/x", "--a", "1", "--table", "1:1e400:geometric:3"],
+         "range ends must be finite, got 1.0:inf"),
+        (["envelope", "--f", "1/x", "--side", "right", "--a", "1", "--table", "1:inf:uniform:3"],
+         "range ends must be finite, got 1.0:inf"),
+        (["transform", "--kind", "majorant", "--f", "1/x", "--m", "ln(x)", "--a", "1",
+          "--table", "1:inf:uniform:3"], "range ends must be finite, got 1.0:inf"),
+        (["decay", "--f", "1/x", "--a", "1", "--schedule", "2:1e10:40:0.01"],
+         "schedule's last point start * ratio^(steps-1) is not finite"),
+        (["decay", "--f", "1/x", "--a", "1", "--schedule", "1e308:2:8:0.01"],
+         "schedule's last point start * ratio^(steps-1) is not finite"),
+    ], ids=["spacing", "count", "lo-hi", "geometric-lo", "schedule", "verify-b-inf", "table-inf",
+            "table-1e400", "envelope-inf", "transform-inf", "schedule-overflow", "schedule-inf"])
     def test_bad_spec(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
@@ -802,6 +815,45 @@ class TestUsageErrors:
 
 TABLE = ["table", "--a", "1", "--table", "1:2:uniform:3"]
 MEAN = ["mean", "--f", "1/x", "--a", "1", "--b", "10", "--r", "2", "--R", "3"]
+
+
+class TestErrorHygiene:
+    # Malformed calls, each in a fresh interpreter with Python's default
+    # warning filters, as a user runs meanmax: a numpy warning or a traceback
+    # on stderr, or anything on stdout, fails the call.
+    CALLS = {
+        "table-inf": (2, ["table", "--f", "1/x", "--a", "1", "--table", "1:inf:uniform:3"]),
+        "table-1e400": (2, ["table", "--f", "1/x", "--a", "1", "--table", "1:1e400:geometric:3"]),
+        "envelope-inf": (2, ["envelope", "--f", "1/x", "--side", "right", "--a", "1",
+                             "--tail", "vanishing", "--table", "1:inf:uniform:3"]),
+        "transform-inf": (2, ["transform", "--kind", "majorant", "--f", "1/x", "--m", "ln(x)",
+                              "--a", "1", "--table", "1:inf:uniform:3"]),
+        "schedule-overflow": (2, ["decay", "--f", "1/x", "--a", "1",
+                                  "--schedule", "2:1e10:40:0.01"]),
+        "schedule-inf": (2, ["decay", "--f", "1/x", "--a", "1", "--schedule", "1e308:2:8:0.01"]),
+        "expression": (2, ["mean", "--f", "x +", "--m", "x", "--a", "0", "--r", "1", "--R", "2"]),
+        "literal": (2, ["table", "--f", "1e999", "--a", "1", "--table", "1:2:uniform:3"]),
+        "tol-nan": (2, ["mean", "--f", "1/x", "--a", "1", "--r", "1", "--R", "10",
+                        "--tol", "nan"]),
+        "steps": (2, ["verify", "--property", "monotonicity", "--f", "1/x", "--m", "ln(x)",
+                      "--a", "1", "--b", "50", "--steps", "1"]),
+        "pole": (3, ["mean", "--f", "1/x", "--m", "x", "--a", "0", "--b", "10",
+                     "--r", "0", "--R", "1"]),
+        "overflow": (3, ["table", "--f", "1e308*x", "--a", "1", "--table", "1:2:uniform:3"]),
+        "not-increasing": (3, ["mean", "--f", "1/x", "--m", "x+2*sin(x)", "--a", "1",
+                               "--r", "1", "--R", "12"]),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_one_error_line(self, name):
+        code, argv = self.CALLS[name]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-m", "meanmax", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"))
+        assert (proc.returncode, proc.stdout) == (code, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 class TestDeepExpressions:

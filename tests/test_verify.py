@@ -526,6 +526,15 @@ def test_schedule_needs_finite_values(field, bad, message):
         DecaySchedule(**values)
 
 
+@pytest.mark.parametrize("start, ratio, steps", [(2.0, 1e10, 40), (1e308, 2.0, 8)],
+                         ids=["overflow", "inf"])
+def test_schedule_needs_a_finite_last_point(start, ratio, steps):
+    # 1e10^39 overflows the power itself; 1e308 * 2^7 rounds to inf.
+    with pytest.raises(ValueError, match=r"last point start \* ratio\^\(steps-1\) is not finite"):
+        DecaySchedule(start=start, ratio=ratio, steps=steps, threshold=0.01)
+    assert DecaySchedule(start=1e300, ratio=10.0, steps=9, threshold=0.01).points()[-1] < math.inf
+
+
 class TestFiniteDifference:
     def test_linear_exact(self):
         f = fn(lambda x: -x, 0.0, 10.0)
