@@ -122,8 +122,7 @@ class Function1D:
     """A real-valued function on [a, b) with declared tail and monotonicity metadata.
 
     breaks, when given, is a sorted array of the points where the function
-    may fail to be smooth, such as the rows of a table; quadrature cuts a
-    piece that fails its error test there.
+    may fail to be smooth, such as the rows of a table; quadrature cuts there.
     """
 
     eval: Callable[[float], float]

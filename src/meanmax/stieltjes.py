@@ -4,21 +4,21 @@ The integral mean of f against a strictly increasing weight m over [r, R] is
 
     mean(r, R; f) = (m(R) - m(r))^-1 * integral_r^R f dm.
 
-Every integral runs through segment_integrals, which splits pieces of its
+Every integral runs through segment_integrals, which bisects pieces of its
 segments locally until each piece's error estimate meets the piece's share of
 the tolerance; the integrals over an array of intervals share one such call.
-A failing piece is cut at the breaks of f and of m inside it, the points where
-either may fail to be smooth, as QUADPACK's QAGP cuts at user break points;
-one with none is halved.  Every piece gets the 7-point Gauss / 15-point
-Kronrod pair on f * m' (QUADPACK, Piessens et al. 1983); its error is the
-larger of |K15 - G7| and the gap between K15 and a rule that also reads the
-piece's ends, which no Kronrod node sees.  When m carries no derivative, each
-rule takes m' from m's own values: the derivative of the polynomial through m
-at the piece's ends and at the rule's nodes (barycentric differentiation,
-Berrut and Trefethen 2004), so each rule's weights sum to the piece's weight
-and a kink of m inside a piece costs both rules alike.  Segments wide on
-positive x start from geometric pieces.  A call that needs more than
-POINT_BUDGET integrand points raises QuadratureError.
+Segments are cut first at the breaks of f and of m, the points where either
+may fail to be smooth, as QUADPACK's QAGP cuts at user break points.  Every
+piece gets the 7-point Gauss / 15-point Kronrod pair on f * m' (QUADPACK,
+Piessens et al. 1983); its error is the larger of |K15 - G7| and the gap
+between K15 and a rule that also reads the piece's ends, which no Kronrod
+node sees.  When m carries no derivative, each rule takes m' from m's own
+values: the derivative of the polynomial through m at the piece's ends and at
+the rule's nodes (barycentric differentiation, Berrut and Trefethen 2004), so
+each rule's weights sum to the piece's weight and a kink of m inside a piece
+costs both rules alike.  Segments wide on positive x start from geometric
+pieces.  A call that needs more than POINT_BUDGET integrand points raises
+QuadratureError.
 """
 
 from __future__ import annotations
@@ -42,13 +42,14 @@ BASE_PANELS = 64
 LOCAL_HALVINGS = 52
 
 # Integrand points one call of segment_integrals may read before it gives up.
-# The largest call that converges in the test suite reads 170,306: x^-1.25
-# against ln x tabulated on 10,000 rows; in the benchmark, 78,489.
+# The largest call that converges in the test suite reads 155,681: x^-1.25
+# against ln x tabulated on 10,000 rows, cut at every row; in the benchmark,
+# 78,489.
 POINT_BUDGET = 2**21
 
-# A failing piece that holds at most this many breaks is cut at all of them;
-# one that holds more, at the break nearest its midpoint.
-SPLIT_BREAKS = 16
+# A piece cut at a break reads 16 points at its first level of G7/K15: its 15
+# Kronrod nodes and the cut.
+CUT_POINTS = 16
 
 # The 15-point Kronrod rule on [-1, 1] and the 7-point Gauss rule at its odd
 # nodes, as published with QUADPACK's qk15: the non-negative nodes from 1 down
@@ -106,9 +107,9 @@ class Measure1D:
 
     diverges declares that m(x) -> +inf as x -> b, which several transform
     hypotheses require.  breaks, when given, is a sorted array of the points
-    where m may fail to be smooth, as on Function1D; quadrature cuts a piece
-    that fails its error test there.  Monotonicity is the caller's
-    responsibility and is only spot-checked by validate().
+    where m may fail to be smooth, as on Function1D; quadrature cuts there.
+    Monotonicity is the caller's responsibility and is only spot-checked by
+    validate().
     """
 
     m: Callable[[float], float]
@@ -271,18 +272,20 @@ def segment_integrals(
 ) -> Pieces:
     """integral of g dm over each segment [lo[i], hi[i]], refined locally.
 
-    Each level makes one call to g for the pieces of all segments; only the
-    pieces whose error exceeds their tolerance are split, at most
-    LOCAL_HALVINGS times, at the breaks (g's, sorted) and m.breaks inside
-    them or at their midpoints (see _refine).  A piece gets G7/K15 on g*m',
-    with m' from m's own values when m has no m_prime.  Segments wider than
-    GEOMETRIC_RATIO on positive x start from BASE_PANELS geometric pieces.
-    g is read once at each cut; m once at each cut, then once a piece at its
-    midpoint when m has m_prime, otherwise at its 15 Kronrod nodes.  A piece
-    of weight dm is accepted within max(atol * dm / span, rtol * |value|) / 4
-    (or the rounding of m's values, see _refine), span (an array, one weight
-    per segment) defaulting to the total weight of the segments.  So the
-    pieces of any run of segments of total weight at most span, plus the
+    A segment is first cut at every point of breaks (g's, sorted) and of
+    m.breaks strictly inside it, unless the added pieces' CUT_POINTS each
+    would pass POINT_BUDGET: then the breaks are ignored.  Each level makes
+    one call to g for the pieces of all segments, and only the pieces whose
+    error exceeds their tolerance are halved, at most LOCAL_HALVINGS times.
+    A piece gets G7/K15 on g*m', with m' from m's own values when m has no
+    m_prime (see _refine).  Segments wider than GEOMETRIC_RATIO on positive x
+    start from BASE_PANELS geometric pieces.  g is read once at each cut; m
+    once at each cut, then once a piece at its midpoint when m has m_prime,
+    otherwise at its 15 Kronrod nodes.  A piece of weight dm is accepted
+    within max(atol * dm / span, rtol * |value|) / 4 (or the rounding of m's
+    values, see _refine), span (an array, one weight per segment) defaulting
+    to the total weight of the segments.  So
+    the pieces of any run of segments of total weight at most span, plus the
     pieces of one more such run, stay within max(atol, rtol * |I|) of their
     integral I when g keeps its sign.  More than POINT_BUDGET points of g
     raise QuadratureError.
@@ -291,8 +294,11 @@ def segment_integrals(
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     origin = np.arange(len(lo))
-    knots = [k for k in (breaks, m.breaks) if k is not None]
-    knots = distinct(np.concatenate(knots)) if knots else knots
+    knots = [k for k in (breaks, m.breaks) if k is not None and len(k)]
+    if knots:
+        cut = _cut(lo, hi, distinct(np.concatenate(knots)))
+        if CUT_POINTS * (len(cut[0]) - len(lo)) <= POINT_BUDGET:
+            lo, hi, origin = cut
     wide = (lo > 0) & (hi > GEOMETRIC_RATIO * lo)
     if wide.any():
         cuts = np.geomspace(lo[wide], hi[wide], BASE_PANELS + 1, axis=1)
@@ -303,14 +309,28 @@ def segment_integrals(
     if not len(lo):
         return Pieces(lo, hi, lo, lo, origin)
     span = None if span is None else np.asarray(span, dtype=float)[origin]
-    done = _refine(g, m, lo, hi, origin, span, cfg, knots)
+    done = _refine(g, m, lo, hi, origin, span, cfg)
     lo, hi, value, error, origin = (np.concatenate(parts) for parts in zip(*done))
     order = np.argsort(lo, kind="stable")
     return Pieces(lo[order], hi[order], value[order], error[order], origin[order])
 
 
-def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig, knots):
-    """Split the pieces whose error exceeds their tolerance, level by level.
+def _cut(lo: np.ndarray, hi: np.ndarray, knots: np.ndarray):
+    """Segments [lo, hi] cut at the sorted knots strictly inside each: (lo, hi, origin)."""
+    first = np.searchsorted(knots, lo, side="right")
+    count = np.searchsorted(knots, hi, side="left") - first
+    origin = np.repeat(np.arange(len(lo)), count + 1)
+    # Piece k of a segment (k = 0 .. count) runs from its knot k - 1 to its
+    # knot k, the segment's own ends standing in for the missing ones.
+    k = np.arange(len(origin)) - np.repeat(np.cumsum(count) - count, count + 1) - origin
+    at, last = first[origin] + k, len(knots) - 1
+    left = np.where(k == 0, lo[origin], knots[np.clip(at - 1, 0, last)])
+    right = np.where(k == count[origin], hi[origin], knots[np.minimum(at, last)])
+    return left, right, origin
+
+
+def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig):
+    """Halve the pieces whose error exceeds their tolerance, level by level.
 
     G7/K15 estimates a piece from 15 new points of g*m'.  Without m_prime,
     m is read at the piece's 15 Kronrod nodes and, less its value at the
@@ -320,21 +340,12 @@ def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig, knots):
     (GAUSS_DIFF).  Each rule then integrates its own interpolant's
     derivative exactly, so its weights sum to m(hi) - m(lo) and a kink or
     jump of m inside the piece costs it only O(h^2).  Such a piece is also
-    accepted when m's rounding alone could explain its error.  A failing
-    piece holding 1 to SPLIT_BREAKS of the sorted knots strictly inside is
-    cut at all of them, one holding more at the knot nearest its midpoint,
-    and one holding none is halved: its halves inherit its ends and midpoint
-    (the middle Kronrod node).  g and m are read once at each knot cut.
+    accepted when m's rounding alone could explain its error.  A piece's
+    halves inherit its ends and midpoint (the middle Kronrod node), so only
+    the first level reads g and m at the cuts.
     """
     fun = (lambda x: g(x) * m.m_prime(x)) if m.m_prime is not None else g
     used = 0
-
-    def spend(count, lo):
-        nonlocal used
-        used += count
-        if used > POINT_BUDGET:
-            raise QuadratureError(f"integrand point budget of {POINT_BUDGET} exceeded "
-                                  f"({len(lo)} pieces unresolved, first at x={lo[0]})")
     n = len(lo)
     cuts = distinct(np.concatenate([lo, hi]))
     at = np.searchsorted(cuts, np.concatenate([lo, hi]))
@@ -347,7 +358,12 @@ def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig, knots):
         mid = 0.5 * (lo + hi)
         xs = (mid[:, None] + (hi - mid)[:, None] * KRONROD_NODES).ravel()
         pts = np.concatenate([cuts, xs]) if level == 0 else xs
-        spend(len(pts), lo)
+        used += len(pts)
+        if used > POINT_BUDGET:
+            raise QuadratureError(
+                f"integrand point budget of {POINT_BUDGET} exceeded "
+                f"({len(lo)} pieces unresolved, first at x={lo[0]})"
+            )
         ys = sample(fun, pts)
         if level == 0:
             y_ends = ys[: len(cuts)][at]
@@ -384,36 +400,14 @@ def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig, knots):
         if ok.all():
             return done
         s = ~ok
-        if not len(knots):
-            y_lo, y_hi = np.concatenate([y_lo[s], centre[s]]), np.concatenate([centre[s], y_hi[s]])
-            lo, hi = np.concatenate([lo[s], mid[s]]), np.concatenate([mid[s], hi[s]])
-            m_lo, m_hi = np.concatenate([m_lo[s], m_mid[s]]), np.concatenate([m_mid[s], m_hi[s]])
-            origin, density = np.tile(origin[s], 2), np.tile(density[s], 2)
-            continue
-        lo, hi, mid, y_lo, y_hi, m_lo, m_hi, origin, density = (
-            v[s] for v in (lo, hi, mid, y_lo, y_hi, m_lo, m_hi, origin, density))
-        first = np.searchsorted(knots, lo, side="right")
-        inside = np.searchsorted(knots, hi, side="left") - first
-        # In a piece holding two or more breaks, breaks j - 1 and j flank mid.
-        j = np.clip(np.searchsorted(knots, mid), first + 1, first + inside - 1)
-        near = j - (mid - knots.take(j - 1, mode="clip") <= knots.take(j, mode="clip") - mid)
-        start = np.where(inside > SPLIT_BREAKS, near, first)
-        k = np.where(inside > SPLIT_BREAKS, 1, np.maximum(inside, 1))  # cuts of each piece
-        end, new = np.cumsum(k), np.repeat(inside > 0, k)
-        which = (np.repeat(start - end + k, k) + np.arange(end[-1]))[new]  # knot of each cut
-        x, y_x, m_x = np.repeat(mid, k), np.repeat(centre[s], k), np.repeat(m_mid[s], k)
-        x[new] = knots[which]
-        cut = distinct(which)
-        spend(len(cut), lo)
-        if len(cut):
-            at = np.searchsorted(cut, which)
-            y_x[new], m_x[new] = sample(fun, knots[cut])[at], sample(m.m, knots[cut])[at]
-        lo, hi = np.insert(x, end - k, lo), np.insert(x, end, hi)
-        y_lo, y_hi = np.insert(y_x, end - k, y_lo), np.insert(y_x, end, y_hi)
-        m_lo, m_hi = np.insert(m_x, end - k, m_lo), np.insert(m_x, end, m_hi)
-        origin, density = np.repeat(origin, k + 1), np.repeat(density, k + 1)
-    raise QuadratureError(f"no convergence after {LOCAL_HALVINGS} local halvings "
-                          f"({np.count_nonzero(s)} pieces left, first at x={lo[0]})")
+        y_lo, y_hi = np.concatenate([y_lo[s], centre[s]]), np.concatenate([centre[s], y_hi[s]])
+        lo, hi = np.concatenate([lo[s], mid[s]]), np.concatenate([mid[s], hi[s]])
+        m_lo, m_hi = np.concatenate([m_lo[s], m_mid[s]]), np.concatenate([m_mid[s], m_hi[s]])
+        origin, density = np.tile(origin[s], 2), np.tile(density[s], 2)
+    raise QuadratureError(
+        f"no convergence after {LOCAL_HALVINGS} local halvings "
+        f"({len(lo) // 2} pieces left, first at x={lo[0]})"
+    )
 
 
 def measure_weight(m: Measure1D, r: float | np.ndarray, R: float | np.ndarray):

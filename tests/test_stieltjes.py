@@ -14,7 +14,7 @@ from meanmax.errors import (
 from meanmax.func1d import GEOMETRIC_RATIO, Domain, Function1D
 from meanmax.stieltjes import (
     BASE_PANELS,
-    SPLIT_BREAKS,
+    CUT_POINTS,
     END_WEIGHT,
     GAUSS_DIFF,
     GAUSS_WEIGHTS,
@@ -238,45 +238,12 @@ class TestKinkedTable:
         assert abs(got - want) <= max(1e-10, 1e-9 * abs(want))
 
 
-def power_against_ln_table(xs, r, R):
-    """integral_r^R x^-1.25 dm for m = ln x interpolated linearly between the rows xs.
-
-    On each gap, the measure's slope times the integral of x^-1.25 dx.
-    """
-    lo, hi = np.clip(xs[:-1], r, R), np.clip(xs[1:], r, R)
-    slope = np.diff(np.log(xs)) / np.diff(xs)
-    return math.fsum(slope * (lo**-0.25 - hi**-0.25) / 0.25)
-
-
-def geometric_rows(rows):
-    xs = np.geomspace(1.0, 50.0, rows)
-    xs[-1] = 50.0
-    return xs
-
-
-def dense_table(kind, xs, r, R, points):
-    """A CSV-like table on the rows xs, its rows declared: (g, m, integral_r^R g dm).
-
-    kind "source" is x^-0.9 tabulated under ln x, "measure" x^-1.25 against
-    ln x tabulated; points collects the source's point counts.
-    """
-    dom = Domain(1.0, 50.0)
-    if kind == "source":
-        g = Function1D(eval=counted(lambda x: np.interp(x, xs, xs**-0.9), points), domain=dom,
-                       breaks=xs)
-        return g, log_measure(1.0, 50.0), table_log_integral(xs, xs**-0.9, r, R)
-    m = Measure1D(m=lambda x: np.interp(x, xs, np.log(xs)), domain=dom, breaks=xs)
-    return fn(counted(lambda x: x**-1.25, points), 1.0, 50.0), m, power_against_ln_table(xs, r, R)
-
-
 class TestBreaks:
-    # The segment is estimated first; failing, it is cut at the break nearest
-    # its midpoint while it holds more than SPLIT_BREAKS rows, then at all of
-    # them.  Every gap of the table is smooth, and G7/K15 accepts it at once.
-    @pytest.mark.parametrize("r,R,count", [(1.5, 20.0, 492), (3.0, 45.0, 524),
-                                           (TABLE_XS[5], TABLE_XS[30], 476)],
+    # Cut at its rows, every gap of a table is smooth and G7/K15 accepts it
+    # at the first level: its ends once, then 15 points a gap.
+    @pytest.mark.parametrize("r,R", [(1.5, 20.0), (3.0, 45.0), (TABLE_XS[5], TABLE_XS[30])],
                              ids=["1.5-20", "3-45", "rows"])
-    def test_table_source_cut_at_its_rows(self, r, R, count):
+    def test_table_source_cut_at_its_rows(self, r, R):
         points, bisected = [], []
         m = log_measure(1.0, 50.0)
         got = stieltjes_integral(Function1D(eval=counted(TABLE.eval, points),
@@ -285,30 +252,36 @@ class TestBreaks:
         want = table_log_integral(TABLE_XS, TABLE_YS, r, R)
         assert abs(got.value - want) <= max(1e-10, 1e-9 * abs(want))
         gaps = int(np.sum((TABLE_XS > r) & (TABLE_XS < R))) + 1
-        assert got.panels_used == gaps and sum(points) == count
+        assert got.panels_used == gaps and sum(points) == gaps + 1 + 15 * gaps
         assert sum(points) < sum(bisected) / 10
 
-    @pytest.mark.parametrize("rows,count", [(257, 4616), (10_000, 170_306)], ids=["257", "10000"])
-    def test_table_measure_takes_kronrod_times_the_slope(self, rows, count):
-        # x^-1.25 against ln x tabulated on geometric rows.  Cut at its rows,
+    @pytest.mark.parametrize("rows", [257, 10_000])
+    def test_table_measure_takes_kronrod_times_the_slope(self, rows):
+        # x^-1.25 against ln x tabulated on geometric rows: on each gap the
+        # measure's slope times the integral of x^-1.25 dx.  Cut at its rows,
         # m is linear on every piece, so the derivative of its interpolant is
-        # its slope there.
-        xs = geometric_rows(rows)
+        # that slope.  Every gap is accepted at the first level, 16 points a
+        # gap: 4,001 points for 257 rows.
+        xs = np.geomspace(1.0, 50.0, rows)
+        xs[-1] = 50.0
         ms = np.log(xs)
         m = Measure1D(m=lambda x: np.interp(x, xs, ms), domain=Domain(1.0, 50.0), breaks=xs)
         r, R = 1.0, 45.0
-        want = power_against_ln_table(xs, r, R) / (np.interp(R, xs, ms) - ms[0])
+        lo, hi = np.clip(xs[:-1], r, R), np.clip(xs[1:], r, R)
+        slope = np.diff(ms) / np.diff(xs)
+        want = math.fsum(slope * (lo**-0.25 - hi**-0.25) / 0.25) / (np.interp(R, xs, ms) - ms[0])
         points = []
         got = integral_mean(fn(counted(lambda x: x**-1.25, points), 1.0, 50.0), m, r, R)
         assert abs(got.value - want) <= 1e-12 * want
-        assert sum(points) == count
+        gaps = int(np.sum((xs > r) & (xs < R))) + 1
+        assert sum(points) == CUT_POINTS * gaps + 1
         assert rows > 257 or sum(points) <= 5000
 
     def test_many_segments_keep_the_table_path(self):
-        # 9,000 intervals, one segment each, on the 40-row table measure.
-        # Each segment is estimated once; the one holding a row fails and is
-        # cut there, so every piece is linear in m, is accepted and meets the
-        # closed form, up to the rounding of m(hi) - m(lo) on a narrow piece.
+        # 9,000 intervals, one segment each, on the 40-row table measure: the
+        # rows add one cut each, however many segments the call holds, so
+        # every piece is linear in m, is accepted at once and meets the closed
+        # form, up to the rounding of m(hi) - m(lo) on a narrow piece.
         grid = np.geomspace(1.0, 49.0, 9001)
         r, R = grid[:-1], grid[1:]
         points = []
@@ -320,32 +293,26 @@ class TestBreaks:
         tail = np.log(R / row) * slope[np.minimum(k + 1, len(slope) - 1)]
         want = slope[k] * np.log(row / r) + tail
         assert np.all(np.abs(got.value - want) <= 1e-11 * want)
-        rows = int(np.sum((TABLE_XS > 1.0) & (TABLE_XS < 49.0)))
-        assert got.panels_used == len(r) + rows
-        assert sum(points) == len(grid) + rows + 15 * (len(r) + 2 * rows) == 145_179
+        assert got.panels_used == len(r) + int(np.sum((TABLE_XS > 1.0) & (TABLE_XS < 49.0)))
+        assert sum(points) == got.panels_used + 1 + 15 * got.panels_used
 
-    def test_dense_tables_take_few_points(self):
-        # 160,001 rows: a table this dense is smooth enough at the tolerance
-        # that few pieces fail, and only those are split at its rows.
-        xs = geometric_rows(160_001)
-        for kind in ("source", "measure"):
-            points = []
-            g, m, want = dense_table(kind, xs, 1.5, 45.0, points)
-            got = stieltjes_integral(g, m, 1.5, 45.0).value
-            assert abs(got - want) <= max(1e-10, 1e-9 * want), kind
-            assert sum(points) <= 1000, kind
-
-    # A table source and a table measure that cost 211,889 and 622,753 points
-    # when every segment was cut at every row before any estimate.
-    @pytest.mark.parametrize("kind,rows,r,R,before", [("source", 20_000, 1.5, 20.0, 211_889),
-                                                      ("measure", 40_000, 1.0, 45.0, 622_753)],
-                             ids=["source", "measure"])
-    def test_dense_table_reads_a_tenth_of_every_row_cut(self, kind, rows, r, R, before):
-        points = []
-        g, m, want = dense_table(kind, geometric_rows(rows), r, R, points)
-        got = stieltjes_integral(g, m, r, R).value
-        assert abs(got - want) <= max(1e-10, 1e-9 * want)
-        assert sum(points) <= before / 10
+    def test_cuts_past_the_budget_are_dropped(self):
+        # Cut at each of 160,001 rows, a table would spend more than
+        # POINT_BUDGET on the cuts alone: the call refines as if no row were
+        # declared.
+        xs = np.geomspace(1.0, 50.0, 160_001)
+        assert CUT_POINTS * np.sum((xs > 1.5) & (xs < 45.0)) > POINT_BUDGET
+        dom, ln = Domain(1.0, 50.0), log_measure(1.0, 50.0)
+        source = lambda x: np.interp(x, xs, xs**-0.9)  # noqa: E731
+        weight = lambda x: np.interp(x, xs, np.log(xs))  # noqa: E731
+        power = fn(lambda x: x**-1.25, 1.0, 50.0)
+        for (g, m), (g0, m0) in [
+            ((Function1D(eval=source, domain=dom, breaks=xs), ln), (fn(source, 1.0, 50.0), ln)),
+            ((power, Measure1D(m=weight, domain=dom, breaks=xs)),
+             (power, Measure1D(m=weight, domain=dom))),
+        ]:
+            got, want = stieltjes_integral(g, m, 1.5, 45.0), stieltjes_integral(g0, m0, 1.5, 45.0)
+            assert (got.value, got.panels_used) == (want.value, want.panels_used)
 
     def test_empty_breaks_are_no_breaks(self):
         g = Function1D(eval=lambda x: 1 / x, domain=Domain(1.0, 50.0), breaks=TABLE_XS)
@@ -370,10 +337,8 @@ class TestBreaks:
                             breaks=TABLE_XS)
         got = mean_partial_r(source, m, r, R)
         assert got == pytest.approx((integral - f_r * L) / (r * L * L), rel=1e-8)
-        rows = int(np.sum((TABLE_XS > r) & (TABLE_XS < R)))
-        # f(r); the segment's ends and its estimate; its 16 rows and the
-        # estimates of its 17 gaps.
-        assert rows == SPLIT_BREAKS and sum(points) == 1 + 2 + 15 + rows + 15 * (rows + 1)
+        gaps = int(np.sum((TABLE_XS > r) & (TABLE_XS < R))) + 1
+        assert sum(points) == 1 + gaps + 1 + 15 * gaps  # f(r), then one level
         assert mean_partial_R(source, m, r, R) == pytest.approx(
             (f_R * L - integral) / (R * L * L), rel=1e-8)
 
@@ -406,9 +371,8 @@ class TestMeasureWithoutDerivative:
     def random_tables(self, cfg, declared):
         # np.interp on random rows with random slopes, spanning four orders
         # of magnitude: every row is a kink.  Undeclared, each lies inside
-        # some piece.  Declared as breaks, a piece is cut at them only when
-        # it fails, so a coarse piece whose estimate misses a kink would pass.
-        # On a gap of small slope late in the table, m(hi) - m(lo) is a few
+        # some piece; declared as breaks, the pieces are cut at them.  On a
+        # gap of small slope late in the table, m(hi) - m(lo) is a few
         # rounding units of m, which bounds what any rule can read from m's
         # values.
         g = fn(damped, 1.0, 50.0)
@@ -450,7 +414,6 @@ class TestMeasureWithoutDerivative:
         self.jump(breaks=None)
 
     def test_measure_with_a_declared_jump(self):
-        # The jump as a break, which a failing piece is cut at.
         self.jump(breaks=np.array([7.3]))
 
 
@@ -484,26 +447,16 @@ class TestSegmentIntegrals:
 
     def test_cut_at_breaks_strictly_inside(self):
         # Overlapping and nested segments, a break on an end, breaks of g and
-        # of the measure.
+        # of the measure: no piece straddles one.
         lo, hi = np.array([0.0, 0.5, 2.5, 1.0]), np.array([1.0, 3.0, 2.75, 4.0])
         knots = np.array([0.5, 2.0, 3.5])
         m = Measure1D(m=lambda x: x, m_prime=lambda x: 1.0 + 0 * x, domain=Domain(0.0, 5.0),
                       breaks=np.array([1.5, 2.0]))
         pieces = segment_integrals(lambda x: x**2, m, lo, hi, breaks=knots)
         assert self.per_segment(pieces, 4) == pytest.approx((hi**3 - lo**3) / 3, rel=1e-12)
+        cuts = np.array([0.5, 1.5, 2.0, 3.5])
+        assert not ((cuts > pieces.lo[:, None]) & (cuts < pieces.hi[:, None])).any()
         assert np.all(pieces.lo[1:] >= pieces.lo[:-1])
-
-    def test_failing_piece_is_cut_at_its_break(self):
-        # |x - 0.3| on [0, 1]: the segment fails its estimate, is cut at the
-        # declared kink, read there once, and both pieces, linear, pass.
-        # Undeclared, the kink costs 28 levels of halving and 857 points.
-        points = []
-        pieces = segment_integrals(counted(lambda x: np.abs(x - 0.3), points),
-                                   identity_measure(0.0, 2.0), [0.0], [1.0],
-                                   breaks=np.array([0.3]))
-        assert points == [17, 1, 30]
-        assert list(pieces.hi) == [0.3, 1.0]
-        assert pieces.value.sum() == pytest.approx(0.29, rel=1e-15)
 
 
 def tabulated_ln_of_inverse(r, R):
