@@ -11,8 +11,8 @@ Grammar (whitespace-insensitive, identifiers lowercase)::
 '^' is right-associative and unary minus applies to a whole power, so
 -x^2 parses as -(x^2).  Functions: ln, exp, sqrt, sin, cos, abs, min, max.
 A number too large for a double is an error.  Error positions are 1-based
-character offsets.  Parsing, differentiating or compiling an expression nested
-too deeply for Python raises ExpressionSyntaxError.
+character offsets.  Parsing, differentiating and compiling use no recursion,
+so they accept any nesting depth, whatever the caller's stack depth.
 """
 
 from __future__ import annotations
@@ -74,120 +74,94 @@ Expression = Num | Var | Const | Neg | BinOp | Call
 X = Var()
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0  # 0-based cursor; reported positions are 1-based
+# How tightly each operator binds; "neg" is unary minus.
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
-    def error(self, message: str, pos: int | None = None):
-        raise ExpressionSyntaxError(message, (self.pos if pos is None else pos) + 1)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
+def _fail(message: str, pos: int):
+    raise ExpressionSyntaxError(message, pos + 1)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
+def _skip_space(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos] in " \t\r\n":
+        pos += 1
+    return pos
 
-    def expect(self, ch: str):
-        if not self.take(ch):
-            self.error(f"expected {ch!r}")
 
-    def parse(self) -> Expression:
-        node = self.expr()
-        self.skip_ws()
-        if self.pos < len(self.text):
-            self.error(f"unexpected {self.text[self.pos]!r}")
-        return node
-
-    def expr(self) -> Expression:
-        node = self.term()
-        while True:
-            ch = self.peek()
-            if ch and ch in "+-":
-                self.pos += 1
-                node = BinOp(ch, node, self.term())
-            else:
-                return node
-
-    def term(self) -> Expression:
-        node = self.factor()
-        while True:
-            ch = self.peek()
-            if ch and ch in "*/":
-                self.pos += 1
-                node = BinOp(ch, node, self.factor())
-            else:
-                return node
-
-    def factor(self) -> Expression:
-        if self.take("-"):
-            return Neg(self.factor())
-        node = self.atom()
-        if self.take("^"):
-            return BinOp("^", node, self.factor())
-        return node
-
-    def atom(self) -> Expression:
-        ch = self.peek()
-        if ch == "":
-            self.error("expected a value, found end of input")
-        if ch == "(":
-            self.pos += 1
-            node = self.expr()
-            self.expect(")")
-            return node
-        m = _NUMBER_RE.match(self.text, self.pos)
-        if m:
-            value = float(m.group())
-            if math.isinf(value):
-                self.error(f"number {m.group()} is out of range")
-            self.pos = m.end()
-            return Num(value)
-        m = _IDENT_RE.match(self.text, self.pos)
-        if m:
-            name = m.group()
-            start = self.pos
-            self.pos = m.end()
-            if name == "x":
-                return X
-            if name in CONSTANTS:
-                return Const(name)
-            if name in FUNCTIONS:
-                self.expect("(")
-                args = [self.expr()]
-                while self.take(","):
-                    args.append(self.expr())
-                self.expect(")")
-                if len(args) != FUNCTIONS[name]:
-                    self.error(
-                        f"{name} expects {FUNCTIONS[name]} argument(s), got {len(args)}",
-                        pos=start,
-                    )
-                return Call(name, tuple(args))
-            self.error(f"unknown identifier {name!r}", pos=start)
-        self.error(f"unexpected character {ch!r}")
+def _reduce(ops: list, vals: list, prec: int):
+    """Apply the operators above the innermost open bracket that bind at least prec."""
+    while ops and isinstance(ops[-1], str) and _PRECEDENCE[ops[-1]] >= prec:
+        op, arg = ops.pop(), vals.pop()
+        vals.append(Neg(arg) if op == "neg" else BinOp(op, vals.pop(), arg))
 
 
 def parse_expression(text: str) -> Expression:
-    """Parse an expression string into its syntax tree."""
+    """Parse an expression string into its syntax tree.
+
+    Dijkstra's operator-precedence ("shunting-yard") algorithm: one loop over
+    an operand stack and an operator stack, which also holds each open bracket
+    as (function name or None, its start, the operands below it).  Each step
+    expects either a value or what may follow one: an operator, a comma, a
+    closing bracket or the end.
+    """
     if not text or not text.strip():
         raise ExpressionSyntaxError("empty expression", 1)
-    try:
-        return _Parser(text).parse()
-    except RecursionError:
-        raise ExpressionSyntaxError("expression nested too deeply to parse") from None
-
-
-def _is_const(node: Expression) -> bool:
-    return isinstance(node, (Num, Const))
+    vals, ops = [], []
+    pos, want_value = 0, True  # 0-based cursor; reported positions are 1-based
+    while True:
+        pos = _skip_space(text, pos)
+        ch = text[pos] if pos < len(text) else ""
+        if want_value:
+            if ch in ("-", "("):
+                ops.append("neg" if ch == "-" else (None, pos, len(vals)))
+                pos += 1
+                continue
+            if ch == "":
+                _fail("expected a value, found end of input", pos)
+            m = _NUMBER_RE.match(text, pos)
+            if m:
+                if math.isinf(float(m.group())):
+                    _fail(f"number {m.group()} is out of range", pos)
+                vals.append(Num(float(m.group())))
+            elif m := _IDENT_RE.match(text, pos):
+                name = m.group()
+                if name in FUNCTIONS:
+                    paren = _skip_space(text, m.end())
+                    if text[paren:paren + 1] != "(":
+                        _fail("expected '('", paren)
+                    ops.append((name, pos, len(vals)))
+                    pos = paren + 1
+                    continue
+                if name != "x" and name not in CONSTANTS:
+                    _fail(f"unknown identifier {name!r}", pos)
+                vals.append(X if name == "x" else Const(name))
+            else:
+                _fail(f"unexpected character {ch!r}", pos)
+            pos, want_value = m.end(), False
+        elif ch and ch in "+-*/^":
+            if ch != "^":  # '^' is right-associative
+                _reduce(ops, vals, _PRECEDENCE[ch])
+            ops.append(ch)
+            pos, want_value = pos + 1, True
+        else:
+            _reduce(ops, vals, 0)
+            if not ops:
+                if ch:
+                    _fail(f"unexpected {ch!r}", pos)
+                return vals[0]
+            name, start, base = ops[-1]
+            if ch == "," and name:
+                pos, want_value = pos + 1, True
+                continue
+            if ch != ")":
+                _fail("expected ')'", pos)
+            ops.pop()
+            args = tuple(vals[base:])
+            del vals[base:]
+            if name and len(args) != FUNCTIONS[name]:
+                _fail(f"{name} expects {FUNCTIONS[name]} argument(s), got {len(args)}", start)
+            vals.append(Call(name, args) if name else args[0])
+            pos += 1
 
 
 def _num(node: Expression) -> float:
@@ -228,24 +202,46 @@ def _div(a, b):
     return BinOp("/", a, b)
 
 
+def _children(node: Expression) -> tuple:
+    if isinstance(node, Neg):
+        return (node.arg,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    return node.args if isinstance(node, Call) else ()
+
+
+def _postorder(root: Expression) -> list:
+    """The distinct nodes of the tree (by identity), each after its children."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(_children(node)))
+    return order
+
+
 def derive_expression(node: Expression) -> Expression:
     """Symbolic derivative with respect to x; abs/min/max are rejected."""
-    try:
-        return _derive(node)
-    except RecursionError:
-        raise ExpressionSyntaxError("expression nested too deeply to differentiate") from None
+    derived = {}
+    for n in _postorder(node):
+        derived[id(n)] = _derive(n, *(derived[id(c)] for c in _children(n)))
+    return derived[id(node)]
 
 
-def _derive(node: Expression) -> Expression:
+def _derive(node: Expression, du=None, dv=None) -> Expression:
+    """The derivative of node, given those of its operands (du, dv)."""
     if isinstance(node, (Num, Const)):
         return Num(0.0)
     if isinstance(node, Var):
         return Num(1.0)
     if isinstance(node, Neg):
-        return Neg(_derive(node.arg))
+        return Neg(du)
     if isinstance(node, BinOp):
         u, v = node.left, node.right
-        du, dv = _derive(u), _derive(v)
         if node.op == "+":
             return _add(du, dv)
         if node.op == "-":
@@ -257,64 +253,63 @@ def _derive(node: Expression) -> Expression:
         # u ^ v
         if isinstance(v, Num):
             return _mul(_mul(v, BinOp("^", u, Num(v.value - 1.0))), du)
-        if _is_const(u):
+        if isinstance(u, (Num, Const)):
             if not _num(u) > 0:
                 raise NonDifferentiableError(f"constant base {_num(u)} of ^ is not positive")
             return _mul(_mul(node, Num(math.log(_num(u)))), dv)
-        return _mul(
-            node,
-            _add(_mul(dv, Call("ln", (u,))), _mul(v, _div(du, u))),
-        )
+        return _mul(node, _add(_mul(dv, Call("ln", (u,))), _mul(v, _div(du, u))))
     if node.name in ("abs", "min", "max"):
         raise NonDifferentiableError(f"{node.name} is not differentiable")
     (arg,) = node.args
-    da = _derive(arg)
     if node.name == "ln":
-        return _div(da, arg)
+        return _div(du, arg)
     if node.name == "exp":
-        return _mul(node, da)
+        return _mul(node, du)
     if node.name == "sqrt":
-        return _div(da, _mul(Num(2.0), node))
+        return _div(du, _mul(Num(2.0), node))
     if node.name == "sin":
-        return _mul(Call("cos", (arg,)), da)
+        return _mul(Call("cos", (arg,)), du)
     # cos
-    return Neg(_mul(Call("sin", (arg,)), da))
+    return Neg(_mul(Call("sin", (arg,)), du))
+
+
+_UFUNCS = {"^": "power", "/": "divide", "ln": "log", "min": "minimum", "max": "maximum"}
 
 
 def compile_expression(node: Expression):
     """Compile the tree into a callable, the library's one evaluator.
 
-    Built on numpy ufuncs, so the result accepts numbers and arrays alike;
-    out-of-domain inputs surface as non-finite values, which the callers
-    check.
+    The generated function assigns each distinct operation of the tree once,
+    after its operands (t3 = np.power(t1, t2)), so its code never nests,
+    whatever the depth of the tree.  Built on numpy ufuncs, so the result
+    accepts numbers and arrays alike; it runs with no builtins and under
+    np.errstate(all="ignore"): out-of-domain inputs surface as non-finite
+    values, which the callers check.
     """
     import numpy as np
 
-    def render(n: Expression) -> str:
-        if isinstance(n, Num):
-            return repr(n.value)
-        if isinstance(n, Var):
-            return "x"
-        if isinstance(n, Const):
-            return repr(CONSTANTS[n.name])
+    names, lines = {}, []
+    for n in _postorder(node):
+        args = [names[id(c)] for c in _children(n)]
+        if not args:
+            names[id(n)] = "x" if isinstance(n, Var) else repr(_num(n))
+            continue
         if isinstance(n, Neg):
-            return f"(-{render(n.arg)})"
-        if isinstance(n, BinOp):
-            if n.op in "^/":
-                ufunc = "power" if n.op == "^" else "divide"
-                return f"np.{ufunc}({render(n.left)}, {render(n.right)})"
-            return f"({render(n.left)} {n.op} {render(n.right)})"
-        fn = {"ln": "log", "min": "minimum", "max": "maximum"}.get(n.name, n.name)
-        return f"np.{fn}({', '.join(render(a) for a in n.args)})"
-
+            value = f"-{args[0]}"
+        elif isinstance(n, BinOp) and n.op in "+-*":
+            value = f"{args[0]} {n.op} {args[1]}"
+        else:
+            name = n.op if isinstance(n, BinOp) else n.name
+            value = f"np.{_UFUNCS.get(name, name)}({', '.join(args)})"
+        names[id(n)] = f"t{len(lines)}"
+        lines.append(f" {names[id(n)]} = {value}\n")
     env = {"__builtins__": {}, "np": np}
-    try:
-        code = compile(render(node), "<expression>", "eval")
-    except (RecursionError, SyntaxError):
-        raise ExpressionSyntaxError("expression nested too deeply to compile") from None
+    source = "".join(["def body(x):\n", *lines, f" return {names[id(node)]}\n"])
+    exec(compile(source, "<expression>", "exec"), env)
+    body = env["body"]
 
     def fn(x):
         with np.errstate(all="ignore"):
-            return eval(code, env, {"x": x})
+            return body(x)
 
     return fn

@@ -351,7 +351,9 @@ def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig):
     at = np.searchsorted(cuts, np.concatenate([lo, hi]))
     ms = sample(m.m, cuts)[at]
     m_lo, m_hi = ms[:n], ms[n:]
-    density = cfg.atol / span if span is not None else np.full(n, cfg.atol / np.sum(m_hi - m_lo))
+    if span is None:  # an m flat on every segment weighs nothing; rtol alone bounds it
+        span = np.full(n, np.sum(m_hi - m_lo) or np.inf)
+    density = cfg.atol / span
     done = []
     for level in range(LOCAL_HALVINGS + 1):
         n = len(lo)
@@ -435,9 +437,8 @@ def integral_mean(
     stieltjes_integral), and panels_used counts the pieces of all of them.
     """
     cfg = cfg or QuadratureConfig()
-    check_interval(f, m, r, R)
+    integral = stieltjes_integral(f, m, r, R, cfg)  # checks r and R first
     dm = measure_weight(m, r, R)
-    integral = stieltjes_integral(f, m, r, R, cfg)
     return MeanValue(
         value=integral.value / dm,
         est_error=integral.est_error / dm,

@@ -4,14 +4,19 @@ These deliberately avoid the library's adaptive/refined code paths: dense-grid
 maxima, fixed-panel midpoint Stieltjes sums, plain numpy cumulative maxima, the
 closed-form maxima of a damped wave, and the reference expression evaluator
 eval_expression, a scalar tree-walker on the math module that checks the
-library's numpy-compiled expressions.
+library's numpy-compiled expressions.  The recursive-descent reference_parse,
+the recursive reference_derive and reference_compile, which renders a tree
+as one nested numpy expression, check the library's iterative parser,
+derivative and compiler draw for draw.
 """
 
 import math
+import re
 
 import numpy as np
 
-from meanmax.exprparse import CONSTANTS, BinOp, Const, Neg, Num, Var
+from meanmax.errors import ExpressionSyntaxError, NonDifferentiableError
+from meanmax.exprparse import CONSTANTS, FUNCTIONS, X, BinOp, Call, Const, Neg, Num, Var
 
 
 class ExpressionEvalError(Exception):
@@ -65,6 +70,227 @@ def eval_expression(node, x: float) -> float:
     if not math.isfinite(out):
         raise ExpressionEvalError(f"non-finite value in {to_text(node)}")
     return out
+
+
+_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_IDENT_RE = re.compile(r"[a-z]+")
+
+
+class _ReferenceParser:
+    """Recursive descent over the grammar in the exprparse module docstring."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0  # 0-based cursor; reported positions are 1-based
+
+    def error(self, message: str, pos: int | None = None):
+        raise ExpressionSyntaxError(message, (self.pos if pos is None else pos) + 1)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, ch: str) -> bool:
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, ch: str):
+        if not self.take(ch):
+            self.error(f"expected {ch!r}")
+
+    def parse(self):
+        node = self.expr()
+        self.skip_ws()
+        if self.pos < len(self.text):
+            self.error(f"unexpected {self.text[self.pos]!r}")
+        return node
+
+    def expr(self):
+        node = self.term()
+        while True:
+            ch = self.peek()
+            if ch and ch in "+-":
+                self.pos += 1
+                node = BinOp(ch, node, self.term())
+            else:
+                return node
+
+    def term(self):
+        node = self.factor()
+        while True:
+            ch = self.peek()
+            if ch and ch in "*/":
+                self.pos += 1
+                node = BinOp(ch, node, self.factor())
+            else:
+                return node
+
+    def factor(self):
+        if self.take("-"):
+            return Neg(self.factor())
+        node = self.atom()
+        if self.take("^"):
+            return BinOp("^", node, self.factor())
+        return node
+
+    def atom(self):
+        ch = self.peek()
+        if ch == "":
+            self.error("expected a value, found end of input")
+        if ch == "(":
+            self.pos += 1
+            node = self.expr()
+            self.expect(")")
+            return node
+        m = _NUMBER_RE.match(self.text, self.pos)
+        if m:
+            value = float(m.group())
+            if math.isinf(value):
+                self.error(f"number {m.group()} is out of range")
+            self.pos = m.end()
+            return Num(value)
+        m = _IDENT_RE.match(self.text, self.pos)
+        if m:
+            name = m.group()
+            start = self.pos
+            self.pos = m.end()
+            if name == "x":
+                return X
+            if name in CONSTANTS:
+                return Const(name)
+            if name in FUNCTIONS:
+                self.expect("(")
+                args = [self.expr()]
+                while self.take(","):
+                    args.append(self.expr())
+                self.expect(")")
+                if len(args) != FUNCTIONS[name]:
+                    self.error(
+                        f"{name} expects {FUNCTIONS[name]} argument(s), got {len(args)}",
+                        pos=start,
+                    )
+                return Call(name, tuple(args))
+            self.error(f"unknown identifier {name!r}", pos=start)
+        self.error(f"unexpected character {ch!r}")
+
+
+def reference_parse(text: str):
+    """The syntax tree of text, or the ExpressionSyntaxError parse_expression raises."""
+    if not text or not text.strip():
+        raise ExpressionSyntaxError("empty expression", 1)
+    return _ReferenceParser(text).parse()
+
+
+def _add(a, b):
+    if isinstance(a, Num) and a.value == 0:
+        return b
+    if isinstance(b, Num) and b.value == 0:
+        return a
+    return BinOp("+", a, b)
+
+
+def _sub(a, b):
+    if isinstance(b, Num) and b.value == 0:
+        return a
+    if isinstance(a, Num) and a.value == 0:
+        return Neg(b)
+    return BinOp("-", a, b)
+
+
+def _mul(a, b):
+    for u, v in ((a, b), (b, a)):
+        if isinstance(u, Num):
+            if u.value == 0:
+                return Num(0.0)
+            if u.value == 1:
+                return v
+    return BinOp("*", a, b)
+
+
+def _div(a, b):
+    if isinstance(a, Num) and a.value == 0:
+        return Num(0.0)
+    if isinstance(b, Num) and b.value == 1:
+        return a
+    return BinOp("/", a, b)
+
+
+def reference_derive(node):
+    """d/dx of the tree, recursively, by the rules derive_expression applies."""
+    if isinstance(node, (Num, Const)):
+        return Num(0.0)
+    if isinstance(node, Var):
+        return Num(1.0)
+    if isinstance(node, Neg):
+        return Neg(reference_derive(node.arg))
+    if isinstance(node, BinOp):
+        u, v = node.left, node.right
+        du, dv = reference_derive(u), reference_derive(v)
+        if node.op == "+":
+            return _add(du, dv)
+        if node.op == "-":
+            return _sub(du, dv)
+        if node.op == "*":
+            return _add(_mul(du, v), _mul(u, dv))
+        if node.op == "/":
+            return _div(_sub(_mul(du, v), _mul(u, dv)), BinOp("^", v, Num(2.0)))
+        if isinstance(v, Num):
+            return _mul(_mul(v, BinOp("^", u, Num(v.value - 1.0))), du)
+        if isinstance(u, (Num, Const)):
+            base = u.value if isinstance(u, Num) else CONSTANTS[u.name]
+            if not base > 0:
+                raise NonDifferentiableError(f"constant base {base} of ^ is not positive")
+            return _mul(_mul(node, Num(math.log(base))), dv)
+        return _mul(node, _add(_mul(dv, Call("ln", (u,))), _mul(v, _div(du, u))))
+    if node.name in ("abs", "min", "max"):
+        raise NonDifferentiableError(f"{node.name} is not differentiable")
+    (arg,) = node.args
+    da = reference_derive(arg)
+    if node.name == "ln":
+        return _div(da, arg)
+    if node.name == "exp":
+        return _mul(node, da)
+    if node.name == "sqrt":
+        return _div(da, _mul(Num(2.0), node))
+    if node.name == "sin":
+        return _mul(Call("cos", (arg,)), da)
+    return Neg(_mul(Call("sin", (arg,)), da))
+
+
+def _render(node) -> str:
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return "x"
+    if isinstance(node, Const):
+        return repr(CONSTANTS[node.name])
+    if isinstance(node, Neg):
+        return f"(-{_render(node.arg)})"
+    if isinstance(node, BinOp):
+        if node.op in "^/":
+            ufunc = "power" if node.op == "^" else "divide"
+            return f"np.{ufunc}({_render(node.left)}, {_render(node.right)})"
+        return f"({_render(node.left)} {node.op} {_render(node.right)})"
+    fn = {"ln": "log", "min": "minimum", "max": "maximum"}.get(node.name, node.name)
+    return f"np.{fn}({', '.join(_render(a) for a in node.args)})"
+
+
+def reference_compile(node):
+    """The tree as one nested numpy expression, evaluated as compile_expression's callable is."""
+    code = compile(_render(node), "<expression>", "eval")
+    env = {"__builtins__": {}, "np": np}
+
+    def fn(x):
+        with np.errstate(all="ignore"):
+            return eval(code, env, {"x": x})
+
+    return fn
 
 
 def grid_sup(fun, lo: float, hi: float, n: int = 10**6) -> float:

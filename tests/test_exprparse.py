@@ -1,8 +1,12 @@
+import inspect
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanmax.errors import ExpressionSyntaxError, NonDifferentiableError
 from meanmax.exprparse import (
@@ -14,7 +18,14 @@ from meanmax.exprparse import (
     derive_expression,
     parse_expression,
 )
-from oracles import ExpressionEvalError, eval_expression, to_text
+from oracles import (
+    ExpressionEvalError,
+    eval_expression,
+    reference_compile,
+    reference_derive,
+    reference_parse,
+    to_text,
+)
 
 # (text, direct evaluation, safe sampling interval)
 ROUND_TRIP_CORPUS = [
@@ -118,16 +129,28 @@ class TestParsing:
             parse_expression("   ")
 
     def test_nested_too_deeply(self):
-        with pytest.raises(ExpressionSyntaxError, match="^expression nested too deeply to parse$"):
-            parse_expression("(" * 3000 + "x" + ")" * 3000)
-        deep = parse_expression("+".join(["x"] * 3000))
-        with pytest.raises(ExpressionSyntaxError,
-                           match="^expression nested too deeply to differentiate$"):
-            derive_expression(deep)
-        for tree in (deep, parse_expression("-" * 300 + "x")):
-            with pytest.raises(ExpressionSyntaxError,
-                               match="^expression nested too deeply to compile$"):
-                compile_expression(tree)
+        # Nesting past Python's recursion limit parses, differentiates and
+        # compiles, even for a caller 60 frames short of that limit (numpy,
+        # which compiling imports, is imported already).
+        shapes = {  # text: (value, derivative) at x = 2
+            "(" * 300 + "x" + ")" * 300: (2.0, 1.0),
+            "1+(" * 210 + "x" + ")" * 210: (212.0, 1.0),
+            "-" * 300 + "x": (2.0, 1.0),
+            "+".join(["x"] * 400): (800.0, 400.0),
+            "+".join(["x"] * 1200): (2400.0, 1200.0),
+        }
+
+        def values(text):
+            tree = parse_expression(text)
+            return (float(compile_expression(tree)(2.0)),
+                    float(compile_expression(derive_expression(tree))(2.0)))
+
+        def nested(frames, fn):
+            return fn() if frames == 0 else nested(frames - 1, fn)
+
+        frames = sys.getrecursionlimit() - 60 - len(inspect.stack(0))
+        for text, want in shapes.items():
+            assert nested(frames, lambda: values(text)) == want
 
     def test_uppercase_rejected(self):
         with pytest.raises(ExpressionSyntaxError):
@@ -242,3 +265,88 @@ class TestToText:
             assert eval_expression(reparsed, 2.0) == pytest.approx(
                 eval_expression(parse_expression(text), 2.0), rel=1e-12, abs=1e-12
             )
+
+
+# The differential test: the iterative parser, derivative and compiler against
+# the recursive references in oracles.
+TOKENS = ["x", "0", "2", "0.5", "1e-3", "12.5e2", "1e999", "pi", "e", *FUNCTIONS, "foo",
+          "+", "-", "*", "/", "^", "(", ")", ",", " ", "$", "X"]
+XS = np.array([-2.0, -0.5, 0.0, 0.3, 1.0, 2.0, 7.5])
+
+
+def _grammar(inner):
+    unary = st.sampled_from(["ln", "exp", "sqrt", "sin", "cos", "abs"])
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", " - ", "*", "/ ", "^"]), inner).map("".join),
+        inner.map(lambda s: "-" + s),
+        inner.map(lambda s: f"({s})"),
+        st.tuples(unary, inner).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(st.sampled_from(["min", "max"]), inner, inner).map(
+            lambda t: f"{t[0]}({t[1]}, {t[2]})"),
+    )
+
+
+GRAMMAR = st.recursive(st.sampled_from(["x", "2", "0.5", "1e-3", "pi", "e", "0"]), _grammar,
+                       max_leaves=12)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ExpressionSyntaxError as exc:
+        return str(exc), exc.position
+
+
+def _same_values(fast, ref):
+    """Bit for bit on an array, and in type and bits number by number."""
+    assert np.asarray(fast(XS)).tobytes() == np.asarray(ref(XS)).tobytes()
+    got, want = [fast(x) for x in XS.tolist()], [ref(x) for x in XS.tolist()]
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def _derived(derive, tree):
+    try:
+        return derive(tree)
+    except NonDifferentiableError:
+        return NonDifferentiableError  # which node it names may differ
+
+
+def _assert_matches_reference(text):
+    tree = _parsed(parse_expression, text)
+    assert tree == _parsed(reference_parse, text)
+    if isinstance(tree, tuple):
+        return
+    _same_values(compile_expression(tree), reference_compile(tree))
+    d = _derived(derive_expression, tree)
+    assert d == _derived(reference_derive, tree)
+    if d is not NonDifferentiableError:
+        _same_values(compile_expression(d), reference_compile(d))
+
+
+# Messages and positions of malformed input, and the shapes precedence gives.
+CORPUS = ["x +", "2 $ 3", "min(x)", "sin(x, 1)", "ln(x", "Ln(x)", "x*1e999", "(x, 1)", "x, 1",
+          "sin x", "()", "x )", "2x", "1e", "max(x,)", "x ** 2", "cos(x)(x)", "(x $", "sin(x $",
+          "min(x, 1, 2)", "2^3^2", "-x^2*3", "2^-x^3-x", "x--x/-2"]
+
+
+@pytest.mark.parametrize("text", CORPUS)
+def test_corpus_matches_the_reference(text):
+    _assert_matches_reference(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=16).map("".join))
+def test_token_strings_match_the_reference(text):
+    _assert_matches_reference(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(GRAMMAR, st.integers(0, 10**6), st.lists(st.sampled_from(TOKENS), max_size=2),
+       st.integers(0, 2))
+def test_grammar_expressions_match_the_reference(text, at, inserted, dropped):
+    # A grammar-built expression, and the same with a few characters dropped
+    # and tokens inserted at one place.
+    _assert_matches_reference(text)
+    at %= len(text) + 1
+    _assert_matches_reference(text[:at] + "".join(inserted) + text[at + dropped:])

@@ -585,6 +585,13 @@ class TestIntegralMean:
         with pytest.raises(DegenerateIntervalError):
             integral_mean(ONE, flat, 1.0, 2.0)
 
+    def test_flat_measure_integrates_to_zero(self):
+        # A measure of no weight is accepted at once, so integral_mean, which
+        # integrates before it divides, reaches its weight check.
+        flat = Measure1D(m=lambda x: 1.0 + 0 * x, domain=Domain(0.0, 10.0))
+        got = stieltjes_integral(ONE, flat, 1.0, 2.0)
+        assert (got.value, got.est_error, got.panels_used) == (0.0, 0.0, 1)
+
     @given(st.floats(min_value=0.01, max_value=4.9), st.floats(min_value=5.0, max_value=9.9))
     @settings(max_examples=20, deadline=None)
     def test_mean_value_bounds(self, r, R):
