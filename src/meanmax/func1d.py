@@ -384,12 +384,14 @@ def _plateau_edges(f: Function1D, s: np.ndarray, p: np.ndarray, gs: np.ndarray,
     Illinois step (Dowell and Jarratt 1971): each step reads one point per
     live bracket, all in one call, at the secant point of the bracket's ends,
     the value at an end kept twice running halved; it bisects instead when
-    the secant point is not strictly inside or the bracket has not halved
-    over the last two steps.  A point is kept at least half the stopping
-    width from both ends, so a secant that has found the crossing from one
-    side closes the bracket at the next step.  A bracket stops once it is no
-    wider than 2^-26 of its start, or after REFINE_STEPS steps.  Returns each
-    bracket's end where f is at or below level.
+    the secant point is not strictly inside, the bracket has not halved over
+    the last two steps, or it is wider than 2^(2 - t/2) of its start after t
+    steps.  So it halves every other step but for two halvings of grace and
+    stops, no wider than 2^-26 of its start, within 57 steps, before
+    REFINE_STEPS, at a crossing of any multiplicity.  A point is kept at
+    least half the stopping width from both ends, so a secant that has found
+    the crossing from one side closes the bracket at the next step.  Returns
+    each bracket's end where f is at or below level.
     """
     out = p.copy()
     if not len(p):
@@ -399,7 +401,7 @@ def _plateau_edges(f: Function1D, s: np.ndarray, p: np.ndarray, gs: np.ndarray,
     idx = np.arange(len(p))
     moved = np.zeros(len(p))  # the end the last step moved: 1 for s, -1 for p
     wide = wider = np.full(len(p), np.inf)  # the bracket's width one and two steps ago
-    for _ in range(REFINE_STEPS):
+    for step in range(REFINE_STEPS):
         width = np.abs(p - s)
         live = width > tol
         out[idx[~live]] = p[~live]
@@ -409,7 +411,9 @@ def _plateau_edges(f: Function1D, s: np.ndarray, p: np.ndarray, gs: np.ndarray,
             a[live] for a in (idx, s, p, gs, gp, level, tol, moved, wide, wider, width))
         lo, hi = np.minimum(s, p), np.maximum(s, p)
         c = s + (p - s) * (gs / (gs - gp))
-        c = np.where((lo < c) & (c < hi) & (width <= 0.5 * wider), c, 0.5 * (s + p))
+        secant = ((lo < c) & (c < hi) & (width <= 0.5 * wider)
+                  & (width <= tol * 2.0 ** (28 - step / 2)))
+        c = np.where(secant, c, 0.5 * (s + p))
         c = np.clip(c, lo + 0.5 * tol, hi - 0.5 * tol)
         gc = sample(f.eval, c) - level
         up = gc > 0
@@ -573,28 +577,33 @@ class Envelope:
         leaves f for the plateau where f crosses the plateau's level, a point
         _plateau_edges locates.  So the kinks are the first and last sample
         below end, the ends of every run, and each such gap's located edge,
-        which stands in for the gap's steep-side end.  The edges are found at
-        the first call, one search for the whole table, and kept.
+        which stands in for the gap's steep-side end.  Each call locates, in
+        one search, the edges of the gaps below its last sample that no
+        earlier call located, and keeps them.
         """
         last = self.xs[max(int(np.searchsorted(self.xs, end)), 1) - 1]
-        return np.append(self._kinks[self._kinks < last], last)
+        ends, brackets, edges = self._kinks
+        new = np.flatnonzero(np.isnan(edges) & (np.maximum(*brackets[:2]) <= last))
+        edges[new] = _plateau_edges(self.source, *(v[new] for v in brackets))
+        kinks = distinct(np.concatenate([ends, edges[~np.isnan(edges)]]))
+        return np.append(kinks[kinks < last], last)
 
     @functools.cached_property
-    def _kinks(self) -> np.ndarray:
+    def _kinks(self):
         xs, table = self.xs, self.table
         steep = table[:-1] != table[1:]
         keep = np.ones(len(xs), dtype=bool)
         keep[1:-1] = steep[:-1] != steep[1:]
         # Gap j is kinked; s its steep-side end, where f is the table value,
         # p its plateau-side end, where f is at or below the plateau's level.
+        # Kept: the run ends, each gap's bracket and its edge, NaN until found.
         if self.side == RIGHT:
             j = np.flatnonzero(steep[:-1] & ~steep[1:])
             s, p, level = j, j + 1, table[j + 1]
         else:
             j = np.flatnonzero(~steep[:-1] & steep[1:]) + 1
             s, p, level = j + 1, j, table[j]
-        edges = _plateau_edges(self.source, xs[s], xs[p], table[s] - level, level)
-        return distinct(np.concatenate([xs[keep], edges]))
+        return xs[keep], (xs[s], xs[p], table[s] - level, level), np.full(len(j), np.nan)
 
     def as_function(self) -> Function1D:
         hint = DECREASING if self.side == RIGHT else INCREASING

@@ -259,6 +259,9 @@ class Pieces:
     value: np.ndarray
     error: np.ndarray
     origin: np.ndarray  # index of the input segment each piece lies in
+    m_lo: np.ndarray  # m at lo and at hi, and the integrand (g*m', or g
+    m_hi: np.ndarray  # without m_prime) at lo, as the refinement read them
+    y_lo: np.ndarray
 
 
 def segment_integrals(
@@ -280,15 +283,15 @@ def segment_integrals(
     A piece gets G7/K15 on g*m', with m' from m's own values when m has no
     m_prime (see _refine).  Segments wider than GEOMETRIC_RATIO on positive x
     start from BASE_PANELS geometric pieces.  g is read once at each cut; m
-    once at each cut, then once a piece at its midpoint when m has m_prime,
-    otherwise at its 15 Kronrod nodes.  A piece of weight dm is accepted
-    within max(atol * dm / span, rtol * |value|) / 4 (or the rounding of m's
-    values, see _refine), span (an array, one weight per segment) defaulting
-    to the total weight of the segments.  So
-    the pieces of any run of segments of total weight at most span, plus the
-    pieces of one more such run, stay within max(atol, rtol * |I|) of their
-    integral I when g keeps its sign.  More than POINT_BUDGET points of g
-    raise QuadratureError.
+    once at each cut, then at the midpoint of each piece halved when m has
+    m_prime, otherwise at every piece's 15 Kronrod nodes; each piece keeps
+    the values read at its ends.  A piece of weight dm is accepted within max(atol * dm /
+    span, rtol * |value|) / 4 (or the rounding of m's values, see _refine),
+    span (an array, one weight per segment) defaulting to the total weight
+    of the segments.  So the pieces of any run of segments of total weight
+    at most span, plus the pieces of one more such run, stay within
+    max(atol, rtol * |I|) of their integral I when g keeps its sign.  More
+    than POINT_BUDGET points of g raise QuadratureError.
     """
     cfg = cfg or QuadratureConfig()
     lo = np.asarray(lo, dtype=float)
@@ -307,12 +310,9 @@ def segment_integrals(
         hi = np.concatenate([hi[~wide], cuts[:, 1:].ravel()])
         origin = np.concatenate([origin[~wide], np.repeat(origin[wide], BASE_PANELS)])
     if not len(lo):
-        return Pieces(lo, hi, lo, lo, origin)
+        return Pieces(lo, hi, lo, lo, origin, lo, lo, lo)
     span = None if span is None else np.asarray(span, dtype=float)[origin]
-    done = _refine(g, m, lo, hi, origin, span, cfg)
-    lo, hi, value, error, origin = (np.concatenate(parts) for parts in zip(*done))
-    order = np.argsort(lo, kind="stable")
-    return Pieces(lo[order], hi[order], value[order], error[order], origin[order])
+    return _refine(g, m, lo, hi, origin, span, cfg)
 
 
 def _cut(lo: np.ndarray, hi: np.ndarray, knots: np.ndarray):
@@ -329,7 +329,7 @@ def _cut(lo: np.ndarray, hi: np.ndarray, knots: np.ndarray):
     return left, right, origin
 
 
-def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig):
+def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig, left=None) -> Pieces:
     """Halve the pieces whose error exceeds their tolerance, level by level.
 
     G7/K15 estimates a piece from 15 new points of g*m'.  Without m_prime,
@@ -342,15 +342,17 @@ def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig):
     jump of m inside the piece costs it only O(h^2).  Such a piece is also
     accepted when m's rounding alone could explain its error.  A piece's
     halves inherit its ends and midpoint (the middle Kronrod node), so only
-    the first level reads g and m at the cuts.
+    the first level reads g and m at the cuts, lo and hi, or hi alone when
+    the caller gives their values at lo as left.  Returns the pieces by lo.
     """
     fun = (lambda x: g(x) * m.m_prime(x)) if m.m_prime is not None else g
     used = 0
     n = len(lo)
-    cuts = distinct(np.concatenate([lo, hi]))
-    at = np.searchsorted(cuts, np.concatenate([lo, hi]))
+    ends = np.concatenate([lo, hi]) if left is None else hi
+    cuts = distinct(ends)
+    at = np.searchsorted(cuts, ends)
     ms = sample(m.m, cuts)[at]
-    m_lo, m_hi = ms[:n], ms[n:]
+    m_lo, m_hi = (ms[:n], ms[n:]) if left is None else (left[0], ms)
     if span is None:  # an m flat on every segment weighs nothing; rtol alone bounds it
         span = np.full(n, np.sum(m_hi - m_lo) or np.inf)
     density = cfg.atol / span
@@ -368,11 +370,10 @@ def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig):
             )
         ys = sample(fun, pts)
         if level == 0:
-            y_ends = ys[: len(cuts)][at]
-            y_lo, y_hi, ys = y_ends[:n], y_ends[n:], ys[len(cuts) :]
+            y_ends, ys = ys[: len(cuts)][at], ys[len(cuts) :]
+            y_lo, y_hi = (y_ends[:n], y_ends[n:]) if left is None else (left[1], y_ends)
         ys = ys.reshape(n, -1)
         if m.m_prime is not None:
-            m_mid = sample(m.m, mid)
             half = hi - mid
             value = half * (ys @ KRONROD_WEIGHTS)
             gauss = half * (ys @ GAUSS_WEIGHTS)
@@ -398,13 +399,16 @@ def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig):
         tol = np.maximum(0.25 * np.maximum(density * (m_hi - m_lo), cfg.rtol * np.abs(value)),
                          floor)
         ok = err <= tol
-        done.append((lo[ok], hi[ok], value[ok], err[ok], origin[ok]))
+        done.append([v[ok] for v in (lo, hi, value, err, origin, m_lo, m_hi, y_lo)])
         if ok.all():
-            return done
+            parts = done[0] if level == 0 else [np.concatenate(v) for v in zip(*done)]
+            order = np.argsort(parts[0], kind="stable")
+            return Pieces(*(v[order] for v in parts))
         s = ~ok
+        m_mid = sample(m.m, mid[s]) if m.m_prime is not None else m_mid[s]
         y_lo, y_hi = np.concatenate([y_lo[s], centre[s]]), np.concatenate([centre[s], y_hi[s]])
         lo, hi = np.concatenate([lo[s], mid[s]]), np.concatenate([mid[s], hi[s]])
-        m_lo, m_hi = np.concatenate([m_lo[s], m_mid[s]]), np.concatenate([m_mid[s], m_hi[s]])
+        m_lo, m_hi = np.concatenate([m_lo[s], m_mid]), np.concatenate([m_mid, m_hi[s]])
         origin, density = np.tile(origin[s], 2), np.tile(density[s], 2)
     raise QuadratureError(
         f"no convergence after {LOCAL_HALVINGS} local halvings "
@@ -416,7 +420,11 @@ def measure_weight(m: Measure1D, r: float | np.ndarray, R: float | np.ndarray):
     """m(R) - m(r) for numbers or numpy arrays r and R, read by sample, checked positive."""
     rs, Rs = np.asarray(r, dtype=float), np.asarray(R, dtype=float)
     ms = sample(m.m, np.concatenate([rs.ravel(), Rs.ravel()]))
-    dm = ms[rs.size:].reshape(Rs.shape) - ms[: rs.size].reshape(rs.shape)
+    return positive_weight(ms[rs.size:].reshape(Rs.shape) - ms[: rs.size].reshape(rs.shape))
+
+
+def positive_weight(dm):
+    """The weights dm = m(R) - m(r), a numpy number or array, checked positive."""
     if (dm <= 0).any():
         raise DegenerateIntervalError(
             f"m(R) - m(r) = {np.min(dm)} is not positive; the measure data is not increasing"

@@ -39,14 +39,16 @@ from .func1d import (
     evaluate,
     in_domain,
     probe,
+    sample,
     window_end,
 )
 from .stieltjes import (
     Measure1D,
     QuadratureConfig,
+    _refine,
     check_interval,
     log_measure,
-    measure_weight,
+    positive_weight,
     segment_integrals,
 )
 
@@ -145,53 +147,62 @@ def _majorant_mean(f: Function1D, m: Measure1D, cfg: QuadratureConfig, grid: Gri
     # table is flat there, NaN otherwise; past the last sample it never is.
     flat = np.append(np.where(T[:-1] == T[1:], T[1:], np.nan), np.nan)
 
-    def pieces(lo, hi, span):
-        # (right end, integral, segment index) of the accepted pieces of each
-        # segment [lo, hi].  A segment lies in one run of flat gaps or of
-        # steep ones, the run of the gap that holds its right end; over a
-        # flat run the envelope is that constant, integrated exactly.  A
-        # located plateau edge lies inside a steep gap, so the sliver from
-        # it to the gap's flat end integrates value_at like any steep piece,
-        # whether or not f stays below the plateau there.
-        level = flat[np.searchsorted(xs, hi) - 1]
-        exact = ~np.isnan(level)
-        rest = np.flatnonzero(~exact)
-        done = segment_integrals(env.value_at, m, lo[rest], hi[rest], cfg,
-                                 np.broadcast_to(span, lo.shape)[rest])
-        value = level[exact] * measure_weight(m, lo[exact], hi[exact]) if exact.any() else []
-        return (np.concatenate([hi[exact], done.hi]), np.concatenate([value, done.value]),
-                np.concatenate([np.flatnonzero(exact), rest[done.origin]]))
-
     @functools.cache
     def build():
         # Cut at the envelope's kinks (run ends and located plateau edges)
         # where the measure is defined, closed at the measure's window end
-        # when the table runs past it.  Queries past the last cut integrate
-        # from it.
+        # when the table runs past it.  A segment lies in one run of flat
+        # gaps or of steep ones, the run of the gap that holds its right end;
+        # over a flat run the envelope is that constant, integrated exactly.
+        # A located plateau edge lies inside a steep gap, so the sliver from
+        # it to the gap's flat end integrates value_at like any steep piece,
+        # whether or not f stays below the plateau there.
         cuts = env.kinks(m.domain.b)
         if env.xs[-1] >= m.domain.b:
             end = window_end(m.domain, a)
             cuts = np.append(cuts[cuts < end], end)
-        span = measure_weight(m, a, cuts[-1])
-        hi, value, _ = pieces(cuts[:-1], cuts[1:], span)
-        order = np.argsort(hi)
-        edges = np.concatenate([cuts[:1], hi[order]])
-        return edges, np.concatenate([[0.0], np.cumsum(value[order])]), span
+        lo, hi = cuts[:-1], cuts[1:]
+        level = flat[np.searchsorted(xs, hi) - 1]
+        exact = ~np.isnan(level)
+        ms = sample(m.m, np.concatenate([[a, cuts[-1]], lo[exact], hi[exact]]))
+        span = positive_weight(ms[1] - ms[0])
+        steep = segment_integrals(env.value_at, m, lo[~exact], hi[~exact], cfg,
+                                  np.full(len(lo), span)[~exact])
+        m_lo, m_hi = np.split(ms[2:], 2)
+        parts = [(hi[exact], steep.hi), (level[exact] * positive_weight(m_hi - m_lo), steep.value),
+                 (m_lo, steep.m_lo), (np.full(len(m_lo), np.nan), steep.y_lo)]
+        order = np.argsort(np.concatenate(parts[0]))
+        e_hi, value, m_e, y_e = (np.concatenate(v)[order] for v in parts)
+        return (np.append(cuts[0], e_hi), np.append(0.0, np.cumsum(value)), np.append(m_e, ms[1]),
+                y_e, span)
 
-    def integral(R: np.ndarray) -> np.ndarray:
-        edges, cum, span = build()
+    def mean(R: np.ndarray) -> np.ndarray:
+        # The mean over [a, R], R > a.  Inside the table, one _refine call
+        # on [e_k, R] from what the table keeps at the edge e_k below R, or in
+        # a flat gap m(R) alone; past the last edge, R integrates from it.
+        edges, cum, m_e, y_e, span = build()
         k = np.searchsorted(edges, R, side="right") - 1
-        out = cum[k]
+        out, m_R = cum[k], m_e[k]
+        level = flat[np.searchsorted(xs, R) - 1]
         part = R > edges[k]
-        if part.any():
-            hi = R[part]
-            beyond = hi > edges[-1]
-            if beyond.any():
-                span = np.full(len(hi), span)
-                span[beyond] = measure_weight(m, edges[-1], hi[beyond])
-            _, value, origin = pieces(edges[k[part]], hi, span)
-            out[part] += np.bincount(origin, value, minlength=len(hi))
-        return out
+        steep = np.isnan(level) & (k < len(y_e))
+        i = np.flatnonzero(part & steep)
+        if len(i):
+            done = _refine(env.value_at, m, edges[k[i]], R[i], np.arange(len(i)),
+                           np.full(len(i), span), cfg, left=(m_e[k[i]], y_e[k[i]]))
+            out[i] += np.bincount(done.origin, done.value, minlength=len(i))
+            at_R = done.hi == R[i][done.origin]
+            m_R[i[done.origin[at_R]]] = done.m_hi[at_R]
+        rest = np.flatnonzero(part & ~steep)
+        if len(rest):
+            m_R[rest] = sample(m.m, R[rest])
+            dm = positive_weight(m_R[rest] - m_e[k[rest]])
+            far = np.isnan(level[rest])
+            done = segment_integrals(env.value_at, m, edges[k[rest[far]]], R[rest[far]], cfg,
+                                     dm[far])
+            out[rest] += np.where(far, 0.0, level[rest] * dm)
+            out[rest[far]] += np.bincount(done.origin, done.value, minlength=far.sum())
+        return out / positive_weight(m_R - m_e[0])
 
     def D(R):
         Rs = in_domain(f.domain, R, "R")
@@ -199,7 +210,7 @@ def _majorant_mean(f: Function1D, m: Measure1D, cfg: QuadratureConfig, grid: Gri
         q = Rs > a
         if q.any():
             check_interval(f, m, a, float(Rs[q].max()))
-            out[q] = integral(Rs[q]) / measure_weight(m, a, Rs[q])
+            out[q] = mean(Rs[q])
         return float(out) if out.ndim == 0 else out
 
     log = {
@@ -221,9 +232,11 @@ def decreasing_majorant_mean(
 
     D decreases in R and dominates every mean of f over [r, R] with r >= a.
     The first query builds the cumulative integral of the envelope against m
-    over the runs of the envelope table (see segment_integrals); every query
-    is then a table lookup plus one partial piece.  D accepts
-    arrays of R.
+    over the runs of the envelope table (see segment_integrals), keeping m
+    at each edge and the integrand where a steep piece starts.  A query in
+    the table then reads only what its edge lacks: in a steep gap, f at R
+    and the 15 Kronrod nodes of its partial piece and m at R, more only if
+    the piece is halved; in a flat gap, m at R.  D accepts arrays of R.
     """
     D, env, log = _majorant_mean(f, m, cfg or QuadratureConfig(), grid or GridSpec())
     notes = _f0m_warnings(f, m) + env.notes

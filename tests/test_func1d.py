@@ -13,6 +13,7 @@ from meanmax.errors import (
     UncertifiableTailError,
 )
 from meanmax.func1d import (
+    REFINE_STEPS,
     TAIL_CAP_NOTE,
     Domain,
     Function1D,
@@ -408,6 +409,26 @@ class TestEnvelope:
         # maximum's within rounding, so the edge is the closed-form crossing.
         for k, e, w in zip(range(1, 13), edges, width):
             assert abs(e - wave_plateau_edge(k)) <= 2.0**-26 * w, k
+
+    @pytest.mark.parametrize("power", [3, 5, 9])
+    def test_plateau_edge_at_a_multiple_crossing(self, power):
+        # The right envelope of f leaves f for its plateau where f falls to
+        # the level at x = 1 + (-level)^(1/power), a crossing of multiplicity
+        # power on which the secant steps barely move the bracket.  It still
+        # halves often enough that the edge lands within 2^-26 of its gap
+        # before REFINE_STEPS: one call for the plateau end, one per step.
+        def f(x):
+            return np.where(x < 2, -(x - 1.0) ** power, -(x - 3.0) ** 2)
+
+        sizes = []
+        env = envelope_function(make(calls_of(f, sizes), 0.0, 5.0), "right")
+        sizes.clear()
+        kinks = env.kinks()
+        edges = kinks[~np.isin(kinks, env.xs)]
+        j = np.searchsorted(env.xs, edges)
+        crossing = 1.0 + (-env.table[j]) ** (1.0 / power)
+        assert len(edges) == 1 and len(sizes) <= REFINE_STEPS
+        assert abs(edges - crossing) <= 2.0**-26 * (env.xs[j] - env.xs[j - 1])
 
     def test_left_edge_integrates_like_a_dense_sum(self):
         # The left envelope of sin 5x + x/4 is flat after each maximum until

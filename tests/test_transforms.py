@@ -339,6 +339,63 @@ class TestMajorantTable:
         assert (env.table[:-1] == env.table[1:]).sum() > 10
         assert len(x) and not flat.any()
 
+    def test_queries_read_only_what_the_table_lacks(self):
+        # The table keeps m and the integrand at each edge, and m(a).  So R
+        # in a steep gap reads f once, at R and the 15 Kronrod nodes of its
+        # partial piece, accepted at its first estimate, and m at R alone, as
+        # does R in a flat gap, which reads no f.  No query reads m(a), a = 0,
+        # again, and a repeated query returns the same bits.
+        f_reads, m_reads = [], []
+
+        def f_read(x):
+            f_reads.append(np.array(x, dtype=float).ravel())
+            return wave(x)
+
+        def m_read(x):
+            m_reads.append(np.array(x, dtype=float).ravel())
+            return x
+
+        D = decreasing_majorant_mean(
+            fn(f_read, 0.0, math.inf, tail=Tail.vanishing()),
+            Measure1D(m=m_read, m_prime=lambda x: 1.0, domain=Domain(0.0, math.inf))).fn
+        D(1.0)
+        env = envelope_function(fn(wave, 0.0, math.inf, tail=Tail.vanishing()), RIGHT)
+        gaps = np.flatnonzero((env.xs[1:] > 1.0) & (env.xs[1:] < 10.0))
+        steep = gaps[env.table[gaps] != env.table[gaps + 1]]
+        flat = gaps[env.table[gaps] == env.table[gaps + 1]]
+        assert len(steep) > 10 and len(flat) > 10
+        queries = [(float(env.xs[j] + 0.3 * (env.xs[j + 1] - env.xs[j])), kind)
+                   for kind, js in (("steep", steep[::5]), ("flat", flat[::5])) for j in js]
+        for R, kind in [*queries, (2 * float(env.xs[-1]), "past the table")]:
+            f_reads.clear()
+            m_reads.clear()
+            got = D(R)
+            assert 0.0 not in np.concatenate(m_reads), R
+            if kind == "steep":
+                assert [len(x) for x in f_reads] == [16] and f_reads[0][0] == R, R
+            if kind == "flat":
+                assert f_reads == [], R
+            if kind != "past the table":
+                assert [x.tolist() for x in m_reads] == [[R]], R
+            assert D(R).hex() == got.hex(), R
+
+    def test_first_query_locates_only_the_edges_below_the_measure_end(self):
+        # m = x on [0, 5) ends inside the envelope's window, so the table
+        # cuts at the plateau edges below 5 alone: 4 of the wave's 25, where
+        # locating all of them took 178 of the 317 points this query read.
+        points = 0
+
+        def counted(x):
+            nonlocal points
+            points += np.size(x)
+            return wave(x)
+
+        res = decreasing_majorant_mean(fn(counted, 0.0, math.inf, tail=Tail.vanishing()),
+                                       identity_measure(0.0, 5.0))
+        points = 0
+        res.fn(4.0)
+        assert points <= 200
+
     def test_source_point_budget(self):
         points = 0
 
