@@ -11,8 +11,9 @@ Grammar (whitespace-insensitive, identifiers lowercase)::
 '^' is right-associative and unary minus applies to a whole power, so
 -x^2 parses as -(x^2).  Functions: ln, exp, sqrt, sin, cos, abs, min, max.
 A number too large for a double is an error.  Error positions are 1-based
-character offsets.  Parsing, differentiating and compiling use no recursion,
-so they accept any nesting depth, whatever the caller's stack depth.
+character offsets.  Parsing, differentiating and compiling, and comparing,
+hashing and printing trees, use no recursion, so they accept any nesting
+depth, whatever the caller's stack depth.
 """
 
 from __future__ import annotations
@@ -30,35 +31,90 @@ _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[a-z]+")
 
 
-@dataclass(frozen=True)
-class Num:
+class _Tree:
+    """Structural ==, hash and repr of a syntax tree, each one loop over its nodes.
+
+    The methods dataclasses generate recurse once a level, so they would fail
+    on the trees deeper than the recursion limit that the parser accepts.  A
+    node's label is what it holds besides its operands: a value, a constant's
+    or function's name, an operator.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs, seen = [(self, other)], set()
+        while pairs:
+            a, b = pairs.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if type(a) is not type(b) or _label(a) != _label(b):
+                return False
+            pairs.extend(zip(_children(a), _children(b)))  # equal labels, equal arity
+        return True
+
+    def __hash__(self):
+        hashes = {}
+        for n in _postorder(self):
+            hashes[id(n)] = hash((type(n).__name__, _label(n),
+                                  *(hashes[id(c)] for c in _children(n))))
+        return hashes[id(self)]
+
+    def __repr__(self):
+        # The dataclass repr, written from a stack of text and nodes still to write.
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            parts = [f"{type(item).__name__}("]
+            for k, (name, v) in enumerate(vars(item).items()):
+                parts.append(f"{', ' if k else ''}{name}=")
+                if isinstance(v, tuple):  # a Call's one or two arguments
+                    parts += ["(", v[0], ",)"] if len(v) == 1 else ["(", v[0], ", ", v[1], ")"]
+                else:
+                    parts.append(v if isinstance(v, _Tree) else repr(v))
+            stack.extend(reversed([*parts, ")"]))
+        return "".join(out)
+
+
+def _label(node) -> tuple:
+    return tuple(v for v in vars(node).values() if not isinstance(v, (_Tree, tuple)))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Num(_Tree):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Tree):
     pass
 
 
-@dataclass(frozen=True)
-class Const:
+@dataclass(frozen=True, eq=False, repr=False)
+class Const(_Tree):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False, repr=False)
+class Neg(_Tree):
     arg: "Expression"
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, eq=False, repr=False)
+class BinOp(_Tree):
     op: str
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False, repr=False)
+class Call(_Tree):
     name: str
     args: tuple
 

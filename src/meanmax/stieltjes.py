@@ -349,8 +349,8 @@ def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig, left=None) -> Pie
     used = 0
     n = len(lo)
     ends = np.concatenate([lo, hi]) if left is None else hi
-    cuts = distinct(ends)
-    at = np.searchsorted(cuts, ends)
+    cuts = distinct(ends) if len(ends) > 1 else ends
+    at = np.searchsorted(cuts, ends) if len(ends) > 1 else slice(None)
     ms = sample(m.m, cuts)[at]
     m_lo, m_hi = (ms[:n], ms[n:]) if left is None else (left[0], ms)
     if span is None:  # an m flat on every segment weighs nothing; rtol alone bounds it
@@ -399,17 +399,18 @@ def _refine(g, m, lo, hi, origin, span, cfg: QuadratureConfig, left=None) -> Pie
         tol = np.maximum(0.25 * np.maximum(density * (m_hi - m_lo), cfg.rtol * np.abs(value)),
                          floor)
         ok = err <= tol
-        done.append([v[ok] for v in (lo, hi, value, err, origin, m_lo, m_hi, y_lo)])
+        parts = (lo, hi, value, err, origin, m_lo, m_hi, y_lo)
         if ok.all():
-            parts = done[0] if level == 0 else [np.concatenate(v) for v in zip(*done)]
-            order = np.argsort(parts[0], kind="stable")
+            parts = [np.concatenate(v) for v in zip(*done, parts)] if done else parts
+            order = np.argsort(parts[0], kind="stable") if len(parts[0]) > 1 else slice(None)
             return Pieces(*(v[order] for v in parts))
+        done.append([v[ok] for v in parts])
         s = ~ok
         m_mid = sample(m.m, mid[s]) if m.m_prime is not None else m_mid[s]
         y_lo, y_hi = np.concatenate([y_lo[s], centre[s]]), np.concatenate([centre[s], y_hi[s]])
         lo, hi = np.concatenate([lo[s], mid[s]]), np.concatenate([mid[s], hi[s]])
         m_lo, m_hi = np.concatenate([m_lo[s], m_mid]), np.concatenate([m_mid, m_hi[s]])
-        origin, density = np.tile(origin[s], 2), np.tile(density[s], 2)
+        origin, density = (np.concatenate([v[s], v[s]]) for v in (origin, density))
     raise QuadratureError(
         f"no convergence after {LOCAL_HALVINGS} local halvings "
         f"({len(lo) // 2} pieces left, first at x={lo[0]})"

@@ -181,19 +181,23 @@ def _majorant_mean(f: Function1D, m: Measure1D, cfg: QuadratureConfig, grid: Gri
         # on [e_k, R] from what the table keeps at the edge e_k below R, or in
         # a flat gap m(R) alone; past the last edge, R integrates from it.
         edges, cum, m_e, y_e, span = build()
-        k = np.searchsorted(edges, R, side="right") - 1
+        k = edges.searchsorted(R, side="right") - 1
         out, m_R = cum[k], m_e[k]
-        level = flat[np.searchsorted(xs, R) - 1]
+        level = flat[xs.searchsorted(R) - 1]
         part = R > edges[k]
-        steep = np.isnan(level) & (k < len(y_e))
-        i = np.flatnonzero(part & steep)
+        steep = part & np.isnan(level) & (k < len(y_e))
+        i = steep.nonzero()[0]
         if len(i):
             done = _refine(env.value_at, m, edges[k[i]], R[i], np.arange(len(i)),
                            np.full(len(i), span), cfg, left=(m_e[k[i]], y_e[k[i]]))
-            out[i] += np.bincount(done.origin, done.value, minlength=len(i))
-            at_R = done.hi == R[i][done.origin]
-            m_R[i[done.origin[at_R]]] = done.m_hi[at_R]
-        rest = np.flatnonzero(part & ~steep)
+            if len(done.value) == len(i):  # one piece a query: each ends at its R
+                out[i[done.origin]] += done.value
+                m_R[i[done.origin]] = done.m_hi
+            else:
+                out[i] += np.bincount(done.origin, done.value, minlength=len(i))
+                at_R = done.hi == R[i][done.origin]
+                m_R[i[done.origin[at_R]]] = done.m_hi[at_R]
+        rest = (part ^ steep).nonzero()[0]
         if len(rest):
             m_R[rest] = sample(m.m, R[rest])
             dm = positive_weight(m_R[rest] - m_e[k[rest]])
@@ -206,6 +210,11 @@ def _majorant_mean(f: Function1D, m: Measure1D, cfg: QuadratureConfig, grid: Gri
 
     def D(R):
         Rs = in_domain(f.domain, R, "R")
+        if Rs.ndim == 0:  # a number: no array plumbing around its one query
+            if Rs == a:
+                return at_a
+            check_interval(f, m, a, float(Rs))
+            return float(mean(Rs[None])[0])
         out = np.full(Rs.shape, at_a)
         q = Rs > a
         if q.any():

@@ -152,6 +152,30 @@ class TestParsing:
         for text, want in shapes.items():
             assert nested(frames, lambda: values(text)) == want
 
+    @pytest.mark.parametrize("text", ["+".join(["x"] * 1200),
+                                      "1+(" * 3000 + "x" + ")" * 3000,
+                                      "(" * 3000 + "x" + ")" * 3000],
+                             ids=["sum-1200", "nested-3000", "brackets-3000"])
+    def test_deep_trees_compare_hash_and_print(self, text):
+        # Deeper than the recursion limit: equal to a re-parse, hashed alike
+        # and printed, each without recursing.
+        tree, again = parse_expression(text), parse_expression(text)
+        assert tree == again and not tree != again
+        assert hash(tree) == hash(again)
+        assert repr(tree) == repr(again)
+        assert tree != parse_expression(text + "+1")
+
+    def test_trees_compare_by_structure(self):
+        assert parse_expression("x+1") != parse_expression("x+2")
+        assert parse_expression("x+1") != parse_expression("1+x")
+        assert parse_expression("sin(x)") != parse_expression("cos(x)")
+        assert parse_expression("min(x, 2)") == parse_expression("min( x,2 )")
+        assert hash(parse_expression("-x^2")) == hash(parse_expression("-(x^2)"))
+        assert parse_expression("x") != "x"
+        assert repr(parse_expression("min(x, 2) - ln(pi)")) == (
+            "BinOp(op='-', left=Call(name='min', args=(Var(), Num(value=2.0))), "
+            "right=Call(name='ln', args=(Const(name='pi'),)))")
+
     def test_uppercase_rejected(self):
         with pytest.raises(ExpressionSyntaxError):
             parse_expression("Ln(x)")

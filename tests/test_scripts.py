@@ -43,3 +43,13 @@ def test_decay_study():
         "D(10) = 0.7602909897", "D(100) = 0.5939170162", "D(1000) = 0.4760863845",
         "D(10000) = 0.3908650337", "D(100000) = 0.3278978468",
     ]
+
+
+def test_bench_pairs_runs_a_pair():
+    proc = run_script("bench_pairs.py", str(ROOT), str(ROOT), "--pairs", "1", "--seconds", "0",
+                      "--workload", "majorant-sweep")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["pair 1 parent", "pair 1 change"]
+    assert lines[-1] == "failed operations: parent 0, change 0"
+    assert any(line.startswith("op_p50_ms: parent median ") for line in lines)

@@ -8,12 +8,13 @@ import pytest
 
 from meanmax import transforms
 from meanmax.cli import TabulatedFunction
-from meanmax.errors import DomainError, MeanmaxError, NonFiniteValueError, UnboundedSupError
+from meanmax.errors import (DegenerateIntervalError, DomainError, MeanmaxError,
+                            NonFiniteValueError, UnboundedSupError)
 from meanmax.exprparse import compile_expression, parse_expression
 from meanmax.func1d import (RIGHT, TAIL_CAP_NOTE, Domain, Function1D, GridSpec, Tail,
                             envelope_function, evaluate)
-from meanmax.stieltjes import (Measure1D, identity_measure, integral_mean, log_measure,
-                               segment_integrals)
+from meanmax.stieltjes import (Measure1D, QuadratureConfig, _refine, identity_measure,
+                               integral_mean, log_measure, segment_integrals)
 from meanmax.transforms import (
     Q_from_d,
     WeightN,
@@ -296,6 +297,87 @@ class TestMajorantTable:
         Rs = np.array([0.0, 0.3, 2.0, 33.0])
         want = [res.fn(float(R)) for R in Rs]
         assert res.fn.eval(Rs) == pytest.approx(want, rel=1e-14)
+
+    def test_a_number_a_0d_and_a_1_element_array_agree(self):
+        # D.eval, not evaluate: a number and a 0-d array take the scalar
+        # path and return a float, a shape-(1,) array the array path.
+        res = decreasing_majorant_mean(fn(wave, 0.0, math.inf, tail=Tail.vanishing()),
+                                       identity_measure(0.0))
+        D = res.fn.eval
+        for R in (0.0, 0.3, 2.0, 7.1, 33.0, 2 * float(envelope_function(
+                fn(wave, 0.0, math.inf, tail=Tail.vanishing()), RIGHT).xs[-1])):
+            number, zero_d, one = D(R), D(np.array(R)), D(np.array([R]))
+            assert type(number) is float and type(zero_d) is float, R
+            assert isinstance(one, np.ndarray) and one.shape == (1,), R
+            assert number.hex() == zero_d.hex() == float(one[0]).hex(), R
+
+    def test_R_at_a_reads_nothing(self):
+        reads = []
+
+        def f_read(x):
+            reads.append(np.size(x))
+            return wave(x)
+
+        def m_read(x):
+            reads.append(np.size(x))
+            return x
+
+        res = decreasing_majorant_mean(
+            fn(f_read, 0.0, math.inf, tail=Tail.vanishing()),
+            Measure1D(m=m_read, m_prime=lambda x: 1.0, domain=Domain(0.0, math.inf)))
+        reads.clear()
+        for R in (0.0, np.array(0.0)):
+            assert res.fn.eval(R) == res.log["value_at_a"]
+        assert reads == []
+
+    def test_scalar_R_outside_the_domain(self):
+        D = decreasing_majorant_mean(fn(wave, 0.0, math.inf, tail=Tail.vanishing()),
+                                     identity_measure(0.0)).fn.eval
+        for R, name in ((-1.0, r"-1\.0"), (math.nan, "nan"), (np.array(-1.0), r"-1\.0")):
+            with pytest.raises(DomainError, match=rf"^R={name} outside \[0\.0, inf\)$"):
+                D(R)
+
+    def test_scalar_R_past_a_bounded_measure(self):
+        D = decreasing_majorant_mean(fn(wave, 0.0, math.inf, tail=Tail.vanishing()),
+                                     identity_measure(0.0, 5.0)).fn.eval
+        assert D(4.0) > 0
+        for R in (5.0, 6.0, np.array(5.0)):
+            with pytest.raises(DegenerateIntervalError, match="not inside the measure domain"):
+                D(R)
+
+    def test_a_halved_query_matches_an_array_call(self):
+        # At rtol 1e-15 some partial pieces miss their first estimate by
+        # rounding and are halved: f read at 16 points, then 30.  Such a
+        # query sums its pieces like an array call does.  Beside R, 0.03 lies
+        # in the flat gap before the peak and reads no f, so the call
+        # refines R's piece alone, row for row as the number does.
+        reads = []
+
+        def f(x):
+            reads.append(np.size(x))
+            return x / (1 + x**3)
+
+        D = decreasing_majorant_mean(fn(f, 0.0, math.inf, tail=Tail.vanishing()),
+                                     identity_measure(0.0), QuadratureConfig(1e-15)).fn.eval
+        D(1.0)
+        halved = []
+        for R in np.linspace(1.5, 2.5, 41).tolist():
+            reads.clear()
+            got = D(R)
+            if sum(reads) > 16:
+                halved.append(R)
+                assert D(np.array([0.03, R]))[1].hex() == got.hex(), R
+                assert D(np.array([R, 20.0]))[0] == pytest.approx(got, rel=1e-14), R
+        assert halved
+
+    def test_refine_sorts_pieces_that_pass_at_once(self):
+        lo, hi = np.array([2.0, 0.0, 1.0]), np.array([3.0, 1.0, 2.0])
+        pieces = _refine(lambda x: x, identity_measure(0.0), lo, hi, np.arange(3), None,
+                         QuadratureConfig())
+        assert pieces.lo.tolist() == [0.0, 1.0, 2.0] and pieces.hi.tolist() == [1.0, 2.0, 3.0]
+        assert pieces.origin.tolist() == [1, 2, 0]
+        assert pieces.value == pytest.approx([0.5, 1.5, 2.5], rel=1e-15)
+        assert pieces.m_hi.tolist() == [1.0, 2.0, 3.0] and pieces.y_lo.tolist() == [0.0, 1.0, 2.0]
 
     def test_concurrent_first_queries(self):
         f = fn(wave, 0.0, math.inf, tail=Tail.vanishing())
