@@ -15,7 +15,8 @@ Prints each pair's end-to-end metrics, then per metric both medians and
 quartiles, the pairs the change won (a tie counts for neither side) and
 whether a claim of a gain holds: the change better in at least 9 of every 10
 pairs, and its median apart from the parent's by more than the parent's
-quartile spread.  Exits 1 when a run fails, else 0.
+quartile spread.  Exits 2 when PARENT or CHANGE is not a git work tree, 1
+when a run fails, else 0.
 """
 
 import argparse
@@ -44,14 +45,20 @@ def parse_args(argv):
     return p.parse_args(argv)
 
 
-def copy_tree(src: Path, dst: Path) -> None:
-    """The files git tracks under src/ and perfbench/ and BENCHMARK.json, src to dst."""
+def copy_tree(src: Path, dst: Path) -> bool:
+    """The files git tracks under src/ and perfbench/ and BENCHMARK.json, src to dst.
+
+    False, with nothing copied, when src is not a git work tree.
+    """
     listed = subprocess.run(["git", "-C", str(src), "ls-files", "-z", "--", "src", "perfbench",
-                             "BENCHMARK.json"], capture_output=True, text=True, check=True)
+                             "BENCHMARK.json"], capture_output=True, text=True)
+    if listed.returncode != 0:
+        return False
     for name in filter(None, listed.stdout.split("\0")):
         if (src / name).is_file():
             (dst / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src / name, dst / name)
+    return True
 
 
 def run_once(tree: Path, args) -> dict:
@@ -100,7 +107,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as root:
         trees = dict(zip(SIDES, (Path(root) / "a", Path(root) / "b")))
         for side in SIDES:
-            copy_tree(getattr(args, side).resolve(), trees[side])
+            checkout = getattr(args, side).resolve()
+            if not copy_tree(checkout, trees[side]):
+                print(f"error: {checkout} is not a git work tree", file=sys.stderr)
+                return 2
         for pair in range(1, args.pairs + 1):
             for side in (SIDES if pair % 2 else SIDES[::-1]):
                 try:

@@ -11,16 +11,22 @@ Grammar (whitespace-insensitive, identifiers lowercase)::
 '^' is right-associative and unary minus applies to a whole power, so
 -x^2 parses as -(x^2).  Functions: ln, exp, sqrt, sin, cos, abs, min, max.
 A number too large for a double is an error.  Error positions are 1-based
-character offsets.  Parsing, differentiating and compiling, and comparing,
-hashing and printing trees, use no recursion, so they accept any nesting
-depth, whatever the caller's stack depth.
+character offsets.
+
+An expression is a program, a tuple of steps (op, value, args): ("num", 2.0, ()),
+("x", None, ()), ("const", "pi", ()), ("neg", None, (i,)), ("+", None, (i, j))
+for + - * / ^, and ("ln", None, (i,)) for a function.  args index earlier
+steps; the last step is the result.  A program is canonical: each distinct
+subexpression is one step, placed where it is first met when the tree is read
+operands first, left to right.  So the tuple's own ==, hash and repr compare,
+hash and print the expression as a tree, and since parsing, differentiating
+and compiling each loop over the steps, any nesting depth works, whatever the
+caller's stack depth.
 """
 
-from __future__ import annotations
-
 import math
+import operator
 import re
-from dataclasses import dataclass
 
 from .errors import ExpressionSyntaxError, NonDifferentiableError
 
@@ -30,108 +36,30 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[a-z]+")
 
-
-class _Tree:
-    """Structural ==, hash and repr of a syntax tree, each one loop over its nodes.
-
-    The methods dataclasses generate recurse once a level, so they would fail
-    on the trees deeper than the recursion limit that the parser accepts.  A
-    node's label is what it holds besides its operands: a value, a constant's
-    or function's name, an operator.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        pairs, seen = [(self, other)], set()
-        while pairs:
-            a, b = pairs.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            seen.add((id(a), id(b)))
-            if type(a) is not type(b) or _label(a) != _label(b):
-                return False
-            pairs.extend(zip(_children(a), _children(b)))  # equal labels, equal arity
-        return True
-
-    def __hash__(self):
-        hashes = {}
-        for n in _postorder(self):
-            hashes[id(n)] = hash((type(n).__name__, _label(n),
-                                  *(hashes[id(c)] for c in _children(n))))
-        return hashes[id(self)]
-
-    def __repr__(self):
-        # The dataclass repr, written from a stack of text and nodes still to write.
-        out, stack = [], [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-                continue
-            parts = [f"{type(item).__name__}("]
-            for k, (name, v) in enumerate(vars(item).items()):
-                parts.append(f"{', ' if k else ''}{name}=")
-                if isinstance(v, tuple):  # a Call's one or two arguments
-                    parts += ["(", v[0], ",)"] if len(v) == 1 else ["(", v[0], ", ", v[1], ")"]
-                else:
-                    parts.append(v if isinstance(v, _Tree) else repr(v))
-            stack.extend(reversed([*parts, ")"]))
-        return "".join(out)
-
-
-def _label(node) -> tuple:
-    return tuple(v for v in vars(node).values() if not isinstance(v, (_Tree, tuple)))
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Num(_Tree):
-    value: float
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Var(_Tree):
-    pass
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Const(_Tree):
-    name: str
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Neg(_Tree):
-    arg: "Expression"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class BinOp(_Tree):
-    op: str
-    left: "Expression"
-    right: "Expression"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Call(_Tree):
-    name: str
-    args: tuple
-
-    def __post_init__(self):
-        if self.name not in FUNCTIONS:
-            raise ValueError(f"unknown function {self.name!r}")
-        if len(self.args) != FUNCTIONS[self.name]:
-            raise ValueError(f"{self.name} expects {FUNCTIONS[self.name]} argument(s)")
-
-
-Expression = Num | Var | Const | Neg | BinOp | Call
-
-X = Var()
-
-
 # How tightly each operator binds; "neg" is unary minus.
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
+class _Program:
+    """Steps under construction, each distinct step stored once (hash-consed)."""
+
+    def __init__(self, steps=()):
+        self.steps = list(steps)
+        self.index = {step: k for k, step in enumerate(self.steps)}
+
+    def put(self, op: str, *args: int, value=None) -> int:
+        """The index of the step (op, value, args), appended if it is new."""
+        step = (op, value, args)
+        k = self.index.get(step)
+        if k is None:
+            k = self.index[step] = len(self.steps)
+            self.steps.append(step)
+        return k
+
+    def number(self, k: int):
+        """The value of step k if it is a number or a constant, else None."""
+        op, value, _ = self.steps[k]
+        return value if op == "num" else CONSTANTS[value] if op == "const" else None
 
 
 def _fail(message: str, pos: int):
@@ -144,25 +72,26 @@ def _skip_space(text: str, pos: int) -> int:
     return pos
 
 
-def _reduce(ops: list, vals: list, prec: int):
+def _reduce(ops: list, vals: list, prog: _Program, prec: int):
     """Apply the operators above the innermost open bracket that bind at least prec."""
     while ops and isinstance(ops[-1], str) and _PRECEDENCE[ops[-1]] >= prec:
         op, arg = ops.pop(), vals.pop()
-        vals.append(Neg(arg) if op == "neg" else BinOp(op, vals.pop(), arg))
+        vals.append(prog.put("neg", arg) if op == "neg" else prog.put(op, vals.pop(), arg))
 
 
-def parse_expression(text: str) -> Expression:
-    """Parse an expression string into its syntax tree.
+def parse_expression(text: str) -> tuple:
+    """Parse an expression string into its program.
 
     Dijkstra's operator-precedence ("shunting-yard") algorithm: one loop over
-    an operand stack and an operator stack, which also holds each open bracket
-    as (function name or None, its start, the operands below it).  Each step
-    expects either a value or what may follow one: an operator, a comma, a
-    closing bracket or the end.
+    an operand stack of step indices and an operator stack, which also holds
+    each open bracket as (function name or None, its start, the operands below
+    it).  Each step expects either a value or what may follow one: an
+    operator, a comma, a closing bracket or the end.  Steps are put operands
+    first, left to right, the canonical order.
     """
     if not text or not text.strip():
         raise ExpressionSyntaxError("empty expression", 1)
-    vals, ops = [], []
+    prog, vals, ops = _Program(), [], []
     pos, want_value = 0, True  # 0-based cursor; reported positions are 1-based
     while True:
         pos = _skip_space(text, pos)
@@ -178,7 +107,7 @@ def parse_expression(text: str) -> Expression:
             if m:
                 if math.isinf(float(m.group())):
                     _fail(f"number {m.group()} is out of range", pos)
-                vals.append(Num(float(m.group())))
+                vals.append(prog.put("num", value=float(m.group())))
             elif m := _IDENT_RE.match(text, pos):
                 name = m.group()
                 if name in FUNCTIONS:
@@ -190,21 +119,21 @@ def parse_expression(text: str) -> Expression:
                     continue
                 if name != "x" and name not in CONSTANTS:
                     _fail(f"unknown identifier {name!r}", pos)
-                vals.append(X if name == "x" else Const(name))
+                vals.append(prog.put("x") if name == "x" else prog.put("const", value=name))
             else:
                 _fail(f"unexpected character {ch!r}", pos)
             pos, want_value = m.end(), False
         elif ch and ch in "+-*/^":
             if ch != "^":  # '^' is right-associative
-                _reduce(ops, vals, _PRECEDENCE[ch])
+                _reduce(ops, vals, prog, _PRECEDENCE[ch])
             ops.append(ch)
             pos, want_value = pos + 1, True
         else:
-            _reduce(ops, vals, 0)
+            _reduce(ops, vals, prog, 0)
             if not ops:
                 if ch:
                     _fail(f"unexpected {ch!r}", pos)
-                return vals[0]
+                return tuple(prog.steps)
             name, start, base = ops[-1]
             if ch == "," and name:
                 pos, want_value = pos + 1, True
@@ -212,160 +141,120 @@ def parse_expression(text: str) -> Expression:
             if ch != ")":
                 _fail("expected ')'", pos)
             ops.pop()
-            args = tuple(vals[base:])
+            args = vals[base:]
             del vals[base:]
             if name and len(args) != FUNCTIONS[name]:
                 _fail(f"{name} expects {FUNCTIONS[name]} argument(s), got {len(args)}", start)
-            vals.append(Call(name, args) if name else args[0])
+            vals.append(prog.put(name, *args) if name else args[0])
             pos += 1
 
 
-def _num(node: Expression) -> float:
-    return node.value if isinstance(node, Num) else CONSTANTS[node.name]
+def derive_expression(program: tuple) -> tuple:
+    """Symbolic derivative with respect to x; abs/min/max are rejected.
+
+    One pass over the steps appends the derivative of each to a copy of the
+    program, simplifying sums and products with 0 and 1; the steps the result
+    reaches are then renumbered into canonical order.
+    """
+    prog = _Program(program)
+    put, number = prog.put, prog.number
+
+    def add(a, b):
+        return b if number(a) == 0 else a if number(b) == 0 else put("+", a, b)
+
+    def sub(a, b):
+        return a if number(b) == 0 else put("neg", b) if number(a) == 0 else put("-", a, b)
+
+    def mul(a, b):
+        if 0 in (number(a), number(b)):
+            return put("num", value=0.0)
+        return b if number(a) == 1 else a if number(b) == 1 else put("*", a, b)
+
+    def div(a, b):
+        return put("num", value=0.0) if number(a) == 0 else a if number(b) == 1 else put("/", a, b)
+
+    d = []  # d[k] is the step of the derivative of step k
+    for k, (op, _, args) in enumerate(program):
+        if not args:
+            d.append(put("num", value=1.0 if op == "x" else 0.0))
+            continue
+        u, v = args[0], args[-1]
+        du, dv = d[u], d[v]
+        if op == "neg":
+            d.append(put("neg", du))
+        elif op == "+":
+            d.append(add(du, dv))
+        elif op == "-":
+            d.append(sub(du, dv))
+        elif op == "*":
+            d.append(add(mul(du, v), mul(u, dv)))
+        elif op == "/":
+            d.append(div(sub(mul(du, v), mul(u, dv)), put("^", v, put("num", value=2.0))))
+        elif op == "^" and prog.steps[v][0] == "num":
+            d.append(mul(mul(v, put("^", u, put("num", value=number(v) - 1.0))), du))
+        elif op == "^" and number(u) is not None:
+            if not number(u) > 0:
+                raise NonDifferentiableError(f"constant base {number(u)} of ^ is not positive")
+            d.append(mul(mul(k, put("num", value=math.log(number(u)))), dv))
+        elif op == "^":
+            d.append(mul(k, add(mul(dv, put("ln", u)), mul(v, div(du, u)))))
+        elif op in ("abs", "min", "max"):
+            raise NonDifferentiableError(f"{op} is not differentiable")
+        elif op == "ln":
+            d.append(div(du, u))
+        elif op == "exp":
+            d.append(mul(k, du))
+        elif op == "sqrt":
+            d.append(div(du, mul(put("num", value=2.0), k)))
+        elif op == "sin":
+            d.append(mul(put("cos", u), du))
+        else:  # cos
+            d.append(put("neg", mul(put("sin", u), du)))
+    return _canonical(prog.steps, d[-1])
 
 
-def _add(a, b):
-    if isinstance(a, Num) and a.value == 0:
-        return b
-    if isinstance(b, Num) and b.value == 0:
-        return a
-    return BinOp("+", a, b)
-
-
-def _sub(a, b):
-    if isinstance(b, Num) and b.value == 0:
-        return a
-    if isinstance(a, Num) and a.value == 0:
-        return Neg(b)
-    return BinOp("-", a, b)
-
-
-def _mul(a, b):
-    for u, v in ((a, b), (b, a)):
-        if isinstance(u, Num):
-            if u.value == 0:
-                return Num(0.0)
-            if u.value == 1:
-                return v
-    return BinOp("*", a, b)
-
-
-def _div(a, b):
-    if isinstance(a, Num) and a.value == 0:
-        return Num(0.0)
-    if isinstance(b, Num) and b.value == 1:
-        return a
-    return BinOp("/", a, b)
-
-
-def _children(node: Expression) -> tuple:
-    if isinstance(node, Neg):
-        return (node.arg,)
-    if isinstance(node, BinOp):
-        return (node.left, node.right)
-    return node.args if isinstance(node, Call) else ()
-
-
-def _postorder(root: Expression) -> list:
-    """The distinct nodes of the tree (by identity), each after its children."""
-    order, seen, stack = [], set(), [(root, False)]
+def _canonical(steps: list, root: int) -> tuple:
+    """The steps root reaches, renumbered in canonical order (operands first, left to right)."""
+    new, out, stack = {}, [], [(root, False)]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(_children(node)))
-    return order
+        k, ready = stack.pop()
+        if k in new:
+            continue
+        op, value, args = steps[k]
+        if ready:
+            new[k] = len(out)
+            out.append((op, value, tuple(new[a] for a in args)))
+        else:
+            stack.append((k, True))
+            stack.extend((a, False) for a in reversed(args))
+    return tuple(out)
 
 
-def derive_expression(node: Expression) -> Expression:
-    """Symbolic derivative with respect to x; abs/min/max are rejected."""
-    derived = {}
-    for n in _postorder(node):
-        derived[id(n)] = _derive(n, *(derived[id(c)] for c in _children(n)))
-    return derived[id(node)]
+def compile_expression(program: tuple):
+    """A callable that runs the program's steps in order, the library's one evaluator.
 
-
-def _derive(node: Expression, du=None, dv=None) -> Expression:
-    """The derivative of node, given those of its operands (du, dv)."""
-    if isinstance(node, (Num, Const)):
-        return Num(0.0)
-    if isinstance(node, Var):
-        return Num(1.0)
-    if isinstance(node, Neg):
-        return Neg(du)
-    if isinstance(node, BinOp):
-        u, v = node.left, node.right
-        if node.op == "+":
-            return _add(du, dv)
-        if node.op == "-":
-            return _sub(du, dv)
-        if node.op == "*":
-            return _add(_mul(du, v), _mul(u, dv))
-        if node.op == "/":
-            return _div(_sub(_mul(du, v), _mul(u, dv)), BinOp("^", v, Num(2.0)))
-        # u ^ v
-        if isinstance(v, Num):
-            return _mul(_mul(v, BinOp("^", u, Num(v.value - 1.0))), du)
-        if isinstance(u, (Num, Const)):
-            if not _num(u) > 0:
-                raise NonDifferentiableError(f"constant base {_num(u)} of ^ is not positive")
-            return _mul(_mul(node, Num(math.log(_num(u)))), dv)
-        return _mul(node, _add(_mul(dv, Call("ln", (u,))), _mul(v, _div(du, u))))
-    if node.name in ("abs", "min", "max"):
-        raise NonDifferentiableError(f"{node.name} is not differentiable")
-    (arg,) = node.args
-    if node.name == "ln":
-        return _div(du, arg)
-    if node.name == "exp":
-        return _mul(node, du)
-    if node.name == "sqrt":
-        return _div(du, _mul(Num(2.0), node))
-    if node.name == "sin":
-        return _mul(Call("cos", (arg,)), du)
-    # cos
-    return Neg(_mul(Call("sin", (arg,)), du))
-
-
-_UFUNCS = {"^": "power", "/": "divide", "ln": "log", "min": "minimum", "max": "maximum"}
-
-
-def compile_expression(node: Expression):
-    """Compile the tree into a callable, the library's one evaluator.
-
-    The generated function assigns each distinct operation of the tree once,
-    after its operands (t3 = np.power(t1, t2)), so its code never nests,
-    whatever the depth of the tree.  Built on numpy ufuncs, so the result
-    accepts numbers and arrays alike; it runs with no builtins and under
-    np.errstate(all="ignore"): out-of-domain inputs surface as non-finite
-    values, which the callers check.
+    A step is a numpy ufunc, or the Python operator for + - * and unary minus
+    (so a Python float stays one); the callable takes numbers and arrays alike.
+    It runs under np.errstate(all="ignore"): out-of-domain inputs surface as
+    non-finite values, which the callers check.
     """
     import numpy as np
 
-    names, lines = {}, []
-    for n in _postorder(node):
-        args = [names[id(c)] for c in _children(n)]
-        if not args:
-            names[id(n)] = "x" if isinstance(n, Var) else repr(_num(n))
-            continue
-        if isinstance(n, Neg):
-            value = f"-{args[0]}"
-        elif isinstance(n, BinOp) and n.op in "+-*":
-            value = f"{args[0]} {n.op} {args[1]}"
-        else:
-            name = n.op if isinstance(n, BinOp) else n.name
-            value = f"np.{_UFUNCS.get(name, name)}({', '.join(args)})"
-        names[id(n)] = f"t{len(lines)}"
-        lines.append(f" {names[id(n)]} = {value}\n")
-    env = {"__builtins__": {}, "np": np}
-    source = "".join(["def body(x):\n", *lines, f" return {names[id(node)]}\n"])
-    exec(compile(source, "<expression>", "exec"), env)
-    body = env["body"]
+    table = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
+             "/": np.divide, "^": np.power, "ln": np.log, "exp": np.exp, "sqrt": np.sqrt,
+             "sin": np.sin, "cos": np.cos, "abs": np.abs, "min": np.minimum, "max": np.maximum}
+    leaves = [value if op == "num" else CONSTANTS.get(value) for op, value, _ in program]
+    at_x = [k for k, (op, _, _) in enumerate(program) if op == "x"]
+    calls = [(k, table[op], args[0], args[-1] if len(args) == 2 else None)
+             for k, (op, _, args) in enumerate(program) if args]
 
     def fn(x):
+        vals = leaves.copy()
+        for k in at_x:
+            vals[k] = x
         with np.errstate(all="ignore"):
-            return body(x)
+            for k, f, i, j in calls:
+                vals[k] = f(vals[i]) if j is None else f(vals[i], vals[j])
+        return vals[-1]
 
     return fn

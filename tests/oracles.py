@@ -4,19 +4,83 @@ These deliberately avoid the library's adaptive/refined code paths: dense-grid
 maxima, fixed-panel midpoint Stieltjes sums, plain numpy cumulative maxima, the
 closed-form maxima of a damped wave, and the reference expression evaluator
 eval_expression, a scalar tree-walker on the math module that checks the
-library's numpy-compiled expressions.  The recursive-descent reference_parse,
-the recursive reference_derive and reference_compile, which renders a tree
-as one nested numpy expression, check the library's iterative parser,
-derivative and compiler draw for draw.
+library's numpy-compiled expressions.
+
+The expression oracles own their syntax trees: the node dataclasses Num, Var,
+Const, Neg, BinOp and Call, compared, hashed and printed by the dataclass
+methods.  The recursive-descent reference_parse, the recursive
+reference_derive and reference_compile, which renders a tree as one nested
+numpy expression, check the library's parser, derivative and compiler draw
+for draw.  to_tree turns a library program into such a tree, the one place
+the two representations meet; eval_expression and to_text call it when given
+a program.  From the library they take the FUNCTIONS and CONSTANTS tables and
+the error types alone.
 """
 
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
 from meanmax.errors import ExpressionSyntaxError, NonDifferentiableError
-from meanmax.exprparse import CONSTANTS, FUNCTIONS, X, BinOp, Call, Const, Neg, Num, Var
+from meanmax.exprparse import CONSTANTS, FUNCTIONS
+
+
+@dataclass(frozen=True)
+class Num:
+    value: float
+
+
+@dataclass(frozen=True)
+class Var:
+    pass
+
+
+@dataclass(frozen=True)
+class Const:
+    name: str
+
+
+@dataclass(frozen=True)
+class Neg:
+    arg: object
+
+
+@dataclass(frozen=True)
+class BinOp:
+    op: str
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class Call:
+    name: str
+    args: tuple
+
+
+X = Var()
+
+
+def to_tree(program):
+    """The reference tree of a library program, one loop over its steps."""
+    nodes = []
+    for op, value, args in program:
+        operands = [nodes[k] for k in args]
+        if op == "num":
+            nodes.append(Num(value))
+        elif op == "x":
+            nodes.append(X)
+        elif op == "const":
+            nodes.append(Const(value))
+        elif op == "neg":
+            nodes.append(Neg(*operands))
+        elif op in FUNCTIONS:
+            nodes.append(Call(op, tuple(operands)))
+        else:
+            nodes.append(BinOp(op, *operands))
+    return nodes[-1]
 
 
 class ExpressionEvalError(Exception):
@@ -24,7 +88,9 @@ class ExpressionEvalError(Exception):
 
 
 def to_text(node) -> str:
-    """Render a subtree back to expression syntax, fully parenthesized."""
+    """Render a tree, or a program's tree, back to expression syntax, fully parenthesized."""
+    if isinstance(node, tuple):
+        node = to_tree(node)
     if isinstance(node, Num):
         return f"{node.value:g}"
     if isinstance(node, Var):
@@ -49,7 +115,10 @@ _REFERENCE_OPS = {
 
 
 def eval_expression(node, x: float) -> float:
-    """Evaluate the tree at x; non-finite intermediate results raise, never propagate."""
+    """Evaluate a tree, or a program's tree, at x; non-finite intermediate
+    results raise, never propagate."""
+    if isinstance(node, tuple):
+        node = to_tree(node)
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):

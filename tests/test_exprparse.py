@@ -9,22 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanmax.errors import ExpressionSyntaxError, NonDifferentiableError
-from meanmax.exprparse import (
-    FUNCTIONS,
+from meanmax.exprparse import FUNCTIONS, compile_expression, derive_expression, parse_expression
+from oracles import (
     BinOp,
     Call,
-    Num,
-    compile_expression,
-    derive_expression,
-    parse_expression,
-)
-from oracles import (
     ExpressionEvalError,
+    Num,
     eval_expression,
     reference_compile,
     reference_derive,
     reference_parse,
     to_text,
+    to_tree,
 )
 
 # (text, direct evaluation, safe sampling interval)
@@ -78,11 +74,11 @@ class TestPrecedence:
 
 class TestParsing:
     def test_division_shape(self):
-        ast = parse_expression("1/x")
+        ast = to_tree(parse_expression("1/x"))
         assert isinstance(ast, BinOp) and ast.op == "/"
 
     def test_nested_shape(self):
-        ast = parse_expression("exp(-x) + x^2*ln(x)")
+        ast = to_tree(parse_expression("exp(-x) + x^2*ln(x)"))
         assert isinstance(ast, BinOp) and ast.op == "+"
         assert isinstance(ast.left, Call) and ast.left.name == "exp"
 
@@ -99,7 +95,7 @@ class TestParsing:
         with pytest.raises(ExpressionSyntaxError,
                            match=r"^number 1e999 is out of range \(at position 3\)$"):
             parse_expression("x*1e999")
-        assert parse_expression("1e308") == Num(1e308)
+        assert to_tree(parse_expression("1e308")) == Num(1e308)
 
     def test_trailing_operator(self):
         with pytest.raises(ExpressionSyntaxError) as err:
@@ -172,7 +168,7 @@ class TestParsing:
         assert parse_expression("min(x, 2)") == parse_expression("min( x,2 )")
         assert hash(parse_expression("-x^2")) == hash(parse_expression("-(x^2)"))
         assert parse_expression("x") != "x"
-        assert repr(parse_expression("min(x, 2) - ln(pi)")) == (
+        assert repr(to_tree(parse_expression("min(x, 2) - ln(pi)"))) == (
             "BinOp(op='-', left=Call(name='min', args=(Var(), Num(value=2.0))), "
             "right=Call(name='ln', args=(Const(name='pi'),)))")
 
@@ -277,8 +273,13 @@ class TestDerivative:
         assert eval_expression(d, 2.0) == pytest.approx(math.exp(2.0), rel=1e-14)
 
     def test_derivative_of_constant(self):
-        d = derive_expression(parse_expression("pi"))
+        d = to_tree(derive_expression(parse_expression("pi")))
         assert isinstance(d, Num) and d.value == 0.0
+
+    def test_derivatives_share_subexpressions(self):
+        # The derivative is canonical: it equals the parse of the same tree.
+        assert derive_expression(parse_expression("ln(x)")) == parse_expression("1/x")
+        assert derive_expression(parse_expression("x*x")) == parse_expression("x+x")
 
 
 class TestToText:
@@ -315,10 +316,11 @@ GRAMMAR = st.recursive(st.sampled_from(["x", "2", "0.5", "1e-3", "pi", "e", "0"]
 
 
 def _parsed(parse, text):
+    """(the program or tree, None), or (None, the error's message and position)."""
     try:
-        return parse(text)
+        return parse(text), None
     except ExpressionSyntaxError as exc:
-        return str(exc), exc.position
+        return None, (str(exc), exc.position)
 
 
 def _same_values(fast, ref):
@@ -337,15 +339,20 @@ def _derived(derive, tree):
 
 
 def _assert_matches_reference(text):
-    tree = _parsed(parse_expression, text)
-    assert tree == _parsed(reference_parse, text)
-    if isinstance(tree, tuple):
+    program, error = _parsed(parse_expression, text)
+    tree, want_error = _parsed(reference_parse, text)
+    assert error == want_error
+    if error:
         return
-    _same_values(compile_expression(tree), reference_compile(tree))
-    d = _derived(derive_expression, tree)
-    assert d == _derived(reference_derive, tree)
-    if d is not NonDifferentiableError:
-        _same_values(compile_expression(d), reference_compile(d))
+    assert to_tree(program) == tree
+    _same_values(compile_expression(program), reference_compile(tree))
+    d = _derived(derive_expression, program)
+    want = _derived(reference_derive, tree)
+    if d is NonDifferentiableError:
+        assert want is NonDifferentiableError
+        return
+    assert to_tree(d) == want
+    _same_values(compile_expression(d), reference_compile(want))
 
 
 # Messages and positions of malformed input, and the shapes precedence gives.
@@ -374,3 +381,22 @@ def test_grammar_expressions_match_the_reference(text, at, inserted, dropped):
     _assert_matches_reference(text)
     at %= len(text) + 1
     _assert_matches_reference(text[:at] + "".join(inserted) + text[at + dropped:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.recursive(st.sampled_from(["x", "2", "0.5", "pi", "0"]), _grammar,
+                             max_leaves=4), min_size=1, max_size=4))
+def test_programs_are_equal_exactly_when_their_trees_are(texts):
+    # Parsed and derived programs of small grammar draws, and the parses of
+    # their fully parenthesized renderings, which are the same trees.
+    programs = []
+    for text in texts:
+        program = parse_expression(text)
+        programs += [program, parse_expression(to_text(program))]
+        d = _derived(derive_expression, program)
+        if d is not NonDifferentiableError:
+            programs.append(d)
+    for a in programs:
+        for b in programs:
+            assert (a == b) == (to_tree(a) == to_tree(b))
+            assert a != b or hash(a) == hash(b)

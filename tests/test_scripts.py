@@ -1,6 +1,7 @@
 """The experiment scripts run to the end and print what they printed before."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -45,11 +46,40 @@ def test_decay_study():
     ]
 
 
-def test_bench_pairs_runs_a_pair():
-    proc = run_script("bench_pairs.py", str(ROOT), str(ROOT), "--pairs", "1", "--seconds", "0",
+def export(path):
+    """A copy at path of this tree's src/, perfbench/ and BENCHMARK.json, outside git."""
+    skip = shutil.ignore_patterns("__pycache__")
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, path / name, ignore=skip)
+    shutil.copy2(ROOT / "BENCHMARK.json", path / "BENCHMARK.json")
+    return path
+
+
+def git_checkout(path):
+    """The export at path, made a fresh git repository with one commit."""
+    export(path)
+    git = ["git", "-C", str(path), "-c", "user.name=bench", "-c", "user.email=bench@localhost"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "checkout"]):
+        subprocess.run([*git, *args], check=True, capture_output=True)
+    return path
+
+
+def test_bench_pairs_runs_a_pair(tmp_path):
+    # Its own repository, so the test passes in a tree that git does not track.
+    checkout = str(git_checkout(tmp_path / "checkout"))
+    proc = run_script("bench_pairs.py", checkout, checkout, "--pairs", "1", "--seconds", "0",
                       "--workload", "majorant-sweep")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines[:2]] == ["pair 1 parent", "pair 1 change"]
     assert lines[-1] == "failed operations: parent 0, change 0"
     assert any(line.startswith("op_p50_ms: parent median ") for line in lines)
+
+
+def test_bench_pairs_needs_a_git_work_tree(tmp_path):
+    tree = export(tmp_path / "export").resolve()
+    proc = run_script("bench_pairs.py", str(tree), str(tree), "--pairs", "1",
+                      "--workload", "majorant-sweep")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {tree} is not a git work tree\n"
